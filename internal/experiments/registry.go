@@ -146,7 +146,13 @@ var (
 
 // engineAware marks specs whose harness threads Options.Engine into its
 // executor; specs without it run the statevector kernel unconditionally.
-var engineAware = []string{exec.EngineStab, exec.EngineAuto}
+// autoOnly marks harnesses whose compiled circuits carry non-Clifford
+// gates (RZZ and Ucan compensation, conditioned RZ): a forced stab run
+// can never represent them, but auto dispatch falls back per instance.
+var (
+	engineAware = []string{exec.EngineStab, exec.EngineAuto}
+	autoOnly    = []string{exec.EngineAuto}
+)
 
 // The correlation-spectroscopy figures run the full-device Ramsey probe,
 // which embeds on any backend; full lattices beyond the statevector limit
@@ -192,17 +198,17 @@ var catalog = []Spec{
 	{ID: "fig5", Title: "CA-DD constrained coloring example", Paper: "Fig. 5",
 		Strategies: []string{"ca-dd"}, Run: Fig5Coloring},
 	{ID: "fig6", Title: "Floquet Ising chain <X0 X5>", Paper: "Fig. 6",
-		Engines:    engineAware,
+		Engines:    autoOnly,
 		Strategies: []string{"twirled", "ca-ec", "ca-dd"},
 		Backends:   fig6Backends,
 		Axes:       []Axis{depthAxis(1, 2, 3, 4, 5, 6, 7, 8)}, Run: Fig6Ising},
 	{ID: "fig7c", Title: "Heisenberg ring <Z2> (12 spins)", Paper: "Fig. 7c",
-		Engines:    engineAware,
+		Engines:    autoOnly,
 		Strategies: []string{"twirled", "dd-aligned", "ca-dd", "ca-ec"},
 		Backends:   fig7Backends,
 		Axes:       fig7Axes, Run: Fig7cHeisenberg},
 	{ID: "fig7d", Title: "mitigation overhead (Heisenberg)", Paper: "Fig. 7d",
-		Engines:    engineAware,
+		Engines:    autoOnly,
 		Strategies: []string{"twirled", "dd-aligned", "ca-dd", "ca-ec"},
 		Backends:   fig7Backends,
 		Axes:       fig7Axes, DerivesFrom: "fig7c", Derive: Fig7dOverhead},
@@ -213,13 +219,13 @@ var catalog = []Spec{
 		Axes:       []Axis{{Name: "lf_depth", Values: []float64{1, 2, 4, 6, 9, 12}, Fast: []float64{1, 2, 4}}},
 		Run:        Fig8LayerFidelity},
 	{ID: "fig9", Title: "dynamic-circuit Bell fidelity vs assumed tau", Paper: "Fig. 9",
-		Engines:    engineAware,
+		Engines:    autoOnly,
 		Strategies: []string{"bare", "ca-ec"},
 		Axes: []Axis{{Name: "tau_ns", Values: []float64{0, 250, 500, 750, 1000, 1150, 1300, 1500, 1750, 2000, 2300},
 			Fast: []float64{0, 500, 1150, 1750}}},
 		Run: Fig9Dynamic},
 	{ID: "fig10", Title: "combined strategy P00 (6 qubits)", Paper: "Fig. 10",
-		Engines:    engineAware,
+		Engines:    autoOnly,
 		Strategies: []string{"twirled", "ca-dd", "ca-ec", "ca-ec+dd"},
 		Axes:       []Axis{depthAxis(1, 2, 3, 4, 5, 6)}, Run: Fig10Combined},
 	{ID: "table1", Title: "error sources and suppression", Paper: "Table I",

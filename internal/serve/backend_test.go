@@ -105,6 +105,14 @@ func TestFigureBackendParam(t *testing.T) {
 	if rec.Code != http.StatusBadRequest {
 		t.Errorf("fig5 with an undeclared engine must be a 400 client error, got %d", rec.Code)
 	}
+	// fig6's circuits are non-Clifford, so it declares auto but not stab:
+	// a forced stab request is refused up front instead of failing in
+	// the compute path with a 500.
+	rec = httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/figures/fig6?engine=stab", nil))
+	if rec.Code != http.StatusBadRequest {
+		t.Errorf("fig6 with engine=stab must be a 400 client error, got %d", rec.Code)
+	}
 	if calls := len(gotBackend); calls != 2 {
 		t.Errorf("compute ran %d times, want 2 (bad requests must not compute)", calls)
 	}
