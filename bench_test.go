@@ -332,7 +332,7 @@ func BenchmarkFacadeQuickstart(b *testing.B) {
 		c := casq.NewCircuit(4, 0)
 		c.AddLayer(casq.OneQubitLayer).H(0).H(3)
 		c.AddLayer(casq.TwoQubitLayer).ECR(1, 2)
-		ex := casq.NewExecutor(dev, casq.Build(casq.Combined()))
+		ex := casq.NewExecutor(dev, casq.Combined())
 		cfg := casq.DefaultSimConfig()
 		cfg.Shots = 16
 		vals, err := ex.Expectations(context.Background(), c, []casq.Observable{{0: 'X'}},

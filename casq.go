@@ -8,7 +8,6 @@ import (
 
 	"casq/internal/caec"
 	"casq/internal/circuit"
-	"casq/internal/core"
 	"casq/internal/correl"
 	"casq/internal/dd"
 	"casq/internal/device"
@@ -57,8 +56,8 @@ type (
 	SimEngine = sim.Engine
 	// StabEngine is the stabilizer/Pauli-frame engine: full-device twirled
 	// simulation via the Pauli-twirling approximation, batching 64 shots
-	// per word op through bit-plane frames (set Scalar for the retained
-	// per-shot reference path).
+	// per word op through bit-plane frames (the shots % 64 remainder runs
+	// on per-shot frames).
 	StabEngine = stab.Engine
 	// PackedBits is a bit-plane record of measured bits: 64 shots per
 	// word, the stabilizer engine's native outcome format.
@@ -251,17 +250,6 @@ func CorrelationDiagnostic(backend, strategy string, opts ExperimentOptions) (Co
 	return experiments.CorrelationDiagnostic(backend, strategy, opts)
 }
 
-// Compatibility types for the pre-redesign compiler API.
-type (
-	// Strategy is a named error-suppression configuration; lower it to a
-	// Pipeline with Build or Strategy.Pipeline.
-	Strategy = core.Strategy
-	// Compiler applies a strategy's pass pipeline (compat wrapper).
-	Compiler = core.Compiler
-	// RunOptions configure twirl-averaged execution through a Compiler.
-	RunOptions = core.RunOptions
-)
-
 // Layer kinds.
 const (
 	OneQubitLayer = circuit.OneQubitLayer
@@ -412,20 +400,20 @@ func LayoutPass(opts LayoutOptions) Pass { return layout.Select(opts) }
 // measurements) are rewritten through the wire permutation.
 func RoutePass() Pass { return layout.Route() }
 
-// Strategies benchmarked in the paper.
+// Strategies benchmarked in the paper, as canned pipelines.
 var (
 	// Bare applies scheduling only.
-	Bare = core.Bare
+	Bare = pass.Bare
 	// Twirled applies Pauli twirling only.
-	Twirled = core.Twirled
+	Twirled = pass.Twirled
 	// WithDD applies twirling plus a DD strategy.
-	WithDD = core.WithDD
+	WithDD = pass.WithDD
 	// CADD is context-aware dynamical decoupling (Algorithm 1).
-	CADD = core.CADD
+	CADD = pass.CADD
 	// CAEC is context-aware error compensation (Algorithm 2).
-	CAEC = core.CAEC
+	CAEC = pass.CAEC
 	// Combined applies CA-DD first and CA-EC on the remainder.
-	Combined = core.Combined
+	Combined = pass.Combined
 )
 
 // NewPipeline composes passes into a named pipeline. Orderings the fixed
@@ -434,9 +422,6 @@ var (
 func NewPipeline(name string, passes ...Pass) Pipeline {
 	return pass.New(name, passes...)
 }
-
-// Build lowers a named strategy to its canned pass pipeline.
-func Build(st Strategy) Pipeline { return st.Pipeline() }
 
 // TwirlPass returns a pass sampling one Pauli-twirl instance.
 func TwirlPass(scope TwirlScope) Pass { return pass.Twirl(scope) }
@@ -466,12 +451,6 @@ func Compile(dev *Device, pl Pipeline, c *Circuit, seed int64) (*Circuit, Report
 // NewExecutor returns a concurrent executor running the pipeline on the
 // device. Results are bit-identical for any worker count.
 func NewExecutor(dev *Device, pl Pipeline) *Executor { return exec.New(dev, pl) }
-
-// NewCompiler returns a compiler for the device and strategy with a
-// deterministic twirl sampler (compat wrapper over Build + NewExecutor).
-func NewCompiler(dev *Device, st Strategy, seed int64) *Compiler {
-	return core.New(dev, st, seed)
-}
 
 // Schedule assigns start times and durations to a circuit's layers for the
 // device, returning the total duration in ns.

@@ -36,14 +36,16 @@ func TestFacadeCompilerStrategies(t *testing.T) {
 
 	cfg := casq.DefaultSimConfig()
 	cfg.Shots = 32
-	for _, st := range []casq.Strategy{casq.Bare(), casq.Twirled(), casq.CADD(), casq.CAEC(), casq.Combined()} {
-		comp := casq.NewCompiler(dev, st, 3)
-		vals, err := comp.Expectations(c, []casq.Observable{{0: 'X'}}, casq.RunOptions{Instances: 2, Cfg: cfg})
+	seed := rand.New(rand.NewSource(3)).Int63()
+	for _, pl := range []casq.Pipeline{casq.Bare(), casq.Twirled(), casq.CADD(), casq.CAEC(), casq.Combined()} {
+		ex := casq.NewExecutor(dev, pl)
+		vals, err := ex.Expectations(context.Background(), c, []casq.Observable{{0: 'X'}},
+			casq.ExecOptions{Instances: 2, Seed: seed, Cfg: cfg})
 		if err != nil {
-			t.Fatalf("%s: %v", st.Name, err)
+			t.Fatalf("%s: %v", pl.Name, err)
 		}
 		if math.IsNaN(vals[0]) || vals[0] < -1.001 || vals[0] > 1.001 {
-			t.Errorf("%s: bad expectation %v", st.Name, vals[0])
+			t.Errorf("%s: bad expectation %v", pl.Name, vals[0])
 		}
 	}
 }
@@ -66,8 +68,8 @@ func TestFacadeExperiments(t *testing.T) {
 	}
 }
 
-// TestFacadeCustomPipeline runs compositions the pre-redesign Strategy API
-// could not express — CA-EC before CA-DD, and twirl-free DD — through the
+// TestFacadeCustomPipeline runs compositions the six named strategies
+// cannot express — CA-EC before CA-DD, and twirl-free DD — through the
 // public facade.
 func TestFacadeCustomPipeline(t *testing.T) {
 	dev := casq.NewLineDevice("api", 4, casq.DefaultDeviceOptions())
@@ -107,43 +109,6 @@ func TestFacadeCustomPipeline(t *testing.T) {
 		if rep.DD.Total == 0 {
 			t.Errorf("%s: no DD pulses despite DD pass", pl.Name)
 		}
-	}
-}
-
-// TestFacadeCompatSemantics pins the compat Compiler wrappers: two
-// Compilers with the same construction seed reproduce each other
-// bit-for-bit, while successive calls on one Compiler draw fresh twirl
-// samples (the pre-redesign shared-RNG semantics).
-func TestFacadeCompatSemantics(t *testing.T) {
-	dev := casq.NewLineDevice("api", 4, casq.DefaultDeviceOptions())
-	c := casq.NewCircuit(4, 0)
-	c.AddLayer(casq.OneQubitLayer).H(0).H(3)
-	c.AddLayer(casq.TwoQubitLayer).ECR(1, 2)
-
-	cfg := casq.DefaultSimConfig()
-	cfg.Shots = 48
-	// <Z2> on a gate qubit is genuinely twirl-sensitive: different Pauli
-	// frames change the sampled trajectories, not just last-ulp rounding.
-	// (<X0> on the idle spectator is exactly twirl-symmetric under the
-	// fused diagonal kernel, so it no longer distinguishes instances.)
-	obs := []casq.Observable{{2: 'Z'}}
-	ro := casq.RunOptions{Instances: 3, Cfg: cfg}
-	run := func(comp *casq.Compiler) float64 {
-		t.Helper()
-		vals, err := comp.Expectations(c, obs, ro)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return vals[0]
-	}
-	a := casq.NewCompiler(dev, casq.Combined(), 11)
-	b := casq.NewCompiler(dev, casq.Combined(), 11)
-	first := run(a)
-	if again := run(b); again != first {
-		t.Errorf("same construction seed gave %v then %v (must be bit-identical)", first, again)
-	}
-	if second := run(a); second == first {
-		t.Errorf("successive calls on one Compiler returned identical %v — twirl samples must be fresh", first)
 	}
 }
 
@@ -270,7 +235,7 @@ func TestFacadeBackendsAndLayout(t *testing.T) {
 	if swaps != 0 {
 		t.Errorf("chain workload should embed without SWAPs, got %d", swaps)
 	}
-	ex := casq.NewExecutor(pl.Sub, casq.Build(casq.Twirled()))
+	ex := casq.NewExecutor(pl.Sub, casq.Twirled())
 	cfg := casq.DefaultSimConfig()
 	cfg.Shots = 8
 	vals, err := ex.Expectations(context.Background(), placed,

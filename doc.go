@@ -9,9 +9,9 @@
 //     scheduling, Context-Aware Dynamical Decoupling — Algorithm 1 — and
 //     Context-Aware Error Compensation — Algorithm 2) is a Pass, and a
 //     Pipeline composes them in any order. The paper's six benchmarked
-//     strategies (Bare … Combined) are canned pipelines via Build; custom
-//     orderings (EC before DD, twirl-free DD ablations, user-defined
-//     passes) compose with NewPipeline;
+//     strategies are canned pipelines (Bare, Twirled, WithDD, CADD, CAEC,
+//     Combined); custom orderings (EC before DD, twirl-free DD ablations,
+//     user-defined passes) compose with NewPipeline;
 //   - a concurrent executor: NewExecutor fans the twirl instances of a job
 //     out across a worker pool with per-instance derived seeds and
 //     aggregates in instance order, so results are bit-identical for any
@@ -49,8 +49,7 @@
 // A minimal end-to-end run:
 //
 //	dev := casq.NewLineDevice("dev", 4, casq.DefaultDeviceOptions())
-//	pl := casq.Build(casq.Combined())
-//	ex := casq.NewExecutor(dev, pl)
+//	ex := casq.NewExecutor(dev, casq.Combined())
 //	vals, err := ex.Expectations(context.Background(), circ,
 //	    []casq.Observable{{0: 'X'}},
 //	    casq.ExecOptions{Instances: 8, Seed: 7, Cfg: casq.DefaultSimConfig()})
@@ -72,7 +71,4 @@
 // alignment effects emerge from the dynamics; and experiment harnesses
 // regenerating every figure and table of the paper's evaluation
 // (internal/experiments, cmd/experiments).
-//
-// The pre-redesign compiler API (NewCompiler, Compiler.Expectations,
-// Compiler.Counts) remains as thin wrappers over the pipeline + executor.
 package casq

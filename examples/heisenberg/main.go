@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"log"
 
-	"casq/internal/core"
 	"casq/internal/dd"
 	"casq/internal/device"
 	"casq/internal/exec"
@@ -41,7 +40,7 @@ func main() {
 	var ds, ideals []float64
 	for _, d := range depths {
 		c := models.BuildHeisenbergRing(12, d, params)
-		iv, err := core.IdealExpectations(dev, c, obs)
+		iv, err := exec.IdealExpectations(dev, c, obs)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -11,7 +11,6 @@ import (
 	"log"
 
 	"casq"
-	"casq/internal/core"
 	"casq/internal/device"
 	"casq/internal/exec"
 	"casq/internal/models"
@@ -35,7 +34,7 @@ func main() {
 	fmt.Printf("%4s %8s %10s %10s %10s\n", "d", "ideal", "twirled", "ca-ec", "ca-dd")
 	for d := 1; d <= 8; d++ {
 		c := models.BuildFloquetIsing(6, d)
-		ideal, err := core.IdealExpectations(dev, c, obs)
+		ideal, err := exec.IdealExpectations(dev, c, obs)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -8,10 +8,10 @@ import (
 	"fmt"
 	"log"
 
-	"casq/internal/core"
 	"casq/internal/dd"
 	"casq/internal/device"
 	"casq/internal/layerfid"
+	"casq/internal/pass"
 )
 
 func main() {
@@ -33,15 +33,15 @@ func main() {
 	opts.PauliRounds = 8
 
 	fmt.Printf("%-12s %8s %8s   %s\n", "strategy", "LF", "gamma", "per-partition process fidelities")
-	for _, st := range []core.Strategy{core.Twirled(), core.WithDD(dd.Aligned), core.CADD(), core.CAEC()} {
-		// Measure lowers the strategy to its pass pipeline and runs the
-		// twirl instances on the concurrent executor.
-		fmt.Printf("# %v\n", st.Pipeline())
-		res, err := layerfid.Measure(dev, layer, st, opts)
+	for _, pl := range []pass.Pipeline{pass.Twirled(), pass.WithDD(dd.Aligned), pass.CADD(), pass.CAEC()} {
+		// Measure twirls every qubit of the strategy's pipeline and runs
+		// the twirl instances on the concurrent executor.
+		fmt.Printf("# %v\n", pl)
+		res, err := layerfid.Measure(dev, layer, pl, opts)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("%-12s %8.3f %8.2f  ", st.Name, res.LF, res.Gamma)
+		fmt.Printf("%-12s %8.3f %8.2f  ", pl.Name, res.LF, res.Gamma)
 		for _, p := range res.Partitions {
 			fmt.Printf(" %s=%.3f", p.Partition.Label, p.Fidelity)
 		}

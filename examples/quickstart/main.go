@@ -33,16 +33,16 @@ func main() {
 	cfg := casq.DefaultSimConfig()
 	cfg.Shots = 400
 
-	// The paper's named strategies, lowered to canned pipelines and run on
-	// the concurrent executor (results are identical for any worker count).
-	for _, st := range []casq.Strategy{casq.Twirled(), casq.CADD(), casq.CAEC(), casq.Combined()} {
-		ex := casq.NewExecutor(dev, casq.Build(st))
+	// The paper's named strategies are canned pipelines, run on the
+	// concurrent executor (results are identical for any worker count).
+	for _, pl := range []casq.Pipeline{casq.Twirled(), casq.CADD(), casq.CAEC(), casq.Combined()} {
+		ex := casq.NewExecutor(dev, pl)
 		vals, err := ex.Expectations(context.Background(), build(), obs,
 			casq.ExecOptions{Instances: 8, Seed: 7, Cfg: cfg})
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("%-10s  <X0> = %+.4f   <X3> = %+.4f   (ideal: +1, +1)\n", st.Name, vals[0], vals[1])
+		fmt.Printf("%-10s  <X0> = %+.4f   <X3> = %+.4f   (ideal: +1, +1)\n", pl.Name, vals[0], vals[1])
 	}
 
 	// A custom composition the fixed strategies cannot express: error
@@ -63,7 +63,7 @@ func main() {
 	fmt.Printf("%-10s  <X0> = %+.4f   <X3> = %+.4f   (custom pipeline)\n", custom.Name, vals[0], vals[1])
 
 	// Show what the compiler actually did to one twirl instance.
-	compiled, rep, err := casq.Compile(dev, casq.Build(casq.Combined()), build(), 7)
+	compiled, rep, err := casq.Compile(dev, casq.Combined(), build(), 7)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -22,6 +22,7 @@ import (
 	"casq/internal/device"
 	"casq/internal/obs"
 	"casq/internal/pass"
+	"casq/internal/sched"
 	"casq/internal/sim"
 	"casq/internal/stab"
 )
@@ -464,4 +465,12 @@ func (e *Executor) Counts(ctx context.Context, c *circuit.Circuit, ro RunOptions
 		return sim.Result{}, err
 	}
 	return sim.Result{Counts: res.Counts, Shots: res.Shots}, nil
+}
+
+// IdealExpectations runs the uncompiled circuit noiselessly — the "Ideal"
+// curves of Figs. 6-7.
+func IdealExpectations(dev *device.Device, c *circuit.Circuit, obs []sim.ObsSpec) ([]float64, error) {
+	c = c.Clone()
+	sched.Schedule(c, dev)
+	return sim.New(dev, sim.Ideal()).Expectations(c, obs)
 }

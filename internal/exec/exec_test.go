@@ -2,6 +2,7 @@ package exec
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -343,5 +344,94 @@ func TestCountsPackedAggregation(t *testing.T) {
 	}
 	if res.Packed != nil {
 		t.Error("statevector counts job returned packed planes")
+	}
+}
+
+// legacySeed is the executor seed the retired Compiler wrapper drew for
+// its first run from its construction seed, so the tests ported from it
+// see the same numbers.
+func legacySeed(seed int64) int64 { return rand.New(rand.NewSource(seed)).Int63() }
+
+func TestExpectationsAveragesInstances(t *testing.T) {
+	dev := testDevice()
+	c := circuit.New(4, 0)
+	c.AddLayer(circuit.OneQubitLayer).H(0)
+	c.AddLayer(circuit.TwoQubitLayer).ECR(1, 2)
+	cfg := sim.DefaultConfig()
+	cfg.Shots = 64
+	vals, err := New(dev, pass.Twirled()).Expectations(context.Background(), c, []sim.ObsSpec{{0: 'X'}},
+		RunOptions{Instances: 4, Seed: legacySeed(5), Cfg: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(vals[0]) > 1 {
+		t.Errorf("expectation out of range: %v", vals[0])
+	}
+	if vals[0] < 0.5 {
+		t.Errorf("<X0> = %v, expected close to 1 for short circuit", vals[0])
+	}
+}
+
+func TestCountsMergesInstances(t *testing.T) {
+	dev := testDevice()
+	c := circuit.New(4, 1)
+	c.AddLayer(circuit.OneQubitLayer).X(0)
+	c.AddLayer(circuit.MeasureLayer).Measure(0, 0)
+	cfg := sim.DefaultConfig()
+	cfg.Shots = 80
+	cfg.EnableReadoutErr = false
+	res, err := New(dev, pass.Twirled()).Counts(context.Background(), c,
+		RunOptions{Instances: 4, Seed: legacySeed(5), Cfg: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Shots != 80 {
+		t.Errorf("merged shots %d", res.Shots)
+	}
+	if p := res.Probability("1"); p < 0.95 {
+		t.Errorf("P(1) = %v", p)
+	}
+}
+
+func TestIdealExpectations(t *testing.T) {
+	dev := testDevice()
+	c := circuit.New(4, 0)
+	c.AddLayer(circuit.OneQubitLayer).H(0)
+	vals, err := IdealExpectations(dev, c, []sim.ObsSpec{{0: 'X'}, {0: 'Z'}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(vals[0]-1) > 1e-9 || math.Abs(vals[1]) > 1e-9 {
+		t.Errorf("ideal <X>,<Z> = %v", vals)
+	}
+	if c.TotalDuration() != 0 {
+		t.Error("IdealExpectations scheduled the caller's circuit")
+	}
+}
+
+// TestCombinedImprovesOnTwirledIsing is the end-to-end check: the
+// combined strategy must beat plain twirling on the Ising workload at a
+// depth where coherent errors dominate.
+func TestCombinedImprovesOnTwirledIsing(t *testing.T) {
+	devOpts := device.DefaultOptions()
+	devOpts.Seed = 37
+	dev := device.NewLine("e2e", 6, devOpts)
+	c := models.BuildFloquetIsing(6, 4)
+	obs := []sim.ObsSpec{{0: 'X', 5: 'X'}}
+	run := func(pl pass.Pipeline) float64 {
+		cfg := sim.DefaultConfig()
+		cfg.Shots = 96
+		cfg.EnableReadoutErr = false
+		vals, err := New(dev, pl).Expectations(context.Background(), c, obs,
+			RunOptions{Instances: 6, Seed: legacySeed(3), Cfg: cfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return vals[0] // ideal value at d=4 is +1
+	}
+	plain := run(pass.Twirled())
+	combined := run(pass.Combined())
+	if combined < plain+0.05 {
+		t.Errorf("combined (%v) should clearly beat twirled (%v)", combined, plain)
 	}
 }

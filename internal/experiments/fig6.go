@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"casq/internal/circuit"
-	"casq/internal/core"
 	"casq/internal/device"
 	"casq/internal/exec"
 	"casq/internal/models"
@@ -50,7 +49,7 @@ func Fig6Ising(sp Spec, opts Options) (Figure, error) {
 		if err != nil {
 			return fig, err
 		}
-		vals, err := core.IdealExpectations(dev, c, obs)
+		vals, err := exec.IdealExpectations(dev, c, obs)
 		if err != nil {
 			return fig, err
 		}

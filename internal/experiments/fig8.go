@@ -4,12 +4,12 @@ import (
 	"fmt"
 
 	"casq/internal/circuit"
-	"casq/internal/core"
 	"casq/internal/dd"
 	"casq/internal/device"
 	"casq/internal/exec"
 	"casq/internal/layerfid"
 	"casq/internal/models"
+	"casq/internal/pass"
 )
 
 // Fig8LayerFidelity reproduces paper Fig. 8: the layer fidelity of a sparse
@@ -90,7 +90,7 @@ func Fig8LayerFidelity(sp Spec, opts Options) (Figure, error) {
 		lfOpts.PauliRounds = 3
 	}
 
-	strategies := []core.Strategy{core.Twirled(), core.WithDD(dd.Aligned), core.CADD(), core.CAEC()}
+	strategies := []pass.Pipeline{pass.Twirled(), pass.WithDD(dd.Aligned), pass.CADD(), pass.CAEC()}
 	paper := map[string][2]float64{
 		"twirled":    {0.648, 2.38},
 		"dd-aligned": {0.743, 1.81},
@@ -99,19 +99,19 @@ func Fig8LayerFidelity(sp Spec, opts Options) (Figure, error) {
 	}
 	var xs, lfs []float64
 	var results []layerfid.Result
-	for i, st := range strategies {
-		res, err := layerfid.Measure(dev, layer, st, lfOpts)
+	for i, pl := range strategies {
+		res, err := layerfid.Measure(dev, layer, pl, lfOpts)
 		if err != nil {
-			return fig, fmt.Errorf("fig8/%s: %w", st.Name, err)
+			return fig, fmt.Errorf("fig8/%s: %w", pl.Name, err)
 		}
 		results = append(results, res)
 		xs = append(xs, float64(i))
 		lfs = append(lfs, res.LF)
 		if opts.Backend == "" {
-			p := paper[st.Name]
-			fig.Notef("%-12s LF=%.3f gamma=%.2f   (paper: LF=%.3f gamma=%.2f)", st.Name, res.LF, res.Gamma, p[0], p[1])
+			p := paper[pl.Name]
+			fig.Notef("%-12s LF=%.3f gamma=%.2f   (paper: LF=%.3f gamma=%.2f)", pl.Name, res.LF, res.Gamma, p[0], p[1])
 		} else {
-			fig.Notef("%-12s LF=%.3f gamma=%.2f", st.Name, res.LF, res.Gamma)
+			fig.Notef("%-12s LF=%.3f gamma=%.2f", pl.Name, res.LF, res.Gamma)
 		}
 	}
 	fig.AddSeries("LF", xs, lfs)

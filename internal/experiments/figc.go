@@ -16,27 +16,41 @@ import (
 	"math"
 
 	"casq/internal/circuit"
-	"casq/internal/core"
 	"casq/internal/correl"
 	"casq/internal/dd"
 	"casq/internal/device"
 	"casq/internal/exec"
 	"casq/internal/gates"
+	"casq/internal/pass"
 	"casq/internal/sim"
 	"casq/internal/twirl"
 )
 
 // correlStrategies are the six paper strategies the spectroscopy figures
 // compare, in the catalog's declared order.
-func correlStrategies() []core.Strategy {
-	return []core.Strategy{
-		core.Bare(),
-		core.Twirled(),
-		core.WithDD(dd.Aligned),
-		core.WithDD(dd.Staggered),
-		core.CADD(),
-		core.CAEC(),
+func correlStrategies() []pass.Pipeline {
+	return []pass.Pipeline{
+		pass.Bare(),
+		pass.Twirled(),
+		pass.WithDD(dd.Aligned),
+		pass.WithDD(dd.Staggered),
+		pass.CADD(),
+		pass.CAEC(),
 	}
+}
+
+// CorrelationStrategy returns the named spectroscopy strategy ("" =
+// twirled), or an error naming the known strategies.
+func CorrelationStrategy(name string) (pass.Pipeline, error) {
+	if name == "" {
+		name = "twirled"
+	}
+	for _, pl := range correlStrategies() {
+		if pl.Name == name {
+			return pl, nil
+		}
+	}
+	return pass.Pipeline{}, fmt.Errorf("experiments: unknown correlation strategy %q (known: %v)", name, correlStrategyNames)
 }
 
 // correlDevice builds the experiment's device: the named registry backend,
@@ -94,21 +108,21 @@ func correlEngine(engine string, dev *device.Device) string {
 	return engine
 }
 
-// correlMatrix runs the spectroscopy circuit under one strategy and
+// correlMatrix runs the spectroscopy circuit under one strategy, with
+// every qubit twirled (the probe idles all of them), and
 // estimates the flip-correlation matrix from the packed outcome planes.
 // Readout assignment errors are disabled: they are independent per qubit
 // by construction, so they only dilute the circuit-error correlations the
 // figure is after. Bit-plane engines hand their planes straight to the
 // estimator; the statevector kernel's counts map is expanded through
 // correl.PackedFromCounts.
-func correlMatrix(dev *device.Device, st core.Strategy, depth int, tau float64, opts Options) (correl.Matrix, error) {
-	st.TwirlScope = twirl.AllQubits
+func correlMatrix(dev *device.Device, pl pass.Pipeline, depth int, tau float64, opts Options) (correl.Matrix, error) {
 	c := spectroscopyCircuit(dev.NQubits, depth, tau)
 	cfg := sim.DefaultConfig()
 	cfg.Shots = opts.Shots
 	cfg.Seed = opts.Seed + int64(depth*131) + int64(tau)
 	cfg.EnableReadoutErr = false
-	ex := exec.New(dev, st.Pipeline())
+	ex := exec.New(dev, pl.WithTwirlScope(twirl.AllQubits))
 	res, err := ex.Run(context.Background(), exec.Job{Circuit: c, Opts: exec.RunOptions{
 		Instances: opts.Instances,
 		Workers:   opts.Workers,
@@ -118,7 +132,7 @@ func correlMatrix(dev *device.Device, st core.Strategy, depth int, tau float64, 
 		Tracer:    opts.Tracer,
 	}})
 	if err != nil {
-		return correl.Matrix{}, fmt.Errorf("correl/%s: %w", st.Name, err)
+		return correl.Matrix{}, fmt.Errorf("correl/%s: %w", pl.Name, err)
 	}
 	if res.Packed != nil {
 		return correl.Estimate(*res.Packed), nil
@@ -156,8 +170,8 @@ func FigC1Decay(sp Spec, opts Options) (Figure, error) {
 	fig.Notef("device %s: %d qubits, %d pairs, depth %d, tau %.0f ns, engine %s, sparse threshold |corr|>=%.4f",
 		devName(dev, opts.Backend), dev.NQubits, correl.Pairs(dev.NQubits), depth, tau,
 		effectiveEngineName(correlEngine(opts.Engine, dev)), thr)
-	for _, st := range correlStrategies() {
-		m, err := correlMatrix(dev, st, depth, tau, opts)
+	for _, pl := range correlStrategies() {
+		m, err := correlMatrix(dev, pl, depth, tau, opts)
 		if err != nil {
 			return fig, err
 		}
@@ -168,9 +182,9 @@ func FigC1Decay(sp Spec, opts Options) (Figure, error) {
 			xs[i] = float64(b.Distance)
 			ys[i] = b.MeanAbsCorr
 		}
-		fig.AddSeries(st.Name, xs, ys)
+		fig.AddSeries(pl.Name, xs, ys)
 		sparse := m.Sparse(thr)
-		note := fmt.Sprintf("%-12s %d/%d pairs above threshold", st.Name, len(sparse), correl.Pairs(m.N))
+		note := fmt.Sprintf("%-12s %d/%d pairs above threshold", pl.Name, len(sparse), correl.Pairs(m.N))
 		if len(sparse) > 0 {
 			top := sparse[0]
 			note += fmt.Sprintf(", strongest (%d,%d) corr=%+.4f±%.4f", top.I, top.J, top.Corr, top.SE)
@@ -195,11 +209,11 @@ func FigC2TauScan(sp Spec, opts Options) (Figure, error) {
 	dist := dev.CouplingGraph().AllDistances()
 	fig.Notef("device %s: %d qubits, single idle window per point, engine %s",
 		devName(dev, opts.Backend), dev.NQubits, effectiveEngineName(correlEngine(opts.Engine, dev)))
-	for _, st := range correlStrategies() {
+	for _, pl := range correlStrategies() {
 		xs := make([]float64, 0, len(taus))
 		ys := make([]float64, 0, len(taus))
 		for _, tau := range taus {
-			m, err := correlMatrix(dev, st, 1, tau, opts)
+			m, err := correlMatrix(dev, pl, 1, tau, opts)
 			if err != nil {
 				return fig, err
 			}
@@ -212,7 +226,7 @@ func FigC2TauScan(sp Spec, opts Options) (Figure, error) {
 			xs = append(xs, tau)
 			ys = append(ys, nn)
 		}
-		fig.AddSeries(st.Name, xs, ys)
+		fig.AddSeries(pl.Name, xs, ys)
 	}
 	return fig, nil
 }
@@ -260,22 +274,9 @@ type CorrelationReport struct {
 // correlations endpoint; depth and tau are fixed to the figC1 defaults so
 // the report is a device diagnostic, not a parameter sweep.
 func CorrelationDiagnostic(backend, strategy string, opts Options) (CorrelationReport, error) {
-	if strategy == "" {
-		strategy = "twirled"
-	}
-	var st core.Strategy
-	found := false
-	for _, s := range correlStrategies() {
-		if s.Name == strategy {
-			st, found = s, true
-		}
-	}
-	if !found {
-		names := make([]string, 0, 6)
-		for _, s := range correlStrategies() {
-			names = append(names, s.Name)
-		}
-		return CorrelationReport{}, fmt.Errorf("experiments: unknown correlation strategy %q (known: %v)", strategy, names)
+	pl, err := CorrelationStrategy(strategy)
+	if err != nil {
+		return CorrelationReport{}, err
 	}
 	dev, err := correlDevice(backend)
 	if err != nil {
@@ -285,7 +286,7 @@ func CorrelationDiagnostic(backend, strategy string, opts Options) (CorrelationR
 		depth = 4
 		tau   = 600.0
 	)
-	m, err := correlMatrix(dev, st, depth, tau, opts)
+	m, err := correlMatrix(dev, pl, depth, tau, opts)
 	if err != nil {
 		return CorrelationReport{}, err
 	}
@@ -293,7 +294,7 @@ func CorrelationDiagnostic(backend, strategy string, opts Options) (CorrelationR
 	thr := correlThreshold(m.Shots)
 	rep := CorrelationReport{
 		Backend:   backend,
-		Strategy:  st.Name,
+		Strategy:  pl.Name,
 		Engine:    effectiveEngineName(correlEngine(opts.Engine, dev)),
 		NQubits:   m.N,
 		Shots:     m.Shots,

@@ -12,8 +12,8 @@ import (
 	"testing"
 	"time"
 
-	"casq/internal/core"
 	"casq/internal/correl"
+	"casq/internal/pass"
 )
 
 // TestFigCStabMatchesStatevector is the acceptance pin for the engine
@@ -30,12 +30,12 @@ func TestFigCStabMatchesStatevector(t *testing.T) {
 		}
 		const shots = 4096
 		opts := Options{Seed: 17, Shots: shots, Instances: 8}
-		sv, err := correlMatrix(dev, core.Twirled(), 2, 600, opts)
+		sv, err := correlMatrix(dev, pass.Twirled(), 2, 600, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		opts.Engine = "stab"
-		st, err := correlMatrix(dev, core.Twirled(), 2, 600, opts)
+		st, err := correlMatrix(dev, pass.Twirled(), 2, 600, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -16,12 +16,12 @@ import (
 	"sort"
 
 	"casq/internal/circuit"
-	"casq/internal/core"
 	"casq/internal/device"
 	"casq/internal/exec"
 	"casq/internal/fitting"
 	"casq/internal/models"
 	"casq/internal/obs"
+	"casq/internal/pass"
 	"casq/internal/pauli"
 	"casq/internal/sim"
 	"casq/internal/twirl"
@@ -151,8 +151,9 @@ func prepFor(l *circuit.Layer, label byte, q int) {
 }
 
 // Measure runs the layer-fidelity protocol for the given benchmark layer
-// and compilation strategy.
-func Measure(dev *device.Device, layer *circuit.Layer, strategy core.Strategy, opts Options) (Result, error) {
+// and compilation strategy. The strategy's twirl passes are retargeted to
+// twirl.AllQubits: the protocol twirls idle partitions too.
+func Measure(dev *device.Device, layer *circuit.Layer, strategy pass.Pipeline, opts Options) (Result, error) {
 	if len(opts.Depths) == 0 {
 		opts.Depths = DefaultOptions().Depths
 	}
@@ -188,7 +189,7 @@ func Measure(dev *device.Device, layer *circuit.Layer, strategy core.Strategy, o
 		decays[i] = map[string]*curve{}
 	}
 
-	strategy.TwirlScope = twirl.AllQubits
+	ex := exec.New(dev, strategy.WithTwirlScope(twirl.AllQubits))
 	for round := 0; round < rounds; round++ {
 		for _, d := range opts.Depths {
 			// Build the circuit: simultaneous preparation of each
@@ -238,7 +239,6 @@ func Measure(dev *device.Device, layer *circuit.Layer, strategy core.Strategy, o
 					signs[i] = 1
 				}
 			}
-			ex := exec.New(dev, strategy.Pipeline())
 			cfg := sim.DefaultConfig()
 			cfg.Shots = opts.Shots
 			cfg.Seed = opts.Seed + int64(round*7919+d*13)

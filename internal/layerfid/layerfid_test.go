@@ -5,8 +5,8 @@ import (
 	"testing"
 
 	"casq/internal/circuit"
-	"casq/internal/core"
 	"casq/internal/device"
+	"casq/internal/pass"
 )
 
 func TestPartitionsCoverAllQubits(t *testing.T) {
@@ -57,7 +57,7 @@ func TestMeasureOnQuietDevice(t *testing.T) {
 	opts.Instances = 2
 	opts.Shots = 4
 	opts.PauliRounds = 4
-	res, err := Measure(dev, layer, core.Twirled(), opts)
+	res, err := Measure(dev, layer, pass.Twirled(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,12 +89,12 @@ func TestOrderingMatchesPaperOnNoisyDevice(t *testing.T) {
 	opts.PauliRounds = 5
 
 	lf := map[string]float64{}
-	for _, st := range []core.Strategy{core.Twirled(), core.CADD(), core.CAEC()} {
-		res, err := Measure(dev, layer, st, opts)
+	for _, pl := range []pass.Pipeline{pass.Twirled(), pass.CADD(), pass.CAEC()} {
+		res, err := Measure(dev, layer, pl, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lf[st.Name] = res.LF
+		lf[pl.Name] = res.LF
 	}
 	if lf["ca-dd"] <= lf["twirled"] {
 		t.Errorf("CA-DD (%v) should beat bare (%v)", lf["ca-dd"], lf["twirled"])

@@ -5,8 +5,8 @@ import (
 	"testing"
 
 	"casq/internal/circuit"
-	"casq/internal/core"
 	"casq/internal/device"
+	"casq/internal/exec"
 	"casq/internal/gates"
 	"casq/internal/sim"
 )
@@ -36,7 +36,7 @@ func TestRamseyIdealReturnsToPlus(t *testing.T) {
 		for i, q := range spec.Probes {
 			obs[i] = sim.ObsSpec{q: 'X'}
 		}
-		vals, err := core.IdealExpectations(dev, spec.Circuit, obs)
+		vals, err := exec.IdealExpectations(dev, spec.Circuit, obs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,7 +57,7 @@ func TestIsingIdealOscillates(t *testing.T) {
 		if err := c.Validate(); err != nil {
 			t.Fatal(err)
 		}
-		vals, err := core.IdealExpectations(dev, c, obs)
+		vals, err := exec.IdealExpectations(dev, c, obs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,7 +105,7 @@ func TestHeisenbergConservesTotalZ(t *testing.T) {
 	for q := 0; q < n; q++ {
 		obs[q] = sim.ObsSpec{q: 'Z'}
 	}
-	vals, err := core.IdealExpectations(dev, c, obs)
+	vals, err := exec.IdealExpectations(dev, c, obs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -220,6 +220,21 @@ func (p Pipeline) Named(name string) Pipeline {
 	return p
 }
 
+// WithTwirlScope returns a copy of the pipeline whose twirl passes sample
+// with the given scope (twirl.AllQubits also twirls idle qubits, as the
+// layer-fidelity and spectroscopy protocols require). The copy has its
+// own Passes slice; the receiver is not modified.
+func (p Pipeline) WithTwirlScope(scope twirl.Scope) Pipeline {
+	out := Pipeline{Name: p.Name, Passes: make([]Pass, len(p.Passes))}
+	for i, ps := range p.Passes {
+		if _, ok := ps.(twirlPass); ok {
+			ps = Twirl(scope)
+		}
+		out.Passes[i] = ps
+	}
+	return out
+}
+
 // String lists the pipeline as "name(pass1 -> pass2 -> ...)".
 func (p Pipeline) String() string {
 	s := p.Name + "("
@@ -281,9 +296,10 @@ func (p Pipeline) ApplyContext(ctx *Context, c *circuit.Circuit) (*circuit.Circu
 }
 
 // The six named strategies benchmarked throughout the paper, as canned
-// pipelines. Each mirrors the pre-redesign compiler's pass order exactly:
-// twirl -> schedule -> DD -> CA-EC (plus the final normalizing schedule
-// Apply always performs).
+// pipelines: twirl -> schedule -> DD -> CA-EC (plus the final normalizing
+// schedule Apply always performs). DD runs before CA-EC so that CA-EC sees
+// the pulse schedule and compensates only what DD leaves behind (Sec. IV).
+// The twirl passes use twirl.GatesOnly; WithTwirlScope retargets them.
 
 // Bare schedules only.
 func Bare() Pipeline { return New("bare", Schedule()) }

@@ -19,7 +19,7 @@ func testDevice() *device.Device {
 	return device.NewLine("pass", 4, device.DefaultOptions())
 }
 
-// legacyCompile replays the pre-redesign core.Compiler.Compile pass order
+// legacyCompile replays the pre-redesign compiler's pass order
 // verbatim (twirl -> schedule -> DD -> CA-EC -> schedule) so the pipeline
 // rewrite can be pinned against it.
 func legacyCompile(t *testing.T, dev *device.Device, c *circuit.Circuit, seed int64,
@@ -85,6 +85,90 @@ func TestGoldenNamedPipelinesMatchLegacyCompile(t *testing.T) {
 		if rep.Duration != wantDur {
 			t.Errorf("%s: duration %v, legacy %v", tc.pl.Name, rep.Duration, wantDur)
 		}
+	}
+}
+
+// TestStrategyPresets pins the pass composition of every named strategy.
+func TestStrategyPresets(t *testing.T) {
+	for _, tc := range []struct {
+		pl   Pipeline
+		name string
+		want string
+	}{
+		{Bare(), "bare", "sched"},
+		{Twirled(), "twirled", "twirl -> sched"},
+		{WithDD(dd.Aligned), "dd-aligned", "twirl -> sched -> dd:aligned"},
+		{WithDD(dd.Staggered), "dd-staggered", "twirl -> sched -> dd:staggered"},
+		{CADD(), "ca-dd", "twirl -> sched -> dd:ca-dd"},
+		{CAEC(), "ca-ec", "twirl -> sched -> ca-ec"},
+		{Combined(), "ca-ec+dd", "twirl -> sched -> dd:ca-dd -> ca-ec"},
+	} {
+		if got, want := tc.pl.String(), tc.name+"("+tc.want+")"; got != want {
+			t.Errorf("preset = %s, want %s", got, want)
+		}
+	}
+}
+
+// TestCompileProducesValidCircuits compiles every named strategy and
+// checks each pass did its work.
+func TestCompileProducesValidCircuits(t *testing.T) {
+	dev := testDevice()
+	base := models.BuildFloquetIsing(4, 2)
+	for _, pl := range []Pipeline{Bare(), Twirled(), WithDD(dd.Aligned), CADD(), CAEC(), Combined()} {
+		out, rep, err := pl.Apply(dev, rand.New(rand.NewSource(11)), base)
+		if err != nil {
+			t.Fatalf("%s: %v", pl.Name, err)
+		}
+		if err := out.Validate(); err != nil {
+			t.Fatalf("%s produced invalid circuit: %v", pl.Name, err)
+		}
+		if rep.Duration <= 0 {
+			t.Errorf("%s: zero duration", pl.Name)
+		}
+		has := map[string]bool{}
+		for _, ps := range pl.Passes {
+			has[ps.Name()] = true
+		}
+		if has["dd:ca-dd"] && rep.DD.Total == 0 {
+			t.Errorf("%s: no DD pulses inserted", pl.Name)
+		}
+		if has["ca-ec"] && rep.EC.VirtualRZ == 0 {
+			t.Errorf("%s: no EC corrections", pl.Name)
+		}
+	}
+}
+
+// TestWithTwirlScope pins the scope override: only twirl passes change,
+// the receiver keeps its passes, and the retargeted twirl compiles like a
+// hand-built all-qubit pipeline.
+func TestWithTwirlScope(t *testing.T) {
+	orig := Combined()
+	all := orig.WithTwirlScope(twirl.AllQubits)
+	if got, want := all.String(), "ca-ec+dd(twirl:all -> sched -> dd:ca-dd -> ca-ec)"; got != want {
+		t.Errorf("retargeted = %s, want %s", got, want)
+	}
+	if got, want := orig.String(), Combined().String(); got != want {
+		t.Errorf("receiver changed to %s, want %s", got, want)
+	}
+	if got := Bare().WithTwirlScope(twirl.AllQubits).String(); got != "bare(sched)" {
+		t.Errorf("twirl-free pipeline retargeted to %s", got)
+	}
+
+	dev := testDevice()
+	base := models.BuildFloquetIsing(4, 2)
+	ddOpts := dd.DefaultOptions()
+	ddOpts.Strategy = dd.ContextAware
+	byHand := New("ca-ec+dd", Twirl(twirl.AllQubits), Schedule(), DD(ddOpts), EC(caec.DefaultOptions()))
+	want, _, err := byHand.Apply(dev, rand.New(rand.NewSource(5)), base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := all.Apply(dev, rand.New(rand.NewSource(5)), base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Error("WithTwirlScope pipeline compiles differently from the hand-built one")
 	}
 }
 
