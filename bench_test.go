@@ -398,9 +398,9 @@ func BenchmarkStabilizer127Q(b *testing.B) {
 // full 127-qubit workload at growing shot budgets (10^3, 10^4, 10^5),
 // reporting throughput as a shots/s metric — the series CI archives into
 // BENCH_stab.json so the batching speedup is tracked from one PR to the
-// next. The scalar sub-benchmark runs the retained per-shot reference
-// path on the same compiled circuit, so shots/s(batch)/shots/s(scalar) is
-// the batching speedup on this machine.
+// next. internal/stab's BenchmarkStabBatch127Q/scalar/shots=1e4 runs the
+// all-scalar reference path on the same compiled circuit, so
+// shots/s(batch)/shots/s(scalar) is the batching speedup on this machine.
 func BenchmarkStabBatch127Q(b *testing.B) {
 	dev, c := stab127Workload(b)
 	rng := rand.New(rand.NewSource(3))
@@ -412,13 +412,12 @@ func BenchmarkStabBatch127Q(b *testing.B) {
 	for _, in := range c.Layers[1].TwoQubitGates()[:8] {
 		obs = append(obs, sim.ObsSpec{in.Qubits[0]: 'X'})
 	}
-	run := func(shots int, scalar bool) func(b *testing.B) {
+	run := func(shots int) func(b *testing.B) {
 		return func(b *testing.B) {
 			cfg := sim.DefaultConfig()
 			cfg.Shots = shots
 			cfg.Workers = 1
 			eng := stab.New(dev, cfg)
-			eng.Scalar = scalar
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -433,10 +432,9 @@ func BenchmarkStabBatch127Q(b *testing.B) {
 			b.ReportMetric(float64(shots)*float64(b.N)/b.Elapsed().Seconds(), "shots/s")
 		}
 	}
-	b.Run("shots=1e3", run(1_000, false))
-	b.Run("shots=1e4", run(10_000, false))
-	b.Run("shots=1e5", run(100_000, false))
-	b.Run("scalar/shots=1e4", run(10_000, true))
+	b.Run("shots=1e3", run(1_000))
+	b.Run("shots=1e4", run(10_000))
+	b.Run("shots=1e5", run(100_000))
 }
 
 // BenchmarkPauliChannelDerivation isolates the PTA compile stage: walking

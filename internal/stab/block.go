@@ -10,7 +10,7 @@ import (
 )
 
 // This file is the bit-plane shot engine: the batched counterpart of
-// frame.go's scalar-per-shot reference path. Where the scalar path walks
+// frame.go's per-shot frames. Where the scalar path walks
 // one trajectory at a time through per-qubit packed words, the bit-plane
 // path transposes the axes — storage is indexed [qubit][shot bit], one
 // uint64 word holding the X (or Z) frame bit of 64 shots — so every
@@ -30,12 +30,12 @@ import (
 //
 // Each 64-shot block owns a deterministic RNG seeded by
 // sim.BlockSeed(seed, block), so results are bit-identical for any worker
-// count; the shots%64 remainder runs through the scalar reference frames
+// count; the shots%64 remainder runs through frame.go's per-shot frames
 // (sim.ShotSeed seeding) as the tail of the same loop.
 
 // wordRNG is the block sampler: a SplitMix64 stream, seeded per 64-shot
 // block. It is deliberately not math/rand — the block path draws whole
-// words, and the scalar reference path keeps its own rand.Source streams.
+// words, and the per-shot frames keep their own rand.Source streams.
 type wordRNG struct{ s uint64 }
 
 func (r *wordRNG) seed(v int64) { r.s = uint64(v) }
@@ -429,9 +429,9 @@ func (w *blockWorker) scalar() *frame {
 
 // forEachShotBlock runs the bit-plane shot loop over the compiled program:
 // full 64-shot blocks reset to sim.BlockSeed and run the lowered block
-// plan; the shots%64 remainder tail runs the scalar reference frame with
-// sim.ShotSeed seeding, so tail shots match what the scalar engine would
-// produce at the same indices. Per-unit seeding keeps results
+// plan; the shots%64 remainder tail runs the scalar frame with
+// sim.ShotSeed seeding, so tail shots match the all-scalar reference path
+// of this package's tests at the same indices. Per-unit seeding keeps results
 // bit-identical for any worker count.
 func (e *Engine) forEachShotBlock(p *program,
 	onBlock func(b, base int, bf *blockFrame), onTail func(i int, f *frame)) {

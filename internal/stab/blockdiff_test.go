@@ -43,14 +43,12 @@ func largeAngleDevice() *device.Device {
 	return device.NewHeavyHexFragment(opts)
 }
 
-func stabEngine(dev *device.Device, shots, workers int, scalar bool) *stab.Engine {
+func stabEngine(dev *device.Device, shots, workers int) *stab.Engine {
 	cfg := sim.DefaultConfig()
 	cfg.Shots = shots
 	cfg.Workers = workers
 	cfg.Seed = 11
-	e := stab.New(dev, cfg)
-	e.Scalar = scalar
-	return e
+	return stab.New(dev, cfg)
 }
 
 // TestBlockVsScalarExpectations pins the batched path against the scalar
@@ -90,11 +88,11 @@ func TestBlockVsScalarExpectations(t *testing.T) {
 	} {
 		compiled := compiledFor(t, tc.dev, tc.pl, tc.c, 23)
 		const shots = 6000
-		blockVals, err := stabEngine(tc.dev, shots, 0, false).Expectations(compiled, tc.obs)
+		blockVals, err := stabEngine(tc.dev, shots, 0).Expectations(compiled, tc.obs)
 		if err != nil {
 			t.Fatalf("%s block: %v", tc.name, err)
 		}
-		scalarVals, err := stabEngine(tc.dev, shots, 0, true).Expectations(compiled, tc.obs)
+		scalarVals, err := stab.ScalarExpectations(stabEngine(tc.dev, shots, 0), compiled, tc.obs)
 		if err != nil {
 			t.Fatalf("%s scalar: %v", tc.name, err)
 		}
@@ -119,11 +117,11 @@ func TestBlockVsScalarCountsMarginals(t *testing.T) {
 	}
 	compiled := compiledFor(t, dev, pass.Twirled(), c, 29)
 	const shots = 8000
-	blockRes, err := stabEngine(dev, shots, 0, false).Counts(compiled)
+	blockRes, err := stabEngine(dev, shots, 0).Counts(compiled)
 	if err != nil {
 		t.Fatal(err)
 	}
-	scalarRes, err := stabEngine(dev, shots, 0, true).Counts(compiled)
+	scalarRes, err := stab.ScalarCounts(stabEngine(dev, shots, 0), compiled)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +160,7 @@ func TestBlockBitIdentityAcrossWorkers(t *testing.T) {
 		c := lfCircuit(6, []int{0, 2}, hexLayer, 4)
 		compiled := compiledFor(t, tc.dev, tc.pl, c, 31)
 		obs := []sim.ObsSpec{{0: 'X'}, {2: 'X'}, {4: 'Z'}}
-		refVals, err := stabEngine(tc.dev, shots, 1, false).Expectations(compiled, obs)
+		refVals, err := stabEngine(tc.dev, shots, 1).Expectations(compiled, obs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,12 +171,12 @@ func TestBlockBitIdentityAcrossWorkers(t *testing.T) {
 			ml.Measure(q, q)
 		}
 		mcompiled := compiledFor(t, tc.dev, tc.pl, mc, 37)
-		refCounts, err := stabEngine(tc.dev, shots, 1, false).Counts(mcompiled)
+		refCounts, err := stabEngine(tc.dev, shots, 1).Counts(mcompiled)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{4, 16} {
-			vals, err := stabEngine(tc.dev, shots, workers, false).Expectations(compiled, obs)
+			vals, err := stabEngine(tc.dev, shots, workers).Expectations(compiled, obs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -188,7 +186,7 @@ func TestBlockBitIdentityAcrossWorkers(t *testing.T) {
 						tc.name, workers, j, vals[j], refVals[j])
 				}
 			}
-			res, err := stabEngine(tc.dev, shots, workers, false).Counts(mcompiled)
+			res, err := stabEngine(tc.dev, shots, workers).Counts(mcompiled)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -207,7 +205,7 @@ func TestBlockBitIdentityAcrossWorkers(t *testing.T) {
 // TestBlockTailMatchesScalarEngine pins the remainder-tail contract: for
 // shot counts below one block, the batched path runs the scalar reference
 // frames with the scalar seeding, so Counts must be IDENTICAL (not just
-// statistically close) to the Scalar engine's.
+// statistically close) to the all-scalar reference path's.
 func TestBlockTailMatchesScalarEngine(t *testing.T) {
 	dev := device.NewHeavyHexFragment(device.DefaultOptions())
 	c := lfCircuit(6, []int{0, 2}, hexLayer, 2)
@@ -218,11 +216,11 @@ func TestBlockTailMatchesScalarEngine(t *testing.T) {
 	}
 	compiled := compiledFor(t, dev, pass.Twirled(), c, 41)
 	const shots = 63 // all tail, no full block
-	blockRes, err := stabEngine(dev, shots, 0, false).Counts(compiled)
+	blockRes, err := stabEngine(dev, shots, 0).Counts(compiled)
 	if err != nil {
 		t.Fatal(err)
 	}
-	scalarRes, err := stabEngine(dev, shots, 0, true).Counts(compiled)
+	scalarRes, err := stab.ScalarCounts(stabEngine(dev, shots, 0), compiled)
 	if err != nil {
 		t.Fatal(err)
 	}

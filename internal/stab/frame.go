@@ -4,7 +4,6 @@ import (
 	"math/rand"
 
 	"casq/internal/pauli"
-	"casq/internal/sim"
 )
 
 // frame is one worker's reusable Pauli-frame state: the packed X/Z masks
@@ -158,17 +157,4 @@ func (e *Engine) numShots() int {
 		return 1
 	}
 	return e.Cfg.Shots
-}
-
-// forEachShot runs one reset+run trajectory per shot index through the
-// shared engine shot loop (sim.ForEachShot): per-worker reusable frames,
-// sim.ShotSeed seeding — the identical discipline to the statevector
-// kernel, from the same code.
-func (e *Engine) forEachShot(p *program, fn func(i int, f *frame)) {
-	sim.ForEachShot(e.numShots(), e.Cfg.Workers, func() *frame { return newFrame(p) },
-		func(i int, f *frame) {
-			f.reset(sim.ShotSeed(e.Cfg.Seed, i))
-			f.run(p)
-			fn(i, f)
-		})
 }

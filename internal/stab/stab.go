@@ -46,16 +46,12 @@ import (
 // config by Pauli-frame sampling. It implements sim.Engine with the same
 // Config semantics (Shots, Seed, Workers, channel toggles) as the
 // statevector Runner.
+//
+// Shots advance 64 at a time through bit-plane frames (block.go); the
+// shots % 64 remainder runs one per-shot frame each (frame.go).
 type Engine struct {
 	Dev *device.Device
 	Cfg sim.Config
-
-	// Scalar forces the retained scalar-per-shot reference path (frame.go)
-	// instead of the default bit-plane batched path (block.go), which
-	// advances 64 shots per word op. The two are differentially pinned
-	// against each other in this package's tests; production callers leave
-	// Scalar false.
-	Scalar bool
 }
 
 // New returns a stabilizer engine.
@@ -80,24 +76,6 @@ func (e *Engine) span(name string) obs.Span {
 // (classical bit i at string position i), shot-for-shot deterministic in
 // Cfg.Seed and independent of the worker count.
 func (e *Engine) Counts(c *circuit.Circuit) (sim.Result, error) {
-	if e.Scalar {
-		sp := e.span("stab.counts.scalar")
-		defer sp.End()
-		p, err := e.compile(c)
-		if err != nil {
-			return sim.Result{}, err
-		}
-		shots := e.numShots()
-		keys := make([]string, shots)
-		e.forEachShot(p, func(i int, f *frame) {
-			keys[i] = sim.BitsKey(f.cbits)
-		})
-		res := sim.Result{Counts: map[string]int{}, Shots: shots}
-		for _, k := range keys {
-			res.Counts[k]++
-		}
-		return res, nil
-	}
 	pb, err := e.CountsPacked(c)
 	if err != nil {
 		return sim.Result{}, err
@@ -137,7 +115,7 @@ func (e *Engine) CountsPacked(c *circuit.Circuit) (sim.PackedBits, error) {
 }
 
 // obsPlan is one compiled observable: packed X/Z masks (qubit axis, for
-// the scalar path), the support qubit lists (for the bit-plane path's
+// the per-shot tail frames), the support qubit lists (for the bit-plane path's
 // word-parallel parity), and the reference state's exact expectation
 // (+1, -1, or 0).
 type obsPlan struct {
@@ -201,20 +179,6 @@ func (e *Engine) Expectations(c *circuit.Circuit, obs []sim.ObsSpec) ([]float64,
 	}
 	shots := e.numShots()
 	nobs := len(obs)
-	if e.Scalar {
-		sums := make([]float64, shots*nobs)
-		e.forEachShot(p, func(i int, f *frame) {
-			row := sums[i*nobs : (i+1)*nobs]
-			for j := range plans {
-				v := plans[j].ref
-				if v != 0 && f.anticommutes(plans[j].px, plans[j].pz) {
-					v = -v
-				}
-				row[j] = v
-			}
-		})
-		return reduceRows(sums, shots, nobs), nil
-	}
 	// One row per full 64-shot block, then one per remainder tail shot.
 	full := shots / sim.ShotBlockSize
 	rem := shots - full*sim.ShotBlockSize
@@ -245,7 +209,7 @@ func (e *Engine) Expectations(c *circuit.Circuit, obs []sim.ObsSpec) ([]float64,
 }
 
 // reduceRows sums per-unit partial rows in unit order and normalizes by
-// the shot count — the deterministic reduction both shot paths share.
+// the shot count, so the result is independent of the worker count.
 func reduceRows(sums []float64, shots, nobs int) []float64 {
 	out := make([]float64, nobs)
 	rows := len(sums) / max(nobs, 1)
