@@ -3,7 +3,9 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
+	"sync"
 	"testing"
 
 	"casq/internal/experiments"
@@ -114,5 +116,56 @@ func TestCorrelationsErrors(t *testing.T) {
 		if resp.StatusCode != tc.want {
 			t.Errorf("%s: status = %d, want %d: %s", tc.url, resp.StatusCode, tc.want, body)
 		}
+	}
+}
+
+// TestCorrelationsCoalesceConcurrentRequests pins that concurrent cold
+// requests for one diagnostic share a single computation through the
+// figure cache's in-flight coalescing: exactly one store put, one miss,
+// and identical bytes for every client.
+func TestCorrelationsCoalesceConcurrentRequests(t *testing.T) {
+	ts, srv := newTestServerWith(t, nil, Config{SweepWorkers: 2})
+	url := ts.URL + "/backends/line6/correlations?fast=1&shots=1024&instances=2&seed=9"
+	const n = 8
+	var (
+		wg     sync.WaitGroup
+		start  = make(chan struct{})
+		bodies [n][]byte
+		caches [n]string
+	)
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			resp, err := http.Get(url)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("request %d: status %d", i, resp.StatusCode)
+			}
+			caches[i] = resp.Header.Get("X-Casq-Cache")
+			bodies[i], _ = io.ReadAll(resp.Body)
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	if puts := srv.cache.Store.Stats().Puts; puts != 1 {
+		t.Errorf("%d concurrent cold requests made %d store puts, want 1", n, puts)
+	}
+	misses := 0
+	for i := 0; i < n; i++ {
+		if caches[i] == "miss" {
+			misses++
+		}
+		if !bytes.Equal(bodies[i], bodies[0]) {
+			t.Errorf("request %d got different bytes", i)
+		}
+	}
+	if misses != 1 {
+		t.Errorf("%d requests reported a miss, want 1", misses)
 	}
 }

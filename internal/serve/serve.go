@@ -59,11 +59,14 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
 	"net/http/pprof"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -378,23 +381,26 @@ func (s *Server) handleBackends(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, device.Backends())
 }
 
-// figureParams is the accepted /figures/{id} query vocabulary. Unknown
+// figureParams and correlationParams are the accepted query vocabularies
+// of /figures/{id} and /backends/{id}/correlations, sorted. Unknown
 // parameters are rejected rather than ignored: a typo (shot= for shots=)
 // must not silently serve — and cache — a different configuration.
-var figureParams = map[string]bool{
-	"seed": true, "shots": true, "instances": true, "maxdepth": true, "fast": true,
-	"backend": true, "engine": true,
-}
+var (
+	figureParams      = []string{"backend", "engine", "fast", "instances", "maxdepth", "seed", "shots"}
+	correlationParams = []string{"engine", "fast", "instances", "seed", "shots", "strategy"}
+)
 
 // figureOptions binds the request's query parameters to run Options:
 // fast=1 starts from FastOptions (reduced axes), everything else from
 // DefaultOptions, with seed/shots/instances/maxdepth overriding per field.
-func figureOptions(r *http.Request) (experiments.Options, error) {
+// Parameters outside accepted are an error; accepted ones that are not
+// run options (strategy) are left to the caller.
+func figureOptions(r *http.Request, accepted []string) (experiments.Options, error) {
 	q := r.URL.Query()
 	opts := experiments.DefaultOptions()
 	for name := range q {
-		if !figureParams[name] {
-			return opts, fmt.Errorf("unknown parameter %q (known: backend, engine, fast, instances, maxdepth, seed, shots)", name)
+		if !slices.Contains(accepted, name) {
+			return opts, fmt.Errorf("unknown parameter %q (known: %s)", name, strings.Join(accepted, ", "))
 		}
 	}
 	if fast, err := boolParam(q.Get("fast")); err != nil {
@@ -450,13 +456,37 @@ func boolParam(v string) (bool, error) {
 	return false, fmt.Errorf("not a boolean: %q", v)
 }
 
+// rateLimited takes a token from the figure rate limiter shared by the
+// computed endpoints; when the bucket is empty it answers 429 with
+// Retry-After and reports true.
+func (s *Server) rateLimited(w http.ResponseWriter) bool {
+	if s.limiter == nil {
+		return false
+	}
+	retryAfter, limited := s.limiter.take(time.Now())
+	if !limited {
+		return false
+	}
+	w.Header().Set("Retry-After", strconv.Itoa(retrySeconds(retryAfter)))
+	writeError(w, http.StatusTooManyRequests, "figure rate limit exceeded; retry after %s", retryAfter.Round(time.Millisecond))
+	return true
+}
+
+// writeCached streams cached-computation bytes with their X-Casq-Cache
+// header.
+func writeCached(w http.ResponseWriter, data []byte, hit bool) {
+	w.Header().Set("Content-Type", "application/json")
+	if hit {
+		w.Header().Set("X-Casq-Cache", "hit")
+	} else {
+		w.Header().Set("X-Casq-Cache", "miss")
+	}
+	w.Write(data)
+}
+
 func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
-	if s.limiter != nil {
-		if retryAfter, limited := s.limiter.take(time.Now()); limited {
-			w.Header().Set("Retry-After", strconv.Itoa(retrySeconds(retryAfter)))
-			writeError(w, http.StatusTooManyRequests, "figure rate limit exceeded; retry after %s", retryAfter.Round(time.Millisecond))
-			return
-		}
+	if s.rateLimited(w) {
+		return
 	}
 	id := r.PathValue("id")
 	sp, ok := experiments.Lookup(id)
@@ -464,7 +494,7 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown experiment %q (see /experiments)", id)
 		return
 	}
-	opts, err := figureOptions(r)
+	opts, err := figureOptions(r, figureParams)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -488,20 +518,7 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	if hit {
-		w.Header().Set("X-Casq-Cache", "hit")
-	} else {
-		w.Header().Set("X-Casq-Cache", "miss")
-	}
-	w.Write(data)
-}
-
-// correlationParams is the accepted /backends/{id}/correlations query
-// vocabulary. Unknown parameters are rejected like on /figures/{id}.
-var correlationParams = map[string]bool{
-	"seed": true, "shots": true, "instances": true, "fast": true,
-	"strategy": true, "engine": true,
+	writeCached(w, data, hit)
 }
 
 // correlationDescriptor is the content-addressed cache key of one
@@ -517,18 +534,21 @@ type correlationDescriptor struct {
 	Instances int    `json:"instances"`
 }
 
+// diagnosticError marks a failure of the correlation diagnostic itself.
+// Its inputs are the request's strategy, engine and backend, so such a
+// failure (an unknown strategy, an engine the device cannot run) is the
+// client's mistake: 400, where store failures stay 500.
+type diagnosticError struct{ error }
+
 // handleCorrelations serves the error-correlation spectroscopy diagnostic
 // of one registry backend: the thresholded sparse flip-correlation matrix
 // of a full-device Ramsey probe (experiments.CorrelationDiagnostic),
-// cached through the content-addressed store — a repeated request streams
-// the checkpointed bytes back unchanged with X-Casq-Cache: hit.
+// computed once per configuration through the figure cache — concurrent
+// cold requests share one computation, and a repeated request streams the
+// checkpointed bytes back unchanged with X-Casq-Cache: hit.
 func (s *Server) handleCorrelations(w http.ResponseWriter, r *http.Request) {
-	if s.limiter != nil {
-		if retryAfter, limited := s.limiter.take(time.Now()); limited {
-			w.Header().Set("Retry-After", strconv.Itoa(retrySeconds(retryAfter)))
-			writeError(w, http.StatusTooManyRequests, "figure rate limit exceeded; retry after %s", retryAfter.Round(time.Millisecond))
-			return
-		}
+	if s.rateLimited(w) {
+		return
 	}
 	id := r.PathValue("id")
 	info, ok := device.LookupBackend(id)
@@ -536,48 +556,10 @@ func (s *Server) handleCorrelations(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown backend %q (see /backends)", id)
 		return
 	}
-	q := r.URL.Query()
-	for name := range q {
-		if !correlationParams[name] {
-			writeError(w, http.StatusBadRequest,
-				"unknown parameter %q (known: engine, fast, instances, seed, shots, strategy)", name)
-			return
-		}
-	}
-	opts := experiments.DefaultOptions()
-	if fast, err := boolParam(q.Get("fast")); err != nil {
-		writeError(w, http.StatusBadRequest, "fast: %v", err)
+	opts, err := figureOptions(r, correlationParams)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
-	} else if fast {
-		opts = experiments.FastOptions()
-	}
-	for _, p := range []struct {
-		name string
-		dst  *int
-	}{{"shots", &opts.Shots}, {"instances", &opts.Instances}} {
-		if v := q.Get(p.name); v != "" {
-			n, err := strconv.Atoi(v)
-			if err != nil || n < 0 {
-				writeError(w, http.StatusBadRequest, "%s: not a non-negative integer: %q", p.name, v)
-				return
-			}
-			*p.dst = n
-		}
-	}
-	if v := q.Get("seed"); v != "" {
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "seed: not an integer: %q", v)
-			return
-		}
-		opts.Seed = n
-	}
-	if v := q.Get("engine"); v != "" {
-		if !exec.ValidEngine(v) {
-			writeError(w, http.StatusBadRequest, "engine: unknown %q (known: %v)", v, exec.EngineNames())
-			return
-		}
-		opts.Engine = v
 	}
 	// Pre-validate the engine against the backend's capabilities: an
 	// explicit statevector request on a device beyond the amplitude limit
@@ -589,7 +571,7 @@ func (s *Server) handleCorrelations(w http.ResponseWriter, r *http.Request) {
 			id, info.NQubits, opts.Engine, info.Engines)
 		return
 	}
-	strategy := q.Get("strategy")
+	strategy := r.URL.Query().Get("strategy")
 
 	desc := correlationDescriptor{
 		Rev:     1,
@@ -607,32 +589,22 @@ func (s *Server) handleCorrelations(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	if data, ok, err := s.cache.Store.Get(key); err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
-		return
-	} else if ok {
-		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("X-Casq-Cache", "hit")
-		w.Write(data)
-		return
-	}
-	rep, err := experiments.CorrelationDiagnostic(id, strategy, opts)
+	data, hit, err := s.cache.Do(key, func() ([]byte, error) {
+		rep, err := experiments.CorrelationDiagnostic(id, strategy, opts)
+		if err != nil {
+			return nil, diagnosticError{err}
+		}
+		return json.Marshal(rep)
+	})
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		status := http.StatusInternalServerError
+		if errors.As(err, new(diagnosticError)) {
+			status = http.StatusBadRequest
+		}
+		writeError(w, status, "%v", err)
 		return
 	}
-	data, err := json.Marshal(rep)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	if err := s.cache.Store.Put(key, data); err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Casq-Cache", "miss")
-	w.Write(data)
+	writeCached(w, data, hit)
 }
 
 func backendHasEngine(info device.BackendInfo, engine string) bool {

@@ -138,15 +138,35 @@ type flight struct {
 func NewCache(st *store.Store) *Cache { return &Cache{Store: st} }
 
 // Figure returns the JSON-encoded figure for the cell, serving it from the
-// store when present and computing + checkpointing it otherwise. The
-// returned bytes on a hit are the exact bytes stored by the miss that
-// produced them. Only one computation per key runs at a time; callers
-// that join an in-flight computation report a hit (they did no work).
+// store when present and computing + checkpointing it otherwise (see Do).
 func (c *Cache) Figure(cell Cell) (data []byte, hit bool, err error) {
 	key, err := cell.Key()
 	if err != nil {
 		return nil, false, err
 	}
+	return c.Do(key, func() ([]byte, error) {
+		compute := c.Compute
+		if compute == nil {
+			compute = c.runResolved
+		}
+		fig, err := compute(cell.ID, cell.Opts)
+		if err != nil {
+			return nil, fmt.Errorf("sweep: %s: %w", cell.ID, err)
+		}
+		data, err := json.Marshal(fig)
+		if err != nil {
+			return nil, fmt.Errorf("sweep: %s: encode: %w", cell.ID, err)
+		}
+		return data, nil
+	})
+}
+
+// Do returns the bytes stored under key, or runs compute and stores its
+// bytes under key. The returned bytes on a hit are the exact bytes stored
+// by the miss that produced them. Only one computation per key runs at a
+// time; callers that join an in-flight computation share its bytes or
+// its error and report a hit (they did no work). Errors are not stored.
+func (c *Cache) Do(key store.Key, compute func() ([]byte, error)) (data []byte, hit bool, err error) {
 	if data, ok, err := c.Store.Get(key); err != nil {
 		return nil, false, err
 	} else if ok {
@@ -176,17 +196,8 @@ func (c *Cache) Figure(cell Cell) (data []byte, hit bool, err error) {
 		close(f.done)
 	}()
 
-	compute := c.Compute
-	if compute == nil {
-		compute = c.runResolved
-	}
-	fig, err := compute(cell.ID, cell.Opts)
-	if err != nil {
-		return nil, false, fmt.Errorf("sweep: %s: %w", cell.ID, err)
-	}
-	data, err = json.Marshal(fig)
-	if err != nil {
-		return nil, false, fmt.Errorf("sweep: %s: encode: %w", cell.ID, err)
+	if data, err = compute(); err != nil {
+		return nil, false, err
 	}
 	if err := c.Store.Put(key, data); err != nil {
 		return nil, false, err
