@@ -39,9 +39,9 @@ func correlStrategies() []pass.Pipeline {
 	}
 }
 
-// CorrelationStrategy returns the named spectroscopy strategy ("" =
+// correlStrategy returns the named spectroscopy strategy ("" =
 // twirled), or an error naming the known strategies.
-func CorrelationStrategy(name string) (pass.Pipeline, error) {
+func correlStrategy(name string) (pass.Pipeline, error) {
 	if name == "" {
 		name = "twirled"
 	}
@@ -274,7 +274,7 @@ type CorrelationReport struct {
 // correlations endpoint; depth and tau are fixed to the figC1 defaults so
 // the report is a device diagnostic, not a parameter sweep.
 func CorrelationDiagnostic(backend, strategy string, opts Options) (CorrelationReport, error) {
-	pl, err := CorrelationStrategy(strategy)
+	pl, err := correlStrategy(strategy)
 	if err != nil {
 		return CorrelationReport{}, err
 	}
