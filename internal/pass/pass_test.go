@@ -53,25 +53,30 @@ func legacyCompile(t *testing.T, dev *device.Device, c *circuit.Circuit, seed in
 }
 
 // TestGoldenNamedPipelinesMatchLegacyCompile pins every canned strategy
-// pipeline bit-for-bit against the pre-redesign Compile path.
+// pipeline — its passes and its output, bit for bit — against the
+// pre-redesign Compile path, and checks the DD and EC passes did work.
 func TestGoldenNamedPipelinesMatchLegacyCompile(t *testing.T) {
 	dev := testDevice()
 	base := models.BuildFloquetIsing(4, 3)
 	cases := []struct {
 		pl      Pipeline
+		passes  string
 		twirl   bool
 		ddStrat dd.Strategy
 		ec      bool
 	}{
-		{Bare(), false, dd.None, false},
-		{Twirled(), true, dd.None, false},
-		{WithDD(dd.Aligned), true, dd.Aligned, false},
-		{WithDD(dd.Staggered), true, dd.Staggered, false},
-		{CADD(), true, dd.ContextAware, false},
-		{CAEC(), true, dd.None, true},
-		{Combined(), true, dd.ContextAware, true},
+		{Bare(), "bare(sched)", false, dd.None, false},
+		{Twirled(), "twirled(twirl -> sched)", true, dd.None, false},
+		{WithDD(dd.Aligned), "dd-aligned(twirl -> sched -> dd:aligned)", true, dd.Aligned, false},
+		{WithDD(dd.Staggered), "dd-staggered(twirl -> sched -> dd:staggered)", true, dd.Staggered, false},
+		{CADD(), "ca-dd(twirl -> sched -> dd:ca-dd)", true, dd.ContextAware, false},
+		{CAEC(), "ca-ec(twirl -> sched -> ca-ec)", true, dd.None, true},
+		{Combined(), "ca-ec+dd(twirl -> sched -> dd:ca-dd -> ca-ec)", true, dd.ContextAware, true},
 	}
 	for _, tc := range cases {
+		if got := tc.pl.String(); got != tc.passes {
+			t.Errorf("preset = %s, want %s", got, tc.passes)
+		}
 		const seed = 23
 		want, wantDur := legacyCompile(t, dev, base, seed, tc.twirl, tc.ddStrat, tc.ec)
 		got, rep, err := tc.pl.Apply(dev, rand.New(rand.NewSource(seed)), base)
@@ -85,62 +90,17 @@ func TestGoldenNamedPipelinesMatchLegacyCompile(t *testing.T) {
 		if rep.Duration != wantDur {
 			t.Errorf("%s: duration %v, legacy %v", tc.pl.Name, rep.Duration, wantDur)
 		}
-	}
-}
-
-// TestStrategyPresets pins the pass composition of every named strategy.
-func TestStrategyPresets(t *testing.T) {
-	for _, tc := range []struct {
-		pl   Pipeline
-		name string
-		want string
-	}{
-		{Bare(), "bare", "sched"},
-		{Twirled(), "twirled", "twirl -> sched"},
-		{WithDD(dd.Aligned), "dd-aligned", "twirl -> sched -> dd:aligned"},
-		{WithDD(dd.Staggered), "dd-staggered", "twirl -> sched -> dd:staggered"},
-		{CADD(), "ca-dd", "twirl -> sched -> dd:ca-dd"},
-		{CAEC(), "ca-ec", "twirl -> sched -> ca-ec"},
-		{Combined(), "ca-ec+dd", "twirl -> sched -> dd:ca-dd -> ca-ec"},
-	} {
-		if got, want := tc.pl.String(), tc.name+"("+tc.want+")"; got != want {
-			t.Errorf("preset = %s, want %s", got, want)
+		if tc.ddStrat == dd.ContextAware && rep.DD.Total == 0 {
+			t.Errorf("%s: no DD pulses inserted", tc.pl.Name)
 		}
-	}
-}
-
-// TestCompileProducesValidCircuits compiles every named strategy and
-// checks each pass did its work.
-func TestCompileProducesValidCircuits(t *testing.T) {
-	dev := testDevice()
-	base := models.BuildFloquetIsing(4, 2)
-	for _, pl := range []Pipeline{Bare(), Twirled(), WithDD(dd.Aligned), CADD(), CAEC(), Combined()} {
-		out, rep, err := pl.Apply(dev, rand.New(rand.NewSource(11)), base)
-		if err != nil {
-			t.Fatalf("%s: %v", pl.Name, err)
-		}
-		if err := out.Validate(); err != nil {
-			t.Fatalf("%s produced invalid circuit: %v", pl.Name, err)
-		}
-		if rep.Duration <= 0 {
-			t.Errorf("%s: zero duration", pl.Name)
-		}
-		has := map[string]bool{}
-		for _, ps := range pl.Passes {
-			has[ps.Name()] = true
-		}
-		if has["dd:ca-dd"] && rep.DD.Total == 0 {
-			t.Errorf("%s: no DD pulses inserted", pl.Name)
-		}
-		if has["ca-ec"] && rep.EC.VirtualRZ == 0 {
-			t.Errorf("%s: no EC corrections", pl.Name)
+		if tc.ec && rep.EC.VirtualRZ == 0 {
+			t.Errorf("%s: no EC corrections", tc.pl.Name)
 		}
 	}
 }
 
 // TestWithTwirlScope pins the scope override: only twirl passes change,
-// the receiver keeps its passes, and the retargeted twirl compiles like a
-// hand-built all-qubit pipeline.
+// and the receiver keeps its passes.
 func TestWithTwirlScope(t *testing.T) {
 	orig := Combined()
 	all := orig.WithTwirlScope(twirl.AllQubits)
@@ -152,23 +112,6 @@ func TestWithTwirlScope(t *testing.T) {
 	}
 	if got := Bare().WithTwirlScope(twirl.AllQubits).String(); got != "bare(sched)" {
 		t.Errorf("twirl-free pipeline retargeted to %s", got)
-	}
-
-	dev := testDevice()
-	base := models.BuildFloquetIsing(4, 2)
-	ddOpts := dd.DefaultOptions()
-	ddOpts.Strategy = dd.ContextAware
-	byHand := New("ca-ec+dd", Twirl(twirl.AllQubits), Schedule(), DD(ddOpts), EC(caec.DefaultOptions()))
-	want, _, err := byHand.Apply(dev, rand.New(rand.NewSource(5)), base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _, err := all.Apply(dev, rand.New(rand.NewSource(5)), base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.String() != want.String() {
-		t.Error("WithTwirlScope pipeline compiles differently from the hand-built one")
 	}
 }
 

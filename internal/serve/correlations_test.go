@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"casq/internal/experiments"
@@ -126,16 +127,15 @@ func TestCorrelationsErrors(t *testing.T) {
 func TestCorrelationsCoalesceConcurrentRequests(t *testing.T) {
 	ts, srv := newTestServerWith(t, nil, Config{SweepWorkers: 2})
 	url := ts.URL + "/backends/line6/correlations?fast=1&shots=1024&instances=2&seed=9"
-	const n = 8
 	var (
 		wg     sync.WaitGroup
 		start  = make(chan struct{})
-		bodies [n][]byte
-		caches [n]string
+		misses atomic.Int32
+		bodies = make([][]byte, 8)
 	)
-	for i := 0; i < n; i++ {
+	for i := range bodies {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
 			<-start
 			resp, err := http.Get(url)
@@ -144,28 +144,21 @@ func TestCorrelationsCoalesceConcurrentRequests(t *testing.T) {
 				return
 			}
 			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				t.Errorf("request %d: status %d", i, resp.StatusCode)
+			if resp.Header.Get("X-Casq-Cache") == "miss" {
+				misses.Add(1)
 			}
-			caches[i] = resp.Header.Get("X-Casq-Cache")
 			bodies[i], _ = io.ReadAll(resp.Body)
-		}(i)
+		}()
 	}
 	close(start)
 	wg.Wait()
-	if puts := srv.cache.Store.Stats().Puts; puts != 1 {
-		t.Errorf("%d concurrent cold requests made %d store puts, want 1", n, puts)
+	if puts := srv.cache.Store.Stats().Puts; puts != 1 || misses.Load() != 1 {
+		t.Errorf("%d concurrent cold requests: %d store puts and %d misses, want 1 and 1",
+			len(bodies), puts, misses.Load())
 	}
-	misses := 0
-	for i := 0; i < n; i++ {
-		if caches[i] == "miss" {
-			misses++
-		}
-		if !bytes.Equal(bodies[i], bodies[0]) {
+	for i := range bodies {
+		if len(bodies[i]) == 0 || !bytes.Equal(bodies[i], bodies[0]) {
 			t.Errorf("request %d got different bytes", i)
 		}
-	}
-	if misses != 1 {
-		t.Errorf("%d requests reported a miss, want 1", misses)
 	}
 }

@@ -14,10 +14,9 @@ import (
 )
 
 // BenchmarkStabBatch127Q/scalar/shots=1e4 runs the all-scalar reference
-// path on the workload of the root package's BenchmarkStabBatch127Q: a
-// twirled depth-4 maximal ECR tiling of the 127-qubit eagle127 lattice,
-// 8 observables, one worker. Its shots/s next to the root benchmark's
-// shots=1e4 series is the bit-plane batching speedup on this machine.
+// path on the root package's BenchmarkStabBatch127Q workload (a twirled
+// depth-4 ECR tiling of eagle127); its shots/s next to the root series at
+// shots=1e4 is the bit-plane batching speedup.
 func BenchmarkStabBatch127Q(b *testing.B) {
 	dev, err := device.NewBackend("eagle127")
 	if err != nil {
@@ -41,22 +40,15 @@ func BenchmarkStabBatch127Q(b *testing.B) {
 		obs = append(obs, sim.ObsSpec{in.Qubits[0]: 'X'})
 	}
 	b.Run("scalar/shots=1e4", func(b *testing.B) {
-		const shots = 10_000
 		cfg := sim.DefaultConfig()
-		cfg.Shots = shots
-		cfg.Workers = 1
+		cfg.Shots, cfg.Workers = 10_000, 1
 		eng := stab.New(dev, cfg)
 		b.ReportAllocs()
-		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			vals, err := stab.ScalarExpectations(eng, compiled, obs)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if math.IsNaN(vals[0]) {
-				b.Fatal("NaN expectation")
+			if vals, err := stab.ScalarExpectations(eng, compiled, obs); err != nil || math.IsNaN(vals[0]) {
+				b.Fatal(vals, err)
 			}
 		}
-		b.ReportMetric(float64(shots)*float64(b.N)/b.Elapsed().Seconds(), "shots/s")
+		b.ReportMetric(float64(cfg.Shots)*float64(b.N)/b.Elapsed().Seconds(), "shots/s")
 	})
 }
