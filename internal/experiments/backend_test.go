@@ -92,8 +92,12 @@ func TestDefaultBackendGolden(t *testing.T) {
 			t.Errorf("%s: %v", name, err)
 			continue
 		}
-		if got, err := store.Fingerprint(fig); err != nil || got != golden[name] {
-			t.Errorf("%s: payload drifted: fingerprint %s (%v), want %s", name, got, err, golden[name])
+		got, err := store.Fingerprint(fig)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != golden[name] {
+			t.Errorf("%s: payload drifted: fingerprint %s, want %s", name, got, golden[name])
 		}
 	}
 }

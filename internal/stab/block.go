@@ -10,11 +10,11 @@ import (
 )
 
 // This file is the bit-plane shot engine: the batched counterpart of
-// frame.go's per-shot frames. Where the scalar path walks
-// one trajectory at a time through per-qubit packed words, the bit-plane
-// path transposes the axes — storage is indexed [qubit][shot bit], one
-// uint64 word holding the X (or Z) frame bit of 64 shots — so every
-// program op advances 64 trajectories per word operation, stim-style:
+// frame.go's per-shot frames. Where a frame walks one trajectory at a
+// time through per-qubit packed words, the bit-plane path transposes the
+// axes — storage is indexed [qubit][shot bit], one uint64 word holding
+// the X (or Z) frame bit of 64 shots — so every program op advances 64
+// trajectories per word operation, stim-style:
 //
 //   - Clifford conjugation becomes a symplectic GF(2) linear map applied
 //     as masked XORs of whole shot words (signs are unobservable on
@@ -431,8 +431,8 @@ func (w *blockWorker) scalar() *frame {
 // full 64-shot blocks reset to sim.BlockSeed and run the lowered block
 // plan; the shots%64 remainder tail runs the scalar frame with
 // sim.ShotSeed seeding, so tail shots match the all-scalar reference path
-// of this package's tests at the same indices. Per-unit seeding keeps results
-// bit-identical for any worker count.
+// of this package's tests at the same indices. Per-unit seeding keeps
+// results bit-identical for any worker count.
 func (e *Engine) forEachShotBlock(p *program,
 	onBlock func(b, base int, bf *blockFrame), onTail func(i int, f *frame)) {
 	bp := p.blockPlan()
