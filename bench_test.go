@@ -324,8 +324,8 @@ func BenchmarkAblationStaggeredVsCA(b *testing.B) {
 	}
 }
 
-// BenchmarkFacadeQuickstart exercises the public API end to end:
-// pipeline build, executor, and the compat compiler wrapper.
+// BenchmarkFacadeQuickstart exercises the public API end to end: a named
+// strategy pipeline on the executor.
 func BenchmarkFacadeQuickstart(b *testing.B) {
 	dev := casq.NewLineDevice("facade", 4, casq.DefaultDeviceOptions())
 	for i := 0; i < b.N; i++ {

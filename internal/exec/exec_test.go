@@ -347,9 +347,8 @@ func TestCountsPackedAggregation(t *testing.T) {
 	}
 }
 
-// legacySeed is the executor seed the retired Compiler wrapper drew for
-// its first run from its construction seed, so the tests ported from it
-// see the same numbers.
+// legacySeed derives the executor seed the tests below were tuned with:
+// the first Int63 drawn from their construction seed.
 func legacySeed(seed int64) int64 { return rand.New(rand.NewSource(seed)).Int63() }
 
 func TestExpectationsAveragesInstances(t *testing.T) {

@@ -130,8 +130,8 @@ func TestPipelineDoesNotMutateInput(t *testing.T) {
 	}
 }
 
-// TestCustomOrderings exercises compositions the pre-redesign Strategy
-// could not express.
+// TestCustomOrderings exercises compositions the named strategies cannot
+// express.
 func TestCustomOrderings(t *testing.T) {
 	dev := testDevice()
 	base := models.BuildFloquetIsing(4, 2)

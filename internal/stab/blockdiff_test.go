@@ -1,10 +1,10 @@
-// Differential pinning of the bit-plane batched path against the retained
-// scalar-per-shot reference engine: same compiled circuits, same devices,
-// only the shot axis differs. Two contracts are pinned here: statistical
-// agreement (the two samplers draw from the same derived channel
-// distributions, so marginals and expectations agree within sampling
-// tolerance) and bit-identity of the batched path with itself across
-// worker counts.
+// Differential pinning of the bit-plane batched path against the
+// all-scalar reference path (export_test.go): same compiled circuits,
+// same devices, only the shot axis differs. Two contracts are pinned
+// here: statistical agreement (the two samplers draw from the same
+// derived channel distributions, so marginals and expectations agree
+// within sampling tolerance) and bit-identity of the batched path with
+// itself across worker counts.
 package stab_test
 
 import (
