@@ -130,6 +130,96 @@ func TestPipelineDoesNotMutateInput(t *testing.T) {
 	}
 }
 
+// TestStrategyPresets checks what each paper strategy is made of: whether
+// it twirls (gates only), which DD strategy it inserts, and whether it
+// runs CA-EC.
+func TestStrategyPresets(t *testing.T) {
+	cases := []struct {
+		pl     Pipeline
+		twirl  bool
+		ddKind dd.Strategy
+		ec     bool
+	}{
+		{Bare(), false, dd.None, false},
+		{Twirled(), true, dd.None, false},
+		{WithDD(dd.Aligned), true, dd.Aligned, false},
+		{CADD(), true, dd.ContextAware, false},
+		{CAEC(), true, dd.None, true},
+		{Combined(), true, dd.ContextAware, true},
+	}
+	for _, c := range cases {
+		twirled, ddKind, ec := false, dd.None, false
+		for _, ps := range c.pl.Passes {
+			switch p := ps.(type) {
+			case twirlPass:
+				twirled = true
+				if p.scope != twirl.GatesOnly {
+					t.Errorf("strategy %s twirls with scope %v", c.pl.Name, p.scope)
+				}
+			case ddPass:
+				ddKind = p.opts.Strategy
+			case ecPass:
+				ec = true
+			}
+		}
+		if twirled != c.twirl || ddKind != c.ddKind || ec != c.ec {
+			t.Errorf("strategy %s misconfigured: %s", c.pl.Name, c.pl)
+		}
+	}
+}
+
+func TestCompileProducesValidCircuits(t *testing.T) {
+	dev := testDevice()
+	base := models.BuildFloquetIsing(4, 2)
+	cases := []struct {
+		pl       Pipeline
+		caDD, ec bool
+	}{
+		{Bare(), false, false},
+		{Twirled(), false, false},
+		{WithDD(dd.Aligned), false, false},
+		{CADD(), true, false},
+		{CAEC(), false, true},
+		{Combined(), true, true},
+	}
+	for _, c := range cases {
+		out, rep, err := c.pl.Apply(dev, rand.New(rand.NewSource(11)), base)
+		if err != nil {
+			t.Fatalf("%s: %v", c.pl.Name, err)
+		}
+		if err := out.Validate(); err != nil {
+			t.Fatalf("%s produced invalid circuit: %v", c.pl.Name, err)
+		}
+		if rep.Duration <= 0 {
+			t.Errorf("%s: zero duration", c.pl.Name)
+		}
+		if c.caDD && rep.DD.Total == 0 {
+			t.Errorf("%s: no DD pulses inserted", c.pl.Name)
+		}
+		if c.ec && rep.EC.VirtualRZ == 0 {
+			t.Errorf("%s: no EC corrections", c.pl.Name)
+		}
+	}
+}
+
+// TestCompileDoesNotMutateInput extends TestPipelineDoesNotMutateInput to
+// every paper strategy and to the all-qubit twirl scope: the input
+// circuit, timing included, reads the same after compilation.
+func TestCompileDoesNotMutateInput(t *testing.T) {
+	dev := testDevice()
+	base := models.BuildFloquetIsing(4, 1)
+	want := base.String()
+	for _, pl := range []Pipeline{Bare(), Twirled(), WithDD(dd.Aligned), CADD(), CAEC(), Combined(),
+		Combined().WithTwirlScope(twirl.AllQubits)} {
+		if _, _, err := pl.Apply(dev, rand.New(rand.NewSource(1)), base); err != nil {
+			t.Fatalf("%s: %v", pl, err)
+		}
+		if got := base.String(); got != want {
+			t.Fatalf("%s mutated the input circuit\nbefore:\n%s\nafter:\n%s", pl, want, got)
+		}
+	}
+}
+
 // TestCustomOrderings exercises compositions the named strategies cannot
 // express.
 func TestCustomOrderings(t *testing.T) {
