@@ -141,7 +141,7 @@ type (
 	// SweepRunner schedules sweep cells with bounded concurrency and
 	// checkpoint/resume through the store.
 	SweepRunner = sweep.Runner
-	// SweepRun is one scheduled sweep execution.
+	// SweepRun is one sweep execution, in-process or on the fabric.
 	SweepRun = sweep.Run
 	// SweepProgress snapshots a sweep's completion state.
 	SweepProgress = sweep.Progress
@@ -164,17 +164,14 @@ type (
 	// in-memory, or a remote store over HTTP.
 	StoreBackend = store.Backend
 	// FabricCoordinator owns the distributed job queue: cells are leased
-	// to workers, expired leases requeue, results aggregate into
-	// SweepProgress.
+	// to workers, expired leases requeue, and each submission is a
+	// SweepRun.
 	FabricCoordinator = fabric.Coordinator
 	// FabricOptions configure a coordinator (lease TTL).
 	FabricOptions = fabric.Options
 	// FabricWorker claims cells from a coordinator, computes them through
 	// the shared store, and reports completion under a heartbeat.
 	FabricWorker = fabric.Worker
-	// FabricSweep is one distributed sweep: the fabric-side counterpart
-	// of SweepRun with the same progress surface.
-	FabricSweep = fabric.Sweep
 	// FabricStats snapshots the coordinator's queue and fleet counters.
 	FabricStats = fabric.Stats
 )

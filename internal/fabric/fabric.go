@@ -10,10 +10,10 @@
 // for one cell: crash recovery costs at most the one in-flight cell per
 // dead worker.
 //
-// The coordinator aggregates per-cell state into the same sweep.Progress
-// model the in-process scheduler reports, so the serve layer's progress,
-// listing, and SSE endpoints work identically for local and distributed
-// sweeps. Wire protocol (all JSON over HTTP, mounted by Handler):
+// Each submitted sweep is a sweep.Run, the same lifecycle the in-process
+// scheduler drives, so the serve layer's progress, listing, and SSE
+// endpoints work identically for local and distributed sweeps. Wire
+// protocol (all JSON over HTTP, mounted by Handler):
 //
 //	POST /fabric/claim      {"worker":id} -> lease + cell, or 204 when idle
 //	POST /fabric/heartbeat  {"lease_id":id} extends the lease, 410 if expired
@@ -29,7 +29,6 @@ import (
 	"sync"
 	"time"
 
-	"casq/internal/obs"
 	"casq/internal/store"
 	"casq/internal/sweep"
 )
@@ -44,6 +43,10 @@ const DefaultLeaseTTL = 15 * time.Second
 // it never existed). The HTTP layer maps it to 410 Gone.
 var ErrLeaseGone = errors.New("fabric: lease expired or unknown")
 
+// workerWindow is how long, in lease TTLs, a worker id counts towards
+// Stats.Workers after its last call; the janitor forgets older ids.
+const workerWindow = 10
+
 // Options configure a Coordinator.
 type Options struct {
 	// LeaseTTL is how long a claimed cell may go without a heartbeat
@@ -55,13 +58,17 @@ type Options struct {
 // cells are leased to workers, and expired leases requeue. It also serves
 // the shared store, so workers need exactly one endpoint. Safe for
 // concurrent use; create with NewCoordinator and release with Close.
+//
+// The coordinator moves each run's cells through sweep.Run.Set while it
+// holds its own lock, so lock order is coordinator, then run. It keeps no
+// reference to a run once its last cell is terminal.
 type Coordinator struct {
 	st       *store.Store
 	leaseTTL time.Duration
 
 	mu      sync.Mutex
-	sweeps  []*Sweep
-	queue   []cellRef
+	sweeps  int       // runs submitted, for Stats
+	queue   []cellRef // pending cells, oldest first
 	leases  map[string]*lease
 	seq     int64
 	workers map[string]time.Time // worker id -> last seen
@@ -72,9 +79,9 @@ type Coordinator struct {
 	closeOnce sync.Once
 }
 
-// cellRef addresses one cell of one sweep.
+// cellRef addresses one cell of one run.
 type cellRef struct {
-	sw  *Sweep
+	run *sweep.Run
 	idx int
 }
 
@@ -111,8 +118,8 @@ func (c *Coordinator) Store() *store.Store { return c.st }
 // store for a later coordinator to resume from.
 func (c *Coordinator) Close() { c.closeOnce.Do(func() { close(c.closed) }) }
 
-// janitor expires leases even when no worker is polling, so a sweep whose
-// entire fleet died still requeues (and a reconnecting fleet resumes it).
+// janitor ticks even when no worker is polling, so a sweep whose entire
+// fleet died still requeues (and a reconnecting fleet resumes it).
 func (c *Coordinator) janitor() {
 	period := c.leaseTTL / 2
 	if period < 5*time.Millisecond {
@@ -125,44 +132,42 @@ func (c *Coordinator) janitor() {
 		case <-c.closed:
 			return
 		case <-t.C:
-			c.mu.Lock()
-			c.expireLocked(time.Now())
-			c.mu.Unlock()
+			c.tick(time.Now())
+		}
+	}
+}
+
+// tick is one janitor pass: it expires overdue leases and forgets workers
+// silent for longer than workerWindow. Forgetting happens here rather than
+// in claim, so a claim's cost does not grow with the fleet.
+func (c *Coordinator) tick(now time.Time) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.expireLocked(now)
+	cutoff := now.Add(-workerWindow * c.leaseTTL)
+	for id, seen := range c.workers {
+		if !seen.After(cutoff) {
+			delete(c.workers, id)
 		}
 	}
 }
 
 // Submit expands the spec and enqueues its cells for the worker fleet,
-// returning the Sweep handle the serve layer tracks. Cells enqueue in the
-// spec's deterministic expansion order.
-func (c *Coordinator) Submit(spec sweep.Spec) (*Sweep, error) {
+// returning the run the serve layer tracks. Cells enqueue in the spec's
+// deterministic expansion order.
+func (c *Coordinator) Submit(spec sweep.Spec) (*sweep.Run, error) {
 	cells, err := spec.Cells()
 	if err != nil {
 		return nil, err
 	}
-	sw := &Sweep{
-		c:         c,
-		cells:     cells,
-		traceID:   obs.NextTraceID(),
-		states:    make([]sweep.CellState, len(cells)),
-		remaining: len(cells),
-		watch:     make(chan struct{}),
-		done:      make(chan struct{}),
-	}
-	sweep.RecordRun()
-	for i := range sw.states {
-		sw.states[i] = sweep.CellPending
-	}
+	run := sweep.NewRun(cells)
 	c.mu.Lock()
-	c.sweeps = append(c.sweeps, sw)
+	c.sweeps++
 	for i := range cells {
-		c.queue = append(c.queue, cellRef{sw: sw, idx: i})
-	}
-	if len(cells) == 0 {
-		close(sw.done)
+		c.queue = append(c.queue, cellRef{run: run, idx: i})
 	}
 	c.mu.Unlock()
-	return sw, nil
+	return run, nil
 }
 
 // claim hands the oldest pending cell to a worker under a fresh lease,
@@ -175,21 +180,20 @@ func (c *Coordinator) claim(worker string, now time.Time) (string, sweep.Cell, u
 	c.workers[worker] = now
 	c.claims++
 	mClaims.Inc()
-	for len(c.queue) > 0 {
-		ref := c.queue[0]
-		c.queue = c.queue[1:]
-		if ref.sw.states[ref.idx] != sweep.CellPending {
-			continue
-		}
-		ref.sw.states[ref.idx] = sweep.CellLeased
-		ref.sw.notifyLocked()
-		sweep.RecordCellState(sweep.CellLeased)
-		c.seq++
-		id := fmt.Sprintf("lease-%d", c.seq)
-		c.leases[id] = &lease{ref: ref, worker: worker, expiry: now.Add(c.leaseTTL)}
-		return id, ref.sw.cells[ref.idx], ref.sw.traceID, true
+	if len(c.queue) == 0 {
+		return "", sweep.Cell{}, 0, false
 	}
-	return "", sweep.Cell{}, 0, false
+	// Every queued cell is pending: it enters the queue on Submit or on
+	// lease expiry and leaves it here. Clearing the slot lets a finished
+	// run be collected while the backing array lives on.
+	ref := c.queue[0]
+	c.queue[0] = cellRef{}
+	c.queue = c.queue[1:]
+	ref.run.Set(ref.idx, sweep.CellLeased, "")
+	c.seq++
+	id := fmt.Sprintf("lease-%d", c.seq)
+	c.leases[id] = &lease{ref: ref, worker: worker, expiry: now.Add(c.leaseTTL)}
+	return id, ref.run.Cells()[ref.idx], ref.run.TraceID(), true
 }
 
 // heartbeat extends a lease; ErrLeaseGone means the worker lost it (the
@@ -229,17 +233,7 @@ func (c *Coordinator) complete(leaseID string, st sweep.CellState, errMsg string
 	c.workers[l.worker] = now
 	c.completes++
 	mCompletes.Inc()
-	sweep.RecordCellState(st)
-	sw := l.ref.sw
-	sw.states[l.ref.idx] = st
-	if st == sweep.CellFailed && sw.first == "" {
-		sw.first = errMsg
-	}
-	sw.remaining--
-	if sw.remaining == 0 {
-		close(sw.done)
-	}
-	sw.notifyLocked()
+	l.ref.run.Set(l.ref.idx, st, errMsg)
 	return nil
 }
 
@@ -249,11 +243,10 @@ func (c *Coordinator) expireLocked(now time.Time) {
 	for id, l := range c.leases {
 		if now.After(l.expiry) {
 			delete(c.leases, id)
-			l.ref.sw.states[l.ref.idx] = sweep.CellPending
+			l.ref.run.Set(l.ref.idx, sweep.CellPending, "")
 			c.queue = append(c.queue, l.ref)
 			c.expirations++
 			mExpirations.Inc()
-			l.ref.sw.notifyLocked()
 		}
 	}
 }
@@ -264,7 +257,7 @@ type Stats struct {
 	Sweeps      int    `json:"sweeps"`
 	QueueDepth  int    `json:"queue_depth"`
 	Leases      int    `json:"leases"`
-	Workers     int    `json:"workers"` // distinct workers seen within 10 lease TTLs
+	Workers     int    `json:"workers"` // distinct workers seen within workerWindow lease TTLs
 	Claims      uint64 `json:"claims"`
 	Completes   uint64 `json:"completes"`
 	Heartbeats  uint64 `json:"heartbeats"`
@@ -275,103 +268,17 @@ type Stats struct {
 func (c *Coordinator) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	cutoff := time.Now().Add(-10 * c.leaseTTL)
+	cutoff := time.Now().Add(-workerWindow * c.leaseTTL)
 	workers := 0
 	for _, seen := range c.workers {
 		if seen.After(cutoff) {
 			workers++
 		}
 	}
-	depth := 0
-	for _, ref := range c.queue {
-		if ref.sw.states[ref.idx] == sweep.CellPending {
-			depth++
-		}
-	}
 	return Stats{
-		Sweeps: len(c.sweeps), QueueDepth: depth, Leases: len(c.leases), Workers: workers,
+		Sweeps: c.sweeps, QueueDepth: len(c.queue), Leases: len(c.leases), Workers: workers,
 		Claims: c.claims, Completes: c.completes, Heartbeats: c.heartbeats, Expirations: c.expirations,
 	}
-}
-
-// Sweep is one distributed sweep: the fabric-side counterpart of
-// sweep.Run, exposing the same progress surface so the serve layer treats
-// local and distributed sweeps uniformly. All state is guarded by the
-// coordinator's lock.
-type Sweep struct {
-	c         *Coordinator
-	cells     []sweep.Cell
-	traceID   uint64
-	states    []sweep.CellState
-	first     string
-	remaining int
-	watch     chan struct{}
-	done      chan struct{}
-}
-
-// Cells returns the sweep's expanded cells (shared slice; read-only).
-func (s *Sweep) Cells() []sweep.Cell { return s.cells }
-
-// TraceID returns the sweep's trace identity. It travels to workers in
-// every claim response, so spans recorded on a remote worker carry the
-// coordinator's id, and the serve layer echoes it in SSE progress events.
-func (s *Sweep) TraceID() uint64 { return s.traceID }
-
-// Done returns a channel closed when every cell has reached a terminal
-// state.
-func (s *Sweep) Done() <-chan struct{} { return s.done }
-
-// Wait blocks until the sweep finishes and returns its final progress.
-func (s *Sweep) Wait() sweep.Progress {
-	<-s.done
-	return s.Progress()
-}
-
-// States returns a copy of the per-cell states, index-aligned with Cells.
-func (s *Sweep) States() []sweep.CellState {
-	s.c.mu.Lock()
-	defer s.c.mu.Unlock()
-	out := make([]sweep.CellState, len(s.states))
-	copy(out, s.states)
-	return out
-}
-
-// Progress returns a consistent snapshot of the sweep.
-func (s *Sweep) Progress() sweep.Progress {
-	s.c.mu.Lock()
-	defer s.c.mu.Unlock()
-	p := sweep.Progress{Total: len(s.cells), Err: s.first}
-	for _, st := range s.states {
-		switch st {
-		case sweep.CellCached:
-			p.Cached++
-		case sweep.CellComputed:
-			p.Computed++
-		case sweep.CellFailed:
-			p.Failed++
-		case sweep.CellSkipped:
-			p.Skipped++
-		case sweep.CellLeased:
-			p.Leased++
-		}
-	}
-	p.Done = p.Cached + p.Computed
-	p.Finished = s.remaining == 0
-	return p
-}
-
-// Changed returns a channel closed on the next state change; fetch it
-// before snapshotting Progress to watch without missing updates.
-func (s *Sweep) Changed() <-chan struct{} {
-	s.c.mu.Lock()
-	defer s.c.mu.Unlock()
-	return s.watch
-}
-
-// notifyLocked wakes every Changed waiter. Callers hold c.mu.
-func (s *Sweep) notifyLocked() {
-	close(s.watch)
-	s.watch = make(chan struct{})
 }
 
 // Handler returns the coordinator's HTTP surface: the worker protocol

@@ -7,11 +7,13 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+	"weak"
 
 	"casq/internal/experiments"
 	"casq/internal/obs"
@@ -104,6 +106,62 @@ func TestCoordinatorLeaseLifecycle(t *testing.T) {
 	}
 	if stats.Leases != 0 || stats.QueueDepth != 0 {
 		t.Errorf("stats not drained = %+v", stats)
+	}
+}
+
+// TestFinishedRunCollected: once a sweep's last cell is terminal the
+// coordinator holds no reference to its run, so a long-lived coordinator
+// does not keep every sweep it ever served in memory. Stats still counts
+// the submission.
+func TestFinishedRunCollected(t *testing.T) {
+	c := NewCoordinator(store.OpenWith(nil, 16), Options{LeaseTTL: time.Hour})
+	defer c.Close()
+	run, err := c.Submit(testSpec([]int64{1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := time.Now()
+	lease, _, _, ok := c.claim("w1", now)
+	if !ok {
+		t.Fatal("claim failed")
+	}
+	if err := c.complete(lease, sweep.CellComputed, "", now); err != nil {
+		t.Fatal(err)
+	}
+	if p := run.Wait(); p.Done != 1 {
+		t.Fatalf("progress = %+v", p)
+	}
+	collected := weak.Make(run)
+	run = nil
+	for i := 0; i < 3 && collected.Value() != nil; i++ {
+		runtime.GC()
+	}
+	if collected.Value() != nil {
+		t.Error("finished run is still reachable from the coordinator")
+	}
+	if st := c.Stats(); st.Sweeps != 1 {
+		t.Errorf("stats sweeps = %d, want 1", st.Sweeps)
+	}
+}
+
+// TestJanitorForgetsSilentWorkers: a janitor pass keeps only the worker
+// ids seen within the Stats window, so ids posted once to the
+// unauthenticated claim endpoint do not pile up forever.
+func TestJanitorForgetsSilentWorkers(t *testing.T) {
+	const ttl = time.Hour
+	c := NewCoordinator(store.OpenWith(nil, 16), Options{LeaseTTL: ttl}) // janitor passes driven manually below
+	defer c.Close()
+	t0 := time.Now()
+	for i := 0; i < 100; i++ {
+		c.claim(fmt.Sprintf("idle-%d", i), t0)
+	}
+	late := t0.Add(11 * ttl)
+	c.claim("late", late)
+	c.tick(late)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, ok := c.workers["late"]; !ok || len(c.workers) != 1 {
+		t.Errorf("worker table has %d entries after the janitor pass, want only the late worker", len(c.workers))
 	}
 }
 

@@ -145,14 +145,7 @@ func (w *Worker) process(ctx context.Context, job claimResponse, perCell int) {
 	_, hit, err := w.Cache.Figure(cell)
 	sp.End()
 	stopHB()
-	state := sweep.CellComputed
-	errMsg := ""
-	switch {
-	case err != nil:
-		state, errMsg = sweep.CellFailed, err.Error()
-	case hit:
-		state = sweep.CellCached
-	}
+	state, errMsg := sweep.Outcome(hit, err)
 	w.complete(job.LeaseID, state, errMsg)
 }
 

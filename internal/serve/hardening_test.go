@@ -356,6 +356,33 @@ func TestHealthzCounters(t *testing.T) {
 	}
 }
 
+// readEvents reads a sweep's SSE progress stream until the server ends it.
+func readEvents(t *testing.T, url string) []progressEvent {
+	t.Helper()
+	resp, err := (&http.Client{Timeout: time.Minute}).Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var events []progressEvent
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		data, ok := strings.CutPrefix(sc.Text(), "data: ")
+		if !ok {
+			continue
+		}
+		var ev progressEvent
+		if err := json.Unmarshal([]byte(data), &ev); err != nil {
+			t.Fatalf("event %q: %v", data, err)
+		}
+		events = append(events, ev)
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatalf("stream read: %v", err)
+	}
+	return events
+}
+
 // TestServeWithCoordinator is the serve-layer integration of the fabric:
 // a server with an attached coordinator routes sweep submissions to the
 // worker fleet, streams their progress over SSE, and reports fleet stats
@@ -386,6 +413,28 @@ func TestServeWithCoordinator(t *testing.T) {
 	resp := postSweep(t, ts, spec)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit status = %d", resp.StatusCode)
+	}
+	rec, ok := srv.lookupSweep("sweep-1")
+	if !ok {
+		t.Fatal("submitted sweep not retained")
+	}
+	trace := fmt.Sprintf("%016x", rec.run.TraceID())
+	events := readEvents(t, ts.URL+"/sweeps/sweep-1/events")
+	if len(events) == 0 {
+		t.Fatal("no progress events")
+	}
+	lastDone := -1
+	for i, ev := range events {
+		if ev.TraceID != trace {
+			t.Errorf("event %d: trace id %s, want the run's %s", i, ev.TraceID, trace)
+		}
+		if ev.Done < lastDone {
+			t.Errorf("event %d: done %d went backwards (prev %d)", i, ev.Done, lastDone)
+		}
+		lastDone = ev.Done
+	}
+	if final := events[len(events)-1]; !final.Finished || final.Done != 4 {
+		t.Errorf("final event = %+v", final)
 	}
 	p := waitSweepFinished(t, ts, "sweep-1")
 	if p.Done != 4 || p.Failed != 0 {

@@ -142,24 +142,12 @@ type Config struct {
 	PProf bool
 }
 
-// runHandle abstracts a scheduled sweep; the in-process sweep.Run and
-// the fabric coordinator's distributed Sweep both satisfy it, which is
-// what lets every progress surface (status, list, SSE, drain) treat the
-// two identically.
-type runHandle interface {
-	Cells() []sweep.Cell
-	States() []sweep.CellState
-	Progress() sweep.Progress
-	Changed() <-chan struct{}
-	Done() <-chan struct{}
-	TraceID() uint64
-}
-
-// sweepRecord tracks one retained sweep.
+// sweepRecord tracks one retained sweep. The run is the in-process
+// runner's or the fabric coordinator's; both are a sweep.Run, so every
+// progress surface (status, list, SSE, drain) treats them alike.
 type sweepRecord struct {
-	run        runHandle
-	submitted  time.Time
-	finishedAt time.Time // zero while running; set by the watcher
+	run       *sweep.Run
+	submitted time.Time
 }
 
 // Server serves the experiment catalog, cached figures, and sweeps. Use
@@ -278,13 +266,7 @@ func (s *Server) Close() {
 	s.closeOnce.Do(func() {
 		s.mu.Lock()
 		s.draining = true
-		s.refreshLocked(time.Now())
-		active := make([]runHandle, 0, len(s.sweeps))
-		for _, rec := range s.sweeps {
-			if rec.finishedAt.IsZero() {
-				active = append(active, rec.run)
-			}
-		}
+		active := s.activeLocked()
 		s.mu.Unlock()
 
 		deadline := time.After(s.drainFor)
@@ -661,13 +643,7 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "server draining; resubmit to its successor")
 		return
 	}
-	s.refreshLocked(time.Now())
-	active := 0
-	for _, rec := range s.sweeps {
-		if rec.finishedAt.IsZero() {
-			active++
-		}
-	}
+	active := len(s.activeLocked())
 	if active >= s.maxRuns {
 		s.mu.Unlock()
 		w.Header().Set("Retry-After", "1")
@@ -676,7 +652,7 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Unlock()
 
-	var run runHandle
+	var run *sweep.Run
 	var err error
 	if s.coord != nil {
 		run, err = s.coord.Submit(spec)
@@ -839,21 +815,17 @@ func (s *Server) handleSweepEvents(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// refreshLocked stamps finish times for runs that completed since the
-// last look. finishedAt is "when the server noticed" — checked lazily
-// under the lock rather than by a per-sweep watcher goroutine, so
-// admission control, pruning, and drain always agree on which runs are
-// still active. Callers hold s.mu.
-func (s *Server) refreshLocked(now time.Time) {
+// activeLocked returns the retained runs that have not finished — the
+// runs admission control counts, Close drains, and /healthz reports.
+// Callers hold s.mu.
+func (s *Server) activeLocked() []*sweep.Run {
+	var active []*sweep.Run
 	for _, rec := range s.sweeps {
-		if rec.finishedAt.IsZero() {
-			select {
-			case <-rec.run.Done():
-				rec.finishedAt = now
-			default:
-			}
+		if rec.run.FinishedAt().IsZero() {
+			active = append(active, rec.run)
 		}
 	}
+	return active
 }
 
 // pruneLocked drops the oldest finished runs beyond maxSweepHistory so a
@@ -866,12 +838,12 @@ func (s *Server) pruneLocked(now time.Time) {
 	if len(s.order) <= maxSweepHistory {
 		return
 	}
-	s.refreshLocked(now)
 	prunable := func(rec *sweepRecord) bool {
-		if rec.finishedAt.IsZero() {
+		finished := rec.run.FinishedAt()
+		if finished.IsZero() {
 			return false // never prune a running sweep
 		}
-		return now.Sub(rec.finishedAt) >= s.ttl || len(s.order) > hardSweepHistory
+		return now.Sub(finished) >= s.ttl || len(s.order) > hardSweepHistory
 	}
 	kept := s.order[:0]
 	excess := len(s.order) - maxSweepHistory
@@ -914,18 +886,11 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	s.mu.Lock()
-	s.refreshLocked(time.Now())
-	active := 0
-	for _, rec := range s.sweeps {
-		if rec.finishedAt.IsZero() {
-			active++
-		}
-	}
 	body := health{
 		OK:       true,
 		Draining: s.draining,
 		Requests: reqs,
-		Sweeps:   sweepCounts{Active: active, Retained: len(s.sweeps)},
+		Sweeps:   sweepCounts{Active: len(s.activeLocked()), Retained: len(s.sweeps)},
 	}
 	s.mu.Unlock()
 	body.Store = s.cache.Store.Stats()

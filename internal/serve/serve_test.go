@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -211,7 +212,15 @@ func TestSweepLifecycle(t *testing.T) {
 
 func TestSweepSubmitRejectsBadSpec(t *testing.T) {
 	ts := newTestServer(t, nil)
-	for _, bad := range []string{`{"ids":["nope"]}`, `{"unknown_field":1}`, `not json`} {
+	// 32 values on each of four axes: 2^20 cells from a ~450-byte body.
+	vals := make([]string, 32)
+	for i := range vals {
+		vals[i] = strconv.Itoa(i + 1)
+	}
+	axis := "[" + strings.Join(vals, ",") + "]"
+	huge := `{"ids":["fig5"],"grid":{"seeds":` + axis + `,"shots":` + axis +
+		`,"instances":` + axis + `,"max_depths":` + axis + `}}`
+	for _, bad := range []string{`{"ids":["nope"]}`, `{"unknown_field":1}`, `not json`, huge} {
 		resp, err := http.Post(ts.URL+"/sweeps", "application/json", strings.NewReader(bad))
 		if err != nil {
 			t.Fatal(err)

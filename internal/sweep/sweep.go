@@ -15,7 +15,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
+	"time"
 
 	"casq/internal/exec"
 	"casq/internal/experiments"
@@ -258,18 +260,19 @@ type Spec struct {
 	Fast bool `json:"fast,omitempty"`
 }
 
+// maxCells bounds one sweep's expansion, over 900× the whole catalog at a
+// single grid point. Without it a POST body of a few hundred bytes could
+// ask for millions of cells, allocated before any of them runs.
+const maxCells = 1 << 14
+
 // Cells expands the spec into the cartesian product id × seed × shots ×
 // instances × max-depth × backend × engine, in deterministic order (ids
-// outermost, then the grid axes in declaration order).
+// outermost, then the grid axes in declaration order). A product above
+// maxCells is rejected before anything is allocated for it.
 func (s Spec) Cells() ([]Cell, error) {
 	ids := s.IDs
 	if len(ids) == 0 {
 		ids = experiments.IDs()
-	}
-	for _, id := range ids {
-		if _, ok := experiments.Lookup(id); !ok {
-			return nil, fmt.Errorf("sweep: unknown experiment %q", id)
-		}
 	}
 	seeds := s.Grid.Seeds
 	if len(seeds) == 0 {
@@ -291,6 +294,22 @@ func (s Spec) Cells() ([]Cell, error) {
 	if len(backends) == 0 {
 		backends = []string{s.Base.Backend}
 	}
+	engines := s.Grid.Engines
+	if len(engines) == 0 {
+		engines = []string{s.Base.Engine}
+	}
+	n := len(ids)
+	for _, axis := range []int{len(seeds), len(shots), len(instances), len(maxDepths), len(backends), len(engines)} {
+		if n > maxCells/axis { // n*axis > maxCells, tested without overflowing
+			return nil, fmt.Errorf("sweep: spec expands to more than %d cells", maxCells)
+		}
+		n *= axis
+	}
+	for _, id := range ids {
+		if _, ok := experiments.Lookup(id); !ok {
+			return nil, fmt.Errorf("sweep: unknown experiment %q", id)
+		}
+	}
 	for _, b := range backends {
 		for _, id := range ids {
 			sp, _ := experiments.Lookup(id)
@@ -298,10 +317,6 @@ func (s Spec) Cells() ([]Cell, error) {
 				return nil, fmt.Errorf("sweep: %s does not support backend %q (declared: %v)", id, b, sp.Backends)
 			}
 		}
-	}
-	engines := s.Grid.Engines
-	if len(engines) == 0 {
-		engines = []string{s.Base.Engine}
 	}
 	for _, e := range engines {
 		if !exec.ValidEngine(e) {
@@ -314,7 +329,7 @@ func (s Spec) Cells() ([]Cell, error) {
 			}
 		}
 	}
-	cells := make([]Cell, 0, len(ids)*len(seeds)*len(shots)*len(instances)*len(maxDepths)*len(backends)*len(engines))
+	cells := make([]Cell, 0, n)
 	for _, id := range ids {
 		for _, seed := range seeds {
 			for _, sh := range shots {
@@ -353,9 +368,24 @@ const (
 	CellSkipped  CellState = "skipped" // sweep interrupted before the cell ran
 )
 
-// Progress is a snapshot of a running or finished sweep. It is the shared
-// aggregation model for both in-process runs and the distributed fabric
-// (which additionally reports Leased cells).
+// terminal reports whether a cell in this state is finished for good.
+func (st CellState) terminal() bool { return st != CellPending && st != CellLeased }
+
+// Outcome maps one Cache.Figure result to the cell's terminal state and
+// failure message. The in-process Runner and the fabric Worker both report
+// through it.
+func Outcome(hit bool, err error) (CellState, string) {
+	switch {
+	case err != nil:
+		return CellFailed, err.Error()
+	case hit:
+		return CellCached, ""
+	}
+	return CellComputed, ""
+}
+
+// Progress is a snapshot of a running or finished sweep. In-process runs
+// and fabric sweeps report it alike; only the fabric leases cells.
 type Progress struct {
 	Total    int  `json:"total"`
 	Done     int  `json:"done"` // cached + computed
@@ -369,25 +399,53 @@ type Progress struct {
 	Err string `json:"err,omitempty"`
 }
 
-// Run is one scheduled sweep execution.
+// Run is one sweep execution: the per-cell lifecycle shared by the
+// in-process Runner and the fabric coordinator. Whoever schedules the
+// cells moves them through Set; the run finishes itself — closing Done
+// and stamping FinishedAt — when its last cell becomes terminal.
 type Run struct {
 	cells   []Cell
 	traceID uint64
 
-	mu     sync.Mutex
-	states []CellState
-	first  string        // first error message
-	watch  chan struct{} // closed and replaced on every state change
+	mu         sync.Mutex
+	states     []CellState
+	remaining  int           // cells not yet terminal
+	first      string        // first failure message
+	finishedAt time.Time     // zero while cells remain
+	watch      chan struct{} // closed and replaced on every state change
+	done       chan struct{}
+}
 
-	done chan struct{}
+// NewRun returns a run over cells, all pending, under a fresh trace id,
+// and counts it on casq_sweep_runs_total. A run without cells is finished
+// from the start.
+func NewRun(cells []Cell) *Run {
+	r := &Run{
+		cells:     cells,
+		traceID:   obs.NextTraceID(),
+		states:    make([]CellState, len(cells)),
+		remaining: len(cells),
+		watch:     make(chan struct{}),
+		done:      make(chan struct{}),
+	}
+	for i := range r.states {
+		r.states[i] = CellPending
+	}
+	if len(cells) == 0 {
+		r.finishedAt = time.Now()
+		close(r.done)
+	}
+	mRuns.Inc()
+	return r
 }
 
 // Cells returns the run's expanded cells (shared slice; read-only).
 func (r *Run) Cells() []Cell { return r.cells }
 
-// TraceID returns the run's trace identity: every cell span this run
-// records carries it, and the serve layer echoes it in SSE progress
-// events so a client can correlate a sweep with its trace.
+// TraceID returns the run's trace identity: every cell span recorded for
+// the run carries it — fabric workers receive it in each claim — and the
+// serve layer echoes it in SSE progress events so a client can correlate
+// a sweep with its trace.
 func (r *Run) TraceID() uint64 { return r.traceID }
 
 // Done returns a channel closed when every cell has reached a terminal
@@ -398,6 +456,14 @@ func (r *Run) Done() <-chan struct{} { return r.done }
 func (r *Run) Wait() Progress {
 	<-r.done
 	return r.Progress()
+}
+
+// FinishedAt returns when the last cell became terminal; it is zero while
+// the run is still active.
+func (r *Run) FinishedAt() time.Time {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.finishedAt
 }
 
 // Changed returns a channel closed on the next state change (including
@@ -411,17 +477,11 @@ func (r *Run) Changed() <-chan struct{} {
 	return r.watch
 }
 
-// notifyLocked wakes every Changed waiter. Callers hold r.mu.
-func (r *Run) notifyLocked() {
-	close(r.watch)
-	r.watch = make(chan struct{})
-}
-
 // Progress returns a consistent snapshot of the run.
 func (r *Run) Progress() Progress {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	p := Progress{Total: len(r.cells), Err: r.first}
+	p := Progress{Total: len(r.cells), Finished: r.remaining == 0, Err: r.first}
 	for _, st := range r.states {
 		switch st {
 		case CellCached:
@@ -432,14 +492,11 @@ func (r *Run) Progress() Progress {
 			p.Failed++
 		case CellSkipped:
 			p.Skipped++
+		case CellLeased:
+			p.Leased++
 		}
 	}
 	p.Done = p.Cached + p.Computed
-	select {
-	case <-r.done:
-		p.Finished = true
-	default:
-	}
 	return p
 }
 
@@ -447,20 +504,35 @@ func (r *Run) Progress() Progress {
 func (r *Run) States() []CellState {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]CellState, len(r.states))
-	copy(out, r.states)
-	return out
+	return slices.Clone(r.states)
 }
 
-func (r *Run) set(i int, st CellState, err error) {
+// Set moves cell i to st and wakes every Changed waiter. A failed cell's
+// msg becomes the run's Err unless an earlier failure set it. Cells go
+// pending → (leased →) terminal, and leased → pending when a fabric lease
+// expires; a terminal cell is never Set again. The transition that makes
+// the last cell terminal closes Done before it wakes the watchers, so a
+// woken watcher observes Finished. Every state but pending is counted on
+// casq_sweep_cells_total.
+func (r *Run) Set(i int, st CellState, msg string) {
 	r.mu.Lock()
-	r.states[i] = st
-	if err != nil && r.first == "" {
-		r.first = err.Error()
+	if st.terminal() && !r.states[i].terminal() {
+		r.remaining--
+		if r.remaining == 0 {
+			r.finishedAt = time.Now()
+			close(r.done)
+		}
 	}
-	r.notifyLocked()
+	r.states[i] = st
+	if st == CellFailed && r.first == "" {
+		r.first = msg
+	}
+	close(r.watch)
+	r.watch = make(chan struct{})
 	r.mu.Unlock()
-	RecordCellState(st)
+	if st != CellPending {
+		mCells.With(string(st)).Inc()
+	}
 }
 
 // Runner schedules sweeps through a cache with bounded concurrency.
@@ -491,17 +563,7 @@ func (r *Runner) Start(ctx context.Context, spec Spec) (*Run, error) {
 	if err != nil {
 		return nil, err
 	}
-	run := &Run{
-		cells:   cells,
-		traceID: obs.NextTraceID(),
-		states:  make([]CellState, len(cells)),
-		watch:   make(chan struct{}),
-		done:    make(chan struct{}),
-	}
-	RecordRun()
-	for i := range run.states {
-		run.states[i] = CellPending
-	}
+	run := NewRun(cells)
 	// Split one parallelism budget between cell fan-out and each cell's
 	// executor (mirroring exec's unified worker budget): running
 	// GOMAXPROCS cells that each default to GOMAXPROCS simulator workers
@@ -510,21 +572,19 @@ func (r *Runner) Start(ctx context.Context, spec Spec) (*Run, error) {
 	if budget <= 0 {
 		budget = runtime.GOMAXPROCS(0)
 	}
-	workers := budget
-	if workers > len(cells) {
-		workers = max(1, len(cells))
-	}
-	perCell := max(1, budget/workers)
+	workers := min(budget, len(cells))
+	perCell := max(1, budget/max(1, workers))
 
-	indices := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(lane int) {
-			defer wg.Done()
+	indices := make(chan int, len(cells))
+	for i := range cells {
+		indices <- i
+	}
+	close(indices)
+	for lane := 1; lane <= workers; lane++ {
+		go func() {
 			for i := range indices {
 				if ctx.Err() != nil {
-					run.set(i, CellSkipped, nil)
+					run.Set(i, CellSkipped, "")
 					continue
 				}
 				cell := cells[i]
@@ -540,29 +600,10 @@ func (r *Runner) Start(ctx context.Context, spec Spec) (*Run, error) {
 				}
 				_, hit, err := r.Cache.Figure(cell)
 				sp.End()
-				switch {
-				case err != nil:
-					run.set(i, CellFailed, err)
-				case hit:
-					run.set(i, CellCached, nil)
-				default:
-					run.set(i, CellComputed, nil)
-				}
+				st, msg := Outcome(hit, err)
+				run.Set(i, st, msg)
 			}
-		}(w + 1)
+		}()
 	}
-	go func() {
-		for i := range cells {
-			indices <- i
-		}
-		close(indices)
-		wg.Wait()
-		// Close done before the final notification: a watcher woken by the
-		// last change must observe Progress().Finished == true.
-		run.mu.Lock()
-		close(run.done)
-		run.notifyLocked()
-		run.mu.Unlock()
-	}()
 	return run, nil
 }

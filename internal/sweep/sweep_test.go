@@ -53,6 +53,106 @@ func TestCellsExpansion(t *testing.T) {
 	if len(all) != len(experiments.IDs()) {
 		t.Errorf("catalog sweep has %d cells, want %d", len(all), len(experiments.IDs()))
 	}
+	// Expansion is bounded. 128 seeds × 128 shots is exactly the cap; one
+	// seed more is refused, as are 32 values on each of four axes (2^20
+	// cells from a body of a few hundred bytes).
+	wide := make([]int, 128)
+	seeds := make([]int64, 129)
+	for i := range seeds {
+		seeds[i] = int64(i)
+	}
+	for i := range wide {
+		wide[i] = i + 1
+	}
+	edge := Spec{IDs: []string{"fig5"}, Grid: Grid{Seeds: seeds[:128], Shots: wide}, Base: experiments.FastOptions()}
+	if cells, err := edge.Cells(); err != nil || len(cells) != maxCells {
+		t.Errorf("spec at the cap: %d cells, err %v", len(cells), err)
+	}
+	edge.Grid.Seeds = seeds
+	if _, err := edge.Cells(); err == nil {
+		t.Error("spec one row over the cap was expanded")
+	}
+	huge := Spec{
+		IDs:  []string{"fig5"},
+		Grid: Grid{Seeds: seeds[:32], Shots: wide[:32], Instances: wide[:32], MaxDepths: wide[:32]},
+		Base: experiments.FastOptions(),
+	}
+	if cells, err := huge.Cells(); err == nil {
+		t.Errorf("32^4 grid expanded to %d cells", len(cells))
+	}
+}
+
+// TestRunSetLifecycle drives one Run through the transitions the fabric
+// coordinator makes with Set: lease, requeue on lease expiry, lease again,
+// and terminal reports.
+func TestRunSetLifecycle(t *testing.T) {
+	if p := NewRun(nil).Progress(); !p.Finished {
+		t.Errorf("run without cells = %+v, want finished", p)
+	}
+	before := mCells.Snapshot()
+	run := NewRun(make([]Cell, 2))
+
+	changed := run.Changed()
+	run.Set(0, CellLeased, "")
+	select {
+	case <-changed:
+	default:
+		t.Fatal("Set did not wake Changed")
+	}
+	if p := run.Progress(); p.Leased != 1 || p.Finished {
+		t.Fatalf("progress after lease = %+v", p)
+	}
+	// An expired lease requeues the cell; that is no step towards finishing.
+	run.Set(0, CellPending, "")
+	run.Set(0, CellLeased, "")
+	run.Set(0, CellFailed, "first failure")
+	run.Set(1, CellLeased, "")
+	if p := run.Progress(); p.Finished || p.Failed != 1 || p.Leased != 1 {
+		t.Fatalf("progress with one cell out = %+v", p)
+	}
+	if !run.FinishedAt().IsZero() {
+		t.Error("FinishedAt set while a cell is leased")
+	}
+	select {
+	case <-run.Done():
+		t.Fatal("Done closed while a cell is leased")
+	default:
+	}
+
+	// A watcher woken by the last terminal Set must find the run finished.
+	finished := make(chan bool)
+	changed = run.Changed()
+	go func() {
+		<-changed
+		select {
+		case <-run.Done():
+			finished <- run.Progress().Finished
+		default:
+			finished <- false
+		}
+	}()
+	run.Set(1, CellFailed, "second failure")
+	if !<-finished {
+		t.Error("watcher woken by the last Set saw an unfinished run")
+	}
+	p := run.Progress()
+	if !p.Finished || p.Failed != 2 || p.Leased != 0 || p.Err != "first failure" {
+		t.Errorf("final progress = %+v", p)
+	}
+	if run.FinishedAt().IsZero() {
+		t.Error("FinishedAt still zero after the last terminal Set")
+	}
+
+	after := mCells.Snapshot()
+	if _, ok := after[string(CellPending)]; ok {
+		t.Error("pending transitions recorded on casq_sweep_cells_total")
+	}
+	if got := after["leased"] - before["leased"]; got != 3 {
+		t.Errorf("leased transitions recorded = %d, want 3", got)
+	}
+	if got := after["failed"] - before["failed"]; got != 2 {
+		t.Errorf("failed transitions recorded = %d, want 2", got)
+	}
 }
 
 func TestCellKeyStableAndWorkerBlind(t *testing.T) {
