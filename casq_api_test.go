@@ -143,6 +143,8 @@ func TestFacadeExperimentService(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Store hit counts are process totals; the test pins their growth.
+	hits0 := st.Stats().Hits
 	cache := casq.NewFigureCache(st)
 	opts := casq.FastExperimentOptions()
 	opts.Shots, opts.Instances, opts.MaxDepth = 16, 2, 2
@@ -170,8 +172,10 @@ func TestFacadeExperimentService(t *testing.T) {
 	if p.Done != 4 || p.Failed != 0 {
 		t.Fatalf("sweep progress = %+v", p)
 	}
-	if st.Stats().Hits == 0 {
-		t.Error("store recorded no hits")
+	// The second figure request is the only hit: the sweep's seeds
+	// differ from the single cell's.
+	if hits := st.Stats().Hits - hits0; hits != 1 {
+		t.Errorf("store hits = %d, want 1", hits)
 	}
 }
 

@@ -73,8 +73,6 @@ type Coordinator struct {
 	seq     int64
 	workers map[string]time.Time // worker id -> last seen
 
-	claims, completes, heartbeats, expirations uint64
-
 	closed    chan struct{}
 	closeOnce sync.Once
 }
@@ -178,7 +176,6 @@ func (c *Coordinator) claim(worker string, now time.Time) (string, sweep.Cell, u
 	defer c.mu.Unlock()
 	c.expireLocked(now)
 	c.workers[worker] = now
-	c.claims++
 	mClaims.Inc()
 	if len(c.queue) == 0 {
 		return "", sweep.Cell{}, 0, false
@@ -208,7 +205,6 @@ func (c *Coordinator) heartbeat(leaseID string, now time.Time) error {
 	}
 	l.expiry = now.Add(c.leaseTTL)
 	c.workers[l.worker] = now
-	c.heartbeats++
 	mHeartbeats.Inc()
 	return nil
 }
@@ -231,7 +227,6 @@ func (c *Coordinator) complete(leaseID string, st sweep.CellState, errMsg string
 	}
 	delete(c.leases, leaseID)
 	c.workers[l.worker] = now
-	c.completes++
 	mCompletes.Inc()
 	l.ref.run.Set(l.ref.idx, st, errMsg)
 	return nil
@@ -245,14 +240,16 @@ func (c *Coordinator) expireLocked(now time.Time) {
 			delete(c.leases, id)
 			l.ref.run.Set(l.ref.idx, sweep.CellPending, "")
 			c.queue = append(c.queue, l.ref)
-			c.expirations++
 			mExpirations.Inc()
 		}
 	}
 }
 
 // Stats is an observability snapshot of the coordinator (reported on the
-// serve layer's /healthz).
+// serve layer's /healthz). Sweeps, QueueDepth, Leases and Workers describe
+// this coordinator; Claims, Completes, Heartbeats and Expirations are
+// process totals, read from the casq_fabric_* counters that every
+// coordinator in the process feeds.
 type Stats struct {
 	Sweeps      int    `json:"sweeps"`
 	QueueDepth  int    `json:"queue_depth"`
@@ -264,7 +261,8 @@ type Stats struct {
 	Expirations uint64 `json:"expirations"`
 }
 
-// Stats returns a consistent snapshot of queue and fleet counters.
+// Stats returns a consistent snapshot of the queue and fleet state, with
+// the process's job-queue counters.
 func (c *Coordinator) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -277,7 +275,8 @@ func (c *Coordinator) Stats() Stats {
 	}
 	return Stats{
 		Sweeps: c.sweeps, QueueDepth: len(c.queue), Leases: len(c.leases), Workers: workers,
-		Claims: c.claims, Completes: c.completes, Heartbeats: c.heartbeats, Expirations: c.expirations,
+		Claims: mClaims.Value(), Completes: mCompletes.Value(),
+		Heartbeats: mHeartbeats.Value(), Expirations: mExpirations.Value(),
 	}
 }
 

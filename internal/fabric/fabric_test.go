@@ -43,6 +43,19 @@ func stubCompute(count *atomic.Int32, seeds *sync.Map) sweep.Compute {
 	}
 }
 
+// countingBackend counts the writes reaching one store's backend, so a
+// test can pin that store's puts while the casq_store_* counters sum
+// every store in the process (worker stores included).
+type countingBackend struct {
+	store.Backend
+	stores atomic.Int64
+}
+
+func (c *countingBackend) Store(k store.Key, data []byte) error {
+	c.stores.Add(1)
+	return c.Backend.Store(k, data)
+}
+
 func newTestWorker(base string, id string, client *http.Client, compute sweep.Compute) *Worker {
 	st := store.OpenWith(store.NewHTTP(base, client), 64)
 	return &Worker{
@@ -61,6 +74,7 @@ func TestCoordinatorLeaseLifecycle(t *testing.T) {
 	st := store.OpenWith(nil, 16)
 	c := NewCoordinator(st, Options{LeaseTTL: time.Hour}) // expiry driven manually below
 	defer c.Close()
+	before := c.Stats()
 	sw, err := c.Submit(testSpec([]int64{1}))
 	if err != nil {
 		t.Fatal(err)
@@ -101,8 +115,8 @@ func TestCoordinatorLeaseLifecycle(t *testing.T) {
 		t.Errorf("final progress = %+v", p)
 	}
 	stats := c.Stats()
-	if stats.Expirations != 1 || stats.Completes != 1 {
-		t.Errorf("stats = %+v", stats)
+	if exp, done := stats.Expirations-before.Expirations, stats.Completes-before.Completes; exp != 1 || done != 1 {
+		t.Errorf("expirations, completes = %d, %d; want 1, 1", exp, done)
 	}
 	if stats.Leases != 0 || stats.QueueDepth != 0 {
 		t.Errorf("stats not drained = %+v", stats)
@@ -225,9 +239,10 @@ func (k *killTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 // store — zero recomputation — and the store sees exactly one Put per
 // cell — zero duplicate writes.
 func TestLeaseExpiryRequeueZeroDuplicateWrites(t *testing.T) {
-	shared := store.OpenWith(store.NewMem(), 64)
-	c := NewCoordinator(shared, Options{LeaseTTL: 150 * time.Millisecond})
+	puts := &countingBackend{Backend: store.NewMem()}
+	c := NewCoordinator(store.OpenWith(puts, 64), Options{LeaseTTL: 150 * time.Millisecond})
 	defer c.Close()
+	expirations0 := c.Stats().Expirations
 	ts := httptest.NewServer(c.Handler())
 	defer ts.Close()
 
@@ -254,9 +269,8 @@ func TestLeaseExpiryRequeueZeroDuplicateWrites(t *testing.T) {
 	if got := w1computes.Load(); got != 3 {
 		t.Fatalf("worker 1 computed %d cells, want 3", got)
 	}
-	putsAfterW1 := shared.Stats().Puts
-	if putsAfterW1 != 3 {
-		t.Fatalf("store puts after worker 1 = %d, want 3 (killed cell must already be stored)", putsAfterW1)
+	if n := puts.stores.Load(); n != 3 {
+		t.Fatalf("store puts after worker 1 = %d, want 3 (killed cell must already be stored)", n)
 	}
 
 	// Worker 2: a survivor with its own cache. It must never recompute
@@ -292,10 +306,10 @@ func TestLeaseExpiryRequeueZeroDuplicateWrites(t *testing.T) {
 			t.Errorf("worker 2 recomputed already-stored cell seed=%d", stored)
 		}
 	}
-	if puts := shared.Stats().Puts; puts != 6 {
-		t.Errorf("store puts = %d, want 6 (zero duplicate writes)", puts)
+	if n := puts.stores.Load(); n != 6 {
+		t.Errorf("store puts = %d, want 6 (zero duplicate writes)", n)
 	}
-	if exp := c.Stats().Expirations; exp != 1 {
+	if exp := c.Stats().Expirations - expirations0; exp != 1 {
 		t.Errorf("lease expirations = %d, want 1", exp)
 	}
 }

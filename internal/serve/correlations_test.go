@@ -5,11 +5,14 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"casq/internal/experiments"
+	"casq/internal/store"
+	"casq/internal/sweep"
 )
 
 // TestCorrelationsCachedSecondRequest pins the endpoint's caching
@@ -125,7 +128,10 @@ func TestCorrelationsErrors(t *testing.T) {
 // figure cache's in-flight coalescing: exactly one store put, one miss,
 // and identical bytes for every client.
 func TestCorrelationsCoalesceConcurrentRequests(t *testing.T) {
-	ts, srv := newTestServerWith(t, nil, Config{SweepWorkers: 2})
+	puts := &countingBackend{Backend: store.NewMem()}
+	srv := NewWith(Config{Cache: sweep.NewCache(store.OpenWith(puts, 64)), SweepWorkers: 2})
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() { ts.Close(); srv.Close() })
 	url := ts.URL + "/backends/line6/correlations?fast=1&shots=1024&instances=2&seed=9"
 	var (
 		wg     sync.WaitGroup
@@ -152,9 +158,9 @@ func TestCorrelationsCoalesceConcurrentRequests(t *testing.T) {
 	}
 	close(start)
 	wg.Wait()
-	if puts := srv.cache.Store.Stats().Puts; puts != 1 || misses.Load() != 1 {
+	if n := puts.stores.Load(); n != 1 || misses.Load() != 1 {
 		t.Errorf("%d concurrent cold requests: %d store puts and %d misses, want 1 and 1",
-			len(bodies), puts, misses.Load())
+			len(bodies), n, misses.Load())
 	}
 	for i := range bodies {
 		if len(bodies[i]) == 0 || !bytes.Equal(bodies[i], bodies[0]) {

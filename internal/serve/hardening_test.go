@@ -318,38 +318,50 @@ func TestSweepHistoryTTLRetention(t *testing.T) {
 	}
 }
 
+// healthBody is the part of the /healthz body the counter tests read.
+type healthBody struct {
+	OK       bool              `json:"ok"`
+	Draining bool              `json:"draining"`
+	Store    store.Stats       `json:"store"`
+	Requests map[string]uint64 `json:"requests"`
+	Sweeps   struct {
+		Active   int `json:"active"`
+		Retained int `json:"retained"`
+	} `json:"sweeps"`
+	Fabric *fabric.Stats `json:"fabric"`
+}
+
+func getHealth(t *testing.T, base string) healthBody {
+	t.Helper()
+	_, body := get(t, base+"/healthz")
+	var h healthBody
+	if err := json.Unmarshal(body, &h); err != nil || !h.OK || h.Draining {
+		t.Fatalf("health = %s (%v)", body, err)
+	}
+	return h
+}
+
 // TestHealthzCounters pins the observability satellite: per-endpoint
 // request counters, store stats (with backend and put counters), and
-// sweep retention counts on /healthz.
+// sweep retention counts on /healthz. The store's put count is a process
+// total, so the test pins its growth across the sweep.
 func TestHealthzCounters(t *testing.T) {
 	ts := newTestServer(t, nil)
+	puts0 := getHealth(t, ts.URL).Store.Puts
 	get(t, ts.URL+"/experiments")
 	get(t, ts.URL+"/experiments")
 	postSweep(t, ts, oneCellSpec)
 	waitSweepFinished(t, ts, "sweep-1")
 
-	_, body := get(t, ts.URL+"/healthz")
-	var h struct {
-		OK       bool              `json:"ok"`
-		Draining bool              `json:"draining"`
-		Store    store.Stats       `json:"store"`
-		Requests map[string]uint64 `json:"requests"`
-		Sweeps   struct {
-			Active   int `json:"active"`
-			Retained int `json:"retained"`
-		} `json:"sweeps"`
-	}
-	if err := json.Unmarshal(body, &h); err != nil || !h.OK || h.Draining {
-		t.Fatalf("health = %s (%v)", body, err)
-	}
+	h := getHealth(t, ts.URL)
 	if h.Requests["experiments"] != 2 {
 		t.Errorf("experiments counter = %d", h.Requests["experiments"])
 	}
 	if h.Requests["sweeps.submit"] != 1 || h.Requests["sweeps.status"] == 0 {
 		t.Errorf("sweep counters = %v", h.Requests)
 	}
-	if h.Store.Backend != "none" || h.Store.Puts != 1 {
-		t.Errorf("store stats = %+v", h.Store)
+	if h.Store.Backend != "none" || h.Store.Puts-puts0 != 1 {
+		t.Errorf("store stats = %+v, puts before the sweep = %d", h.Store, puts0)
 	}
 	if h.Sweeps.Active != 0 || h.Sweeps.Retained != 1 {
 		t.Errorf("sweep counts = %+v", h.Sweeps)
@@ -395,6 +407,7 @@ func TestServeWithCoordinator(t *testing.T) {
 	}
 	coord := fabric.NewCoordinator(st, fabric.Options{LeaseTTL: 2 * time.Second})
 	defer coord.Close()
+	completes0 := coord.Stats().Completes
 	srv := NewWith(Config{Cache: sweep.NewCache(st), Coordinator: coord})
 	ts := httptest.NewServer(srv.Handler())
 	defer func() { ts.Close(); srv.Close() }()
@@ -448,14 +461,11 @@ func TestServeWithCoordinator(t *testing.T) {
 		t.Errorf("post-sweep figure request = %q, want hit", h)
 	}
 
-	_, body := get(t, ts.URL+"/healthz")
-	var h struct {
-		Fabric *fabric.Stats `json:"fabric"`
+	h := getHealth(t, ts.URL)
+	if h.Fabric == nil {
+		t.Fatal("healthz has no fabric stats")
 	}
-	if err := json.Unmarshal(body, &h); err != nil || h.Fabric == nil {
-		t.Fatalf("healthz fabric stats = %s (%v)", body, err)
-	}
-	if h.Fabric.Completes != 4 || h.Fabric.Workers == 0 {
-		t.Errorf("fabric stats = %+v", h.Fabric)
+	if h.Fabric.Completes-completes0 != 4 || h.Fabric.Workers == 0 {
+		t.Errorf("fabric stats = %+v, completes before the sweep = %d", h.Fabric, completes0)
 	}
 }

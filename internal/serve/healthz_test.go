@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"net/http/httptest"
 	"slices"
@@ -8,6 +10,7 @@ import (
 	"time"
 
 	"casq/internal/fabric"
+	"casq/internal/obs"
 	"casq/internal/store"
 	"casq/internal/sweep"
 )
@@ -76,5 +79,63 @@ func TestHealthzShape(t *testing.T) {
 	defer func() { cts.Close(); srv.Close() }()
 	if got := healthzPaths(t, cts.URL); !slices.Equal(got, withFabric) {
 		t.Errorf("coordinator /healthz paths:\n got %q\nwant %q", got, withFabric)
+	}
+}
+
+// TestHealthzMatchesMetrics: once a server's traffic has stopped, the
+// store and fabric counts on /healthz equal the casq_store_* and
+// casq_fabric_* samples of a /metrics scrape taken right after, because
+// both read the one registry counter of each event.
+func TestHealthzMatchesMetrics(t *testing.T) {
+	st, err := store.Open("", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord := fabric.NewCoordinator(st, fabric.Options{LeaseTTL: time.Minute})
+	defer coord.Close()
+	srv := NewWith(Config{Cache: sweep.NewCache(st), Coordinator: coord})
+	ts := httptest.NewServer(srv.Handler())
+	defer func() { ts.Close(); srv.Close() }()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	w := fabric.NewWorker(ts.URL, 4)
+	w.ID, w.Poll = "w1", 10*time.Millisecond
+	stopped := make(chan struct{})
+	go func() { defer close(stopped); w.Run(ctx) }()
+	postSweep(t, ts, `{"ids":["fig5"],"grid":{"seeds":[1,2,3]},"fast":true,
+	                   "base":{"Shots":16,"Instances":2,"MaxDepth":2,"Fast":true}}`)
+	waitSweepFinished(t, ts, "sweep-1")
+	get(t, ts.URL+"/figures/fig5?fast=1&shots=16&instances=2&maxdepth=2&seed=1")
+	cancel()
+	<-stopped
+
+	h := getHealth(t, ts.URL)
+	if h.Fabric == nil {
+		t.Fatal("healthz has no fabric stats")
+	}
+	_, body := get(t, ts.URL+"/metrics")
+	samples, err := obs.ParseProm(bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	scraped := map[string]float64{}
+	for _, s := range samples {
+		if len(s.Labels) == 0 {
+			scraped[s.Name] = s.Value
+		}
+	}
+	for name, want := range map[string]uint64{
+		"casq_store_hits_total":         h.Store.Hits,
+		"casq_store_misses_total":       h.Store.Misses,
+		"casq_store_evictions_total":    h.Store.Evictions,
+		"casq_store_puts_total":         h.Store.Puts,
+		"casq_fabric_claims_total":      h.Fabric.Claims,
+		"casq_fabric_completes_total":   h.Fabric.Completes,
+		"casq_fabric_heartbeats_total":  h.Fabric.Heartbeats,
+		"casq_fabric_expirations_total": h.Fabric.Expirations,
+	} {
+		if got, ok := scraped[name]; !ok || got != float64(want) {
+			t.Errorf("%s = %v (present %v), /healthz reports %d", name, got, ok, want)
+		}
 	}
 }

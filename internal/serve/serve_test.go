@@ -44,6 +44,19 @@ func newTestServerWith(t *testing.T, computes *atomic.Int32, cfg Config) (*httpt
 	return ts, srv
 }
 
+// countingBackend counts the writes reaching one store's backend, so a
+// test can pin that store's puts while the casq_store_* counters sum
+// every store in the process.
+type countingBackend struct {
+	store.Backend
+	stores atomic.Int64
+}
+
+func (c *countingBackend) Store(k store.Key, data []byte) error {
+	c.stores.Add(1)
+	return c.Backend.Store(k, data)
+}
+
 func get(t *testing.T, url string) (*http.Response, []byte) {
 	t.Helper()
 	resp, err := http.Get(url)

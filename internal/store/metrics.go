@@ -7,10 +7,11 @@ import (
 )
 
 // Process-wide store metrics on the obs default registry. Every Store
-// in the process feeds the same families (the per-Store split stays
-// available via Stats on /healthz); `casq serve` exposes them on
-// GET /metrics. Children are resolved once here so the Get/Put hot
-// paths pay only an atomic add plus a bucket search.
+// in the process feeds the same families, and they are the only count
+// of these events: Stats reads the counters back for /healthz, and
+// `casq serve` exposes them on GET /metrics. Children are resolved once
+// here so the Get/Put hot paths pay only an atomic add plus a bucket
+// search.
 var (
 	mHits      = obs.Default().Counter("casq_store_hits_total", "Store lookups answered from the memory or backend tier.")
 	mMisses    = obs.Default().Counter("casq_store_misses_total", "Store lookups that found nothing in any tier.")

@@ -36,12 +36,6 @@ type Store struct {
 	backend Backend    // nil = memory-only
 	order   *list.List // of Key; front = most recently used
 	mem     map[Key]*memEntry
-
-	// hits/misses/evictions/puts are cumulative counters for
-	// observability (exposed by Stats; the serve layer reports them on
-	// /healthz). puts counts every accepted Put — the fabric's
-	// zero-duplicate-write guarantee is pinned against it.
-	hits, misses, evictions, puts uint64
 }
 
 type memEntry struct {
@@ -90,7 +84,6 @@ func (s *Store) Get(k Key) ([]byte, bool, error) {
 	s.mu.Lock()
 	if e, ok := s.mem[k]; ok {
 		s.order.MoveToFront(e.el)
-		s.hits++
 		data := e.data
 		s.mu.Unlock()
 		observeGet(start, true)
@@ -99,7 +92,6 @@ func (s *Store) Get(k Key) ([]byte, bool, error) {
 	s.mu.Unlock()
 
 	if s.backend == nil || !k.Valid() {
-		s.miss()
 		observeGet(start, false)
 		return nil, false, nil
 	}
@@ -108,13 +100,11 @@ func (s *Store) Get(k Key) ([]byte, bool, error) {
 		return nil, false, fmt.Errorf("store: load %s: %w", k, err)
 	}
 	if !ok {
-		s.miss()
 		observeGet(start, false)
 		return nil, false, nil
 	}
 	s.mu.Lock()
 	s.insertLocked(k, data)
-	s.hits++
 	s.mu.Unlock()
 	observeGet(start, true)
 	return data, true, nil
@@ -135,7 +125,6 @@ func (s *Store) Put(k Key, data []byte) error {
 	}
 	s.mu.Lock()
 	s.insertLocked(k, data)
-	s.puts++
 	s.mu.Unlock()
 	mPuts.Inc()
 	mPutSeconds.Observe(time.Since(start).Seconds())
@@ -155,15 +144,8 @@ func (s *Store) insertLocked(k Key, data []byte) {
 		tail := s.order.Back()
 		s.order.Remove(tail)
 		delete(s.mem, tail.Value.(Key))
-		s.evictions++
 		mEvictions.Inc()
 	}
-}
-
-func (s *Store) miss() {
-	s.mu.Lock()
-	s.misses++
-	s.mu.Unlock()
 }
 
 // Len reports the number of entries currently resident in the memory tier.
@@ -173,7 +155,10 @@ func (s *Store) Len() int {
 	return s.order.Len()
 }
 
-// Stats is a snapshot of the store's cumulative cache counters.
+// Stats is a snapshot of one store's state plus the cache counters.
+// Backend and MemEntries describe this store; Hits, Misses, Evictions and
+// Puts are process totals, read from the casq_store_* counters that every
+// Store in the process feeds.
 type Stats struct {
 	Backend    string `json:"backend"` // "disk", "mem", "http", or "none"
 	MemEntries int    `json:"mem_entries"`
@@ -183,14 +168,13 @@ type Stats struct {
 	Puts       uint64 `json:"puts"`
 }
 
-// Stats returns a consistent snapshot of the cache counters.
+// Stats returns the store's backend and memory-tier size with the
+// process's cache counters.
 func (s *Store) Stats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	name := "none"
 	if s.backend != nil {
 		name = s.backend.Name()
 	}
-	return Stats{Backend: name, MemEntries: s.order.Len(),
-		Hits: s.hits, Misses: s.misses, Evictions: s.evictions, Puts: s.puts}
+	return Stats{Backend: name, MemEntries: s.Len(),
+		Hits: mHits.Value(), Misses: mMisses.Value(), Evictions: mEvictions.Value(), Puts: mPuts.Value()}
 }

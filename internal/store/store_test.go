@@ -121,6 +121,7 @@ func TestMemoryRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	hits0, misses0 := mHits.Value(), mMisses.Value()
 	k := mustKey(t, "payload-1")
 	if _, ok, _ := s.Get(k); ok {
 		t.Fatal("hit before put")
@@ -132,14 +133,14 @@ func TestMemoryRoundTrip(t *testing.T) {
 	if err != nil || !ok || string(data) != "hello" {
 		t.Fatalf("get = %q, %v, %v", data, ok, err)
 	}
-	st := s.Stats()
-	if st.Hits != 1 || st.Misses != 1 {
-		t.Errorf("stats = %+v", st)
+	if hits, misses := mHits.Value()-hits0, mMisses.Value()-misses0; hits != 1 || misses != 1 {
+		t.Errorf("hits, misses = %d, %d; want 1, 1", hits, misses)
 	}
 }
 
 func TestLRUEviction(t *testing.T) {
 	s, _ := Open("", 3)
+	evictions0 := mEvictions.Value()
 	keys := make([]Key, 5)
 	for i := range keys {
 		keys[i] = mustKey(t, i)
@@ -174,8 +175,8 @@ func TestLRUEviction(t *testing.T) {
 	if _, ok, _ := s.Get(keys[2]); !ok {
 		t.Error("recently touched key 2 evicted")
 	}
-	if s.Stats().Evictions != 3 {
-		t.Errorf("evictions = %d, want 3", s.Stats().Evictions)
+	if n := mEvictions.Value() - evictions0; n != 3 {
+		t.Errorf("evictions = %d, want 3", n)
 	}
 }
 
