@@ -4,7 +4,6 @@ package casq
 
 import (
 	"math/rand"
-	"net/http"
 
 	"casq/internal/caec"
 	"casq/internal/circuit"
@@ -13,14 +12,12 @@ import (
 	"casq/internal/device"
 	"casq/internal/exec"
 	"casq/internal/experiments"
-	"casq/internal/fabric"
 	"casq/internal/layout"
 	"casq/internal/obs"
 	"casq/internal/pass"
 	"casq/internal/sched"
 	"casq/internal/serve"
 	"casq/internal/sim"
-	"casq/internal/stab"
 	"casq/internal/store"
 	"casq/internal/sweep"
 	"casq/internal/twirl"
@@ -36,8 +33,8 @@ type (
 	Instruction = circuit.Instruction
 	// Device is the hardware model with calibration data.
 	Device = device.Device
-	// Topology is the connectivity half of a device; generator families
-	// (line, ring, grid, heavy-hex) build them, Synthesize calibrates them.
+	// Topology is the connectivity half of a device: its coupling graph
+	// from one of the line, ring, grid or heavy-hex families.
 	Topology = device.Topology
 	// Calibration is the measured half of a device: rates, coherence,
 	// errors, durations.
@@ -51,14 +48,6 @@ type (
 	DeviceOptions = device.Options
 	// SimConfig toggles the simulator's noise channels.
 	SimConfig = sim.Config
-	// SimEngine is the simulation-backend contract shared by the exact
-	// statevector Runner and the stabilizer/Pauli-frame engine.
-	SimEngine = sim.Engine
-	// StabEngine is the stabilizer/Pauli-frame engine: full-device twirled
-	// simulation via the Pauli-twirling approximation, batching 64 shots
-	// per word op through bit-plane frames (the shots % 64 remainder runs
-	// on per-shot frames).
-	StabEngine = stab.Engine
 	// PackedBits is a bit-plane record of measured bits: 64 shots per
 	// word, the stabilizer engine's native outcome format.
 	PackedBits = sim.PackedBits
@@ -73,17 +62,6 @@ type (
 	// Placement is a chosen embedding of a circuit into a backend, with
 	// the induced sub-device for simulation.
 	Placement = layout.Placement
-	// LayoutSearchReport carries the layout search's telemetry: candidate
-	// counts, surrogate pruning ratio, scores, and throughput.
-	LayoutSearchReport = layout.SearchReport
-	// LayoutMonitor tracks a deployed placement against calibration drift
-	// and recompiles only when the score degrades past a threshold.
-	LayoutMonitor = layout.Monitor
-	// LayoutMonitorOptions configure the drift thresholds.
-	LayoutMonitorOptions = layout.MonitorOptions
-	// LayoutDecision records how one drift event resolved: absorbed by the
-	// surrogate, exact-checked, or recompiled.
-	LayoutDecision = layout.Decision
 )
 
 // Pass-pipeline types.
@@ -126,8 +104,12 @@ type (
 	ResultStore = store.Store
 	// StoreKey is the SHA-256 content address of one cached result.
 	StoreKey = store.Key
-	// StoreStats snapshots the store's cache counters.
+	// StoreStats snapshots a store's backend and memory tier together with
+	// the process's cache counters.
 	StoreStats = store.Stats
+	// StoreBackend is the persistence tier behind the store's LRU: disk,
+	// in-memory, or a remote store over HTTP.
+	StoreBackend = store.Backend
 	// FigureCache computes figures through the store: repeated requests
 	// for one configuration are answered bit-identically without
 	// recomputation.
@@ -151,38 +133,10 @@ type (
 	ExperimentAxis = experiments.Axis
 	// Server answers catalog, figure, and sweep requests over HTTP.
 	Server = serve.Server
-	// ServerConfig assembles a hardened Server: rate limiting, bounded
-	// sweep admission, history TTL, drain timeout, and an optional fabric
-	// coordinator.
-	ServerConfig = serve.Config
 )
 
-// Distributed sweep fabric: the coordinator/worker job queue that shards
-// a sweep across processes and machines through the shared store.
+// Observability: the span tracer behind `casq -trace`.
 type (
-	// StoreBackend is the persistence tier behind the store's LRU: disk,
-	// in-memory, or a remote store over HTTP.
-	StoreBackend = store.Backend
-	// FabricCoordinator owns the distributed job queue: cells are leased
-	// to workers, expired leases requeue, and each submission is a
-	// SweepRun.
-	FabricCoordinator = fabric.Coordinator
-	// FabricOptions configure a coordinator (lease TTL).
-	FabricOptions = fabric.Options
-	// FabricWorker claims cells from a coordinator, computes them through
-	// the shared store, and reports completion under a heartbeat.
-	FabricWorker = fabric.Worker
-	// FabricStats snapshots the coordinator's queue and fleet counters.
-	FabricStats = fabric.Stats
-)
-
-// Observability: the dependency-free metrics registry and span tracer
-// behind GET /metrics and `casq -trace`.
-type (
-	// ObsRegistry is a concurrent metrics registry — sharded counters,
-	// gauges, fixed-bucket latency histograms — rendered in Prometheus
-	// text exposition format.
-	ObsRegistry = obs.Registry
 	// Tracer records timing spans across compile passes, executor
 	// instances, engine shot blocks, and sweep cells. A nil *Tracer is
 	// the canonical disabled tracer: every operation on it is a
@@ -192,20 +146,12 @@ type (
 	TraceSpan = obs.Span
 	// TraceEvent is one completed span on a tracer's monotonic clock.
 	TraceEvent = obs.TraceEvent
-	// PromSample is one parsed Prometheus exposition line (name, labels,
-	// value), as returned by ParseProm over a /metrics scrape.
-	PromSample = obs.Sample
 )
 
 // NewTracer returns an enabled span tracer; write its spans with
 // Tracer.WriteChromeTrace (the `casq -trace out.json` format, loadable
 // in chrome://tracing or Perfetto).
 func NewTracer() *Tracer { return obs.NewTracer() }
-
-// MetricsRegistry returns the process-wide default metrics registry the
-// engine layers (store, exec, layout, sweep, fabric) record into; `casq
-// serve` appends it to GET /metrics after its per-server registry.
-func MetricsRegistry() *ObsRegistry { return obs.Default() }
 
 // Error-correlation spectroscopy: two-point statistics of outcome flips,
 // estimated word-parallel from packed bit planes.
@@ -277,21 +223,6 @@ const (
 	EngineAuto        = exec.EngineAuto
 )
 
-// EngineNames lists the selectable simulation engines.
-func EngineNames() []string { return exec.EngineNames() }
-
-// NewStabEngine returns the stabilizer/Pauli-frame engine for the device
-// and config: the backend that simulates full-scale twirled circuits —
-// 127 qubits and beyond — which the 2^n statevector cannot hold. It
-// implements SimEngine; the executor dispatches to it via
-// ExecOptions.Engine ("stab" forced, "auto" when representable).
-func NewStabEngine(dev *Device, cfg SimConfig) *StabEngine { return stab.New(dev, cfg) }
-
-// StabSupports reports (by nil error) whether the circuit is
-// twirl-representable — every gate Clifford up to "ec"-tagged virtual-Z
-// residuals — and therefore runnable on the stabilizer engine.
-func StabSupports(c *Circuit) error { return stab.Supports(c) }
-
 // NewCircuit returns an empty layered circuit.
 func NewCircuit(nQubits, nCBits int) *Circuit { return circuit.New(nQubits, nCBits) }
 
@@ -304,11 +235,6 @@ func NewLineDevice(name string, n int, opts DeviceOptions) *Device {
 	return device.NewLine(name, n, opts)
 }
 
-// NewRingDevice builds a synthetic ring device (the Heisenberg-ring layout).
-func NewRingDevice(name string, n int, opts DeviceOptions) *Device {
-	return device.NewRing(name, n, opts)
-}
-
 // Backend registry, topology families, and calibration snapshots.
 
 // Backends lists the named backend registry, ordered by size.
@@ -316,29 +242,6 @@ func Backends() []BackendInfo { return device.Backends() }
 
 // NewBackend builds a named registry backend (see Backends).
 func NewBackend(name string) (*Device, error) { return device.NewBackend(name) }
-
-// RegisterBackend adds a custom named backend to the registry; the builder
-// must be deterministic.
-func RegisterBackend(info BackendInfo, build func() *Device) {
-	device.RegisterBackend(info, build)
-}
-
-// HeavyHexTopology builds the parametric heavy-hex lattice: (3, 9) is a
-// 29-qubit Falcon-class patch, (7, 15) the 127-qubit Eagle lattice.
-func HeavyHexTopology(name string, rows, cols int) Topology {
-	return device.HeavyHexTopology(name, rows, cols)
-}
-
-// GridTopology builds a rows x cols square-lattice topology.
-func GridTopology(name string, rows, cols int) Topology {
-	return device.GridTopology(name, rows, cols)
-}
-
-// SynthesizeDevice materializes a topology with a seeded synthetic
-// calibration.
-func SynthesizeDevice(t Topology, opts DeviceOptions) *Device {
-	return device.Synthesize(t, opts)
-}
 
 // SnapshotDevice exports a device (topology + calibration) in canonical
 // JSON-serializable form; DeviceFromSnapshot(d.Snapshot()) rebuilds it
@@ -367,25 +270,6 @@ func DefaultLayoutOptions() LayoutOptions { return layout.DefaultOptions() }
 func ChooseLayout(dev *Device, c *Circuit, opts LayoutOptions) (*Placement, error) {
 	return layout.Choose(dev, c, opts)
 }
-
-// ChooseLayoutWith is ChooseLayout plus the search telemetry: candidate
-// counts, the surrogate pruning ratio, exact vs predicted scores, and
-// throughput. The result is bit-deterministic at any Workers setting.
-func ChooseLayoutWith(dev *Device, c *Circuit, opts LayoutOptions) (*Placement, *LayoutSearchReport, error) {
-	return layout.ChooseWith(dev, c, opts)
-}
-
-// NewLayoutMonitor compiles the circuit onto the backend and watches the
-// deployed placement: DriftLayout events re-score it against perturbed
-// calibration (surrogate first, exact past the gate) and recompile only
-// when the exact score exceeds the threshold ratio of the baseline.
-func NewLayoutMonitor(dev *Device, c *Circuit, opts LayoutMonitorOptions) (*LayoutMonitor, error) {
-	return layout.NewMonitor(dev, c, opts)
-}
-
-// PathProbe builds the standard brickwork line probe circuit used by the
-// drift service: n qubits, depth alternating even/odd ECR layers.
-func PathProbe(n, depth int) *Circuit { return layout.PathProbe(n, depth) }
 
 // LayoutPass returns the layout-selection pass for pipeline composition:
 // it rewrites the circuit onto the chosen physical qubits of the
@@ -503,45 +387,6 @@ func OpenResultStore(dir string, memCapacity int) (*ResultStore, error) {
 	return store.Open(dir, memCapacity)
 }
 
-// OpenResultStoreWith opens the result cache over an explicit backend
-// (nil = memory-only): NewDiskBackend, NewMemBackend, or
-// NewHTTPStoreBackend.
-func OpenResultStoreWith(b StoreBackend, memCapacity int) *ResultStore {
-	return store.OpenWith(b, memCapacity)
-}
-
-// NewDiskBackend returns the JSON-file store backend rooted at dir
-// (atomic temp+rename writes).
-func NewDiskBackend(dir string) (StoreBackend, error) { return store.NewDisk(dir) }
-
-// NewMemBackend returns an unbounded in-memory store backend.
-func NewMemBackend() StoreBackend { return store.NewMem() }
-
-// NewHTTPStoreBackend returns a backend reading and writing a remote
-// store served by StoreHandler at base (nil client = DefaultClient) —
-// how fabric workers share their coordinator's store.
-func NewHTTPStoreBackend(base string, client *http.Client) StoreBackend {
-	return store.NewHTTP(base, client)
-}
-
-// StoreHandler serves a store over HTTP (GET/PUT /store/{key}) for
-// NewHTTPStoreBackend peers.
-func StoreHandler(st *ResultStore) http.Handler { return store.Handler(st) }
-
-// NewFabricCoordinator returns a coordinator scheduling sweep cells
-// against the shared store; mount its Handler (or attach it to a Server
-// via ServerConfig.Coordinator) and point FabricWorkers at it.
-func NewFabricCoordinator(st *ResultStore, opts FabricOptions) *FabricCoordinator {
-	return fabric.NewCoordinator(st, opts)
-}
-
-// NewFabricWorker returns a worker computing against the coordinator at
-// base, sharing its store through the remote HTTP backend with a local
-// LRU tier of memCapacity entries.
-func NewFabricWorker(base string, memCapacity int) *FabricWorker {
-	return fabric.NewWorker(base, memCapacity)
-}
-
 // Fingerprint computes the canonical content address of a request
 // descriptor; it is invariant under struct field reordering.
 func Fingerprint(v any) (StoreKey, error) { return store.Fingerprint(v) }
@@ -561,11 +406,6 @@ func NewSweepRunner(cache *FigureCache, workers int) *SweepRunner {
 func NewServer(cache *FigureCache, sweepWorkers int) *Server {
 	return serve.New(cache, sweepWorkers)
 }
-
-// NewServerWith returns the experiment service assembled from an explicit
-// ServerConfig — rate limiting, bounded admission, graceful drain, and
-// (optionally) a fabric coordinator so sweeps shard across workers.
-func NewServerWith(cfg ServerConfig) *Server { return serve.NewWith(cfg) }
 
 // DefaultExperimentOptions is the full-quality configuration.
 func DefaultExperimentOptions() ExperimentOptions { return experiments.DefaultOptions() }

@@ -31,13 +31,14 @@
 //     LayoutPass/RoutePass compose the placement and SWAP-routing stages
 //     into any pipeline;
 //   - a pluggable engine axis: every execution can run on the exact noisy
-//     statevector kernel or on the stabilizer/Pauli-frame engine
-//     (NewStabEngine), which derives stochastic Pauli channels from the
-//     device calibration via the Pauli-twirling approximation and
-//     simulates full-scale twirled circuits — the entire 127-qubit Eagle
-//     lattice — in O(shots * gates * n). ExecOptions.Engine selects
-//     statevector | stab | auto (auto dispatches per instance when the
-//     compiled circuit is twirl-representable, see StabSupports);
+//     statevector kernel or on the stabilizer/Pauli-frame engine, which
+//     derives stochastic Pauli channels from the device calibration via
+//     the Pauli-twirling approximation and simulates full-scale twirled
+//     circuits — the entire 127-qubit Eagle lattice — in
+//     O(shots * gates * n). ExecOptions.Engine selects EngineStatevector,
+//     EngineStab or EngineAuto (auto dispatches per instance when the
+//     compiled circuit is twirl-representable: every gate Clifford up to
+//     "ec"-tagged virtual-Z residuals);
 //   - an experiment service: every paper figure is declared in a catalog
 //     (ExperimentCatalog) with its parameter axes; OpenResultStore +
 //     NewFigureCache answer repeated figure requests from a
