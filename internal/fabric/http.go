@@ -40,11 +40,31 @@ type completeRequest struct {
 	Error   string          `json:"error,omitempty"`
 }
 
-func decodeInto(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(r.Body)
+// MaxRequestBody caps every JSON request body the coordinator and the
+// serve layer decode. A real claim, heartbeat, completion, sweep spec or
+// drift request is at most a few kilobytes.
+const MaxRequestBody = 1 << 20
+
+// DecodeRequest decodes one JSON request body into v, rejecting unknown
+// fields and bodies longer than MaxRequestBody. On failure it also
+// returns the status to answer: 413 for an oversized body, 400 otherwise.
+func DecodeRequest(w http.ResponseWriter, r *http.Request, v any) (int, error) {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBody))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		writeJSONError(w, http.StatusBadRequest, "decode request: %v", err)
+	err := dec.Decode(v)
+	var tooBig *http.MaxBytesError
+	switch {
+	case err == nil:
+		return http.StatusOK, nil
+	case errors.As(err, &tooBig):
+		return http.StatusRequestEntityTooLarge, err
+	}
+	return http.StatusBadRequest, err
+}
+
+func decodeInto(w http.ResponseWriter, r *http.Request, v any) bool {
+	if status, err := DecodeRequest(w, r, v); err != nil {
+		writeJSONError(w, status, "decode request: %v", err)
 		return false
 	}
 	return true

@@ -368,6 +368,50 @@ func TestHealthzCounters(t *testing.T) {
 	}
 }
 
+// TestRequestBodyCap: every JSON route answers 413 to a body one byte
+// over fabric.MaxRequestBody, and decodes a body exactly at the cap (then
+// rejects its content). Each body is one object padded with whitespace,
+// so the decoder must read to the last byte before it can finish.
+func TestRequestBodyCap(t *testing.T) {
+	st, err := store.Open("", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord := fabric.NewCoordinator(st, fabric.Options{LeaseTTL: time.Minute})
+	defer coord.Close()
+	srv := NewWith(Config{Cache: sweep.NewCache(st), Coordinator: coord})
+	ts := httptest.NewServer(srv.Handler())
+	defer func() { ts.Close(); srv.Close() }()
+
+	for _, tc := range []struct {
+		path, head string
+		atCap      int // the status for a body exactly at the cap
+	}{
+		{"/sweeps", `{"ids":["nosuch"]`, http.StatusBadRequest},
+		{"/backends/line6/drift", `{"qubits":1`, http.StatusBadRequest},
+		{"/fabric/claim", `{`, http.StatusBadRequest},
+		{"/fabric/heartbeat", `{`, http.StatusGone},
+		{"/fabric/complete", `{`, http.StatusBadRequest},
+	} {
+		for _, size := range []int{fabric.MaxRequestBody, fabric.MaxRequestBody + 1} {
+			want := tc.atCap
+			if size > fabric.MaxRequestBody {
+				want = http.StatusRequestEntityTooLarge
+			}
+			body := tc.head + strings.Repeat(" ", size-len(tc.head)-1) + "}"
+			resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != want {
+				t.Errorf("POST %s with a %d-byte body: status %d, want %d", tc.path, size, resp.StatusCode, want)
+			}
+		}
+	}
+}
+
 // readEvents reads a sweep's SSE progress stream until the server ends it.
 func readEvents(t *testing.T, url string) []progressEvent {
 	t.Helper()

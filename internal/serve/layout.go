@@ -1,13 +1,13 @@
 package serve
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"strconv"
 	"sync"
 
 	"casq/internal/device"
+	"casq/internal/fabric"
 	"casq/internal/layout"
 )
 
@@ -176,10 +176,8 @@ func (s *Server) handleDrift(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	req := driftRequest{Qubits: defaultQubits, Depth: defaultDepth, Seed: defaultDriftSeed, Drift: defaultDriftMag}
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "decode drift request: %v", err)
+	if status, err := fabric.DecodeRequest(w, r, &req); err != nil {
+		writeError(w, status, "decode drift request: %v", err)
 		return
 	}
 	if err := probeShape(req.Qubits, req.Depth); err != nil {

@@ -10,8 +10,9 @@
 // The server is hardened for heavy traffic: figure endpoints sit behind a
 // token-bucket rate limiter (429 + Retry-After under overload), sweep
 // admission is bounded so a submission flood cannot pile up unbounded
-// background work, and Close drains in-flight sweeps — returning 503 for
-// new submissions — instead of dropping work.
+// background work, every JSON request body is capped at
+// fabric.MaxRequestBody (413 beyond it), and Close drains in-flight
+// sweeps — returning 503 for new submissions — instead of dropping work.
 //
 // Routes:
 //
@@ -608,10 +609,8 @@ type sweepAccepted struct {
 
 func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec sweep.Spec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, "decode sweep spec: %v", err)
+	if status, err := fabric.DecodeRequest(w, r, &spec); err != nil {
+		writeError(w, status, "decode sweep spec: %v", err)
 		return
 	}
 	// Fill unset base fields per-field (mirroring GET /figures): a
