@@ -22,9 +22,10 @@ func (s Sample) Label(key string) string { return s.Labels[key] }
 
 // ParseProm parses Prometheus text exposition format into samples. It
 // is strict about the subset WritePrometheus emits — `name{k="v",...}
-// value` data lines, # HELP / # TYPE comments — and errors on anything
-// else, so tests double as a format validity check and loadgen can
-// recompute server-side quantiles from a /metrics scrape.
+// value` data lines with unique [a-zA-Z_][a-zA-Z0-9_]* label names,
+// # HELP / # TYPE comments — and errors on anything else, so tests double
+// as a format validity check and loadgen can recompute server-side
+// quantiles from a /metrics scrape.
 func ParseProm(r io.Reader) ([]Sample, error) {
 	var out []Sample
 	sc := bufio.NewScanner(r)
@@ -93,11 +94,20 @@ func parseLabels(body string, into map[string]string) error {
 			return fmt.Errorf("bad label pair near %q", body)
 		}
 		key := body[:eq]
+		if !validLabelName(key) {
+			return fmt.Errorf("bad label name %q", key)
+		}
+		if _, dup := into[key]; dup {
+			return fmt.Errorf("duplicate label %q", key)
+		}
 		val, rest, err := unquotePrefix(body[eq+1:])
 		if err != nil {
 			return err
 		}
 		into[key] = val
+		if rest != "" && rest[0] != ',' {
+			return fmt.Errorf("missing comma before %q", rest)
+		}
 		body = strings.TrimPrefix(rest, ",")
 	}
 	return nil
@@ -126,6 +136,12 @@ func parseValue(s string) (float64, error) {
 		return strconv.ParseFloat("-inf", 64)
 	}
 	return strconv.ParseFloat(s, 64)
+}
+
+// validLabelName reports whether name matches [a-zA-Z_][a-zA-Z0-9_]*:
+// a metric name without colons.
+func validLabelName(name string) bool {
+	return name != "" && !strings.Contains(name, ":") && validMetricName(name)
 }
 
 func validMetricName(name string) bool {
