@@ -370,7 +370,7 @@ func stab127Workload(b *testing.B) (*device.Device, *circuit.Circuit) {
 // BenchmarkStabilizer127Q measures the full-scale engine end to end: a
 // twirled depth-4 Eagle-lattice layer circuit, compiled through the
 // twirled pipeline and sampled by the stabilizer engine — the workload
-// the 2^127 statevector cannot touch. CI archives it as BENCH_stab.json.
+// the 2^127 statevector cannot touch.
 func BenchmarkStabilizer127Q(b *testing.B) {
 	dev, c := stab127Workload(b)
 	obs := make([]sim.ObsSpec, 0, 8)
@@ -396,11 +396,7 @@ func BenchmarkStabilizer127Q(b *testing.B) {
 
 // BenchmarkStabBatch127Q measures the bit-plane batched shot path on the
 // full 127-qubit workload at growing shot budgets (10^3, 10^4, 10^5),
-// reporting throughput as a shots/s metric — the series CI archives into
-// BENCH_stab.json so the batching speedup is tracked from one PR to the
-// next. internal/stab's BenchmarkStabBatch127Q/scalar/shots=1e4 runs the
-// all-scalar reference path on the same compiled circuit, so
-// shots/s(batch)/shots/s(scalar) is the batching speedup on this machine.
+// reporting throughput as a shots/s metric.
 func BenchmarkStabBatch127Q(b *testing.B) {
 	dev, c := stab127Workload(b)
 	rng := rand.New(rand.NewSource(3))
@@ -460,8 +456,7 @@ func BenchmarkPauliChannelDerivation(b *testing.B) {
 // BenchmarkLayoutRouting measures the compile path of the backend stage:
 // choosing the minimal-predicted-error 6-qubit subregion of the 127-qubit
 // Eagle lattice (candidate enumeration + static filter + toggling-frame
-// scoring of the finalists) and routing the placed circuit. CI archives it
-// as BENCH_compile.json, next to the simulator artifact.
+// scoring of the finalists) and routing the placed circuit.
 func BenchmarkLayoutRouting(b *testing.B) {
 	dev, err := device.NewBackend("heavyhex127")
 	if err != nil {
@@ -485,11 +480,10 @@ func BenchmarkLayoutRouting(b *testing.B) {
 // sub-benchmark runs the default three-tier search (static filter ->
 // surrogate fit on a small exact batch -> exact scoring of the predicted
 // top-K), the exhaustive one exact-scores every enumerated candidate. Both
-// report candidates/s and choose_ms series that CI archives into
-// BENCH_compile.json, so choose_ms(exhaustive)/choose_ms(pruned) is the
-// pruning speedup tracked from one PR to the next. The pruned search must
-// select a placement whose exact score is no worse than the exhaustive
-// optimum (on this workload it finds the identical placement).
+// report candidates/s and choose_ms, so the ratio of their choose_ms is
+// the pruning speedup on this machine. The pruned search must select a
+// placement whose exact score is no worse than the exhaustive optimum (on
+// this workload it finds the identical placement).
 func BenchmarkChoose127Q(b *testing.B) {
 	dev, err := device.NewBackend("heavyhex127")
 	if err != nil {
@@ -551,8 +545,7 @@ func BenchmarkLayoutPipeline127Q(b *testing.B) {
 // estimator at full scale: the two-point covariance/correlation matrix of
 // 127 outcome planes (8001 pairs) over 10^4 shots, word-parallel XOR
 // popcount reductions plus the delete-one-block jackknife, reported as a
-// pairs/s metric — the series CI archives into BENCH_correl.json. The
-// scalar sub-benchmark runs the retained per-shot reference estimator on
+// pairs/s metric. The scalar sub-benchmark runs the retained per-shot reference estimator on
 // the same planes, so pairs/s(packed)/pairs/s(scalar) is the word-level
 // speedup on this machine.
 func BenchmarkCorrelations127Q(b *testing.B) {

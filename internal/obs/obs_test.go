@@ -355,68 +355,3 @@ func TestNextTraceID(t *testing.T) {
 		seen[id] = true
 	}
 }
-
-// BenchmarkObsOverhead* pin the cost of each instrument on the hot
-// path; CI archives them in BENCH_obs.json.
-
-func BenchmarkObsOverheadCounter(b *testing.B) {
-	c := NewRegistry().Counter("casq_bench_total", "x")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		c.Inc()
-	}
-}
-
-func BenchmarkObsOverheadCounterParallel(b *testing.B) {
-	c := NewRegistry().Counter("casq_bench_total", "x")
-	b.ReportAllocs()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			c.Inc()
-		}
-	})
-}
-
-func BenchmarkObsOverheadHistogram(b *testing.B) {
-	h := NewRegistry().Histogram("casq_bench_seconds", "x", nil)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		h.Observe(1.5e-4)
-	}
-}
-
-func BenchmarkObsOverheadNoopSpan(b *testing.B) {
-	var tr *Tracer
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		sp := tr.Start("x").WithLane(1)
-		sp.End()
-	}
-}
-
-func BenchmarkObsOverheadSpan(b *testing.B) {
-	tr := NewTracer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		sp := tr.Start("x").WithLane(1)
-		sp.End()
-	}
-}
-
-func BenchmarkObsOverheadExposition(b *testing.B) {
-	r := NewRegistry()
-	for _, name := range []string{"a_total", "b_total", "c_total"} {
-		r.Counter("casq_"+name, "x").Inc()
-	}
-	hv := r.HistogramVec("casq_bench_req_seconds", "x", "endpoint", nil)
-	for _, ep := range []string{"figures", "sweeps", "healthz"} {
-		hv.With(ep).Observe(1e-3)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		var buf bytes.Buffer
-		if err := r.WritePrometheus(&buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
