@@ -13,7 +13,8 @@
 // Each submitted sweep is a sweep.Run, the same lifecycle the in-process
 // scheduler drives, so the serve layer's progress, listing, and SSE
 // endpoints work identically for local and distributed sweeps. Wire
-// protocol (all JSON over HTTP, mounted by Handler):
+// protocol (all JSON over HTTP, mounted by Handler; a request body over
+// MaxRequestBody is a 413):
 //
 //	POST /fabric/claim      {"worker":id} -> lease + cell, or 204 when idle
 //	POST /fabric/heartbeat  {"lease_id":id} extends the lease, 410 if expired

@@ -373,16 +373,7 @@ func TestHealthzCounters(t *testing.T) {
 // rejects its content). Each body is one object padded with whitespace,
 // so the decoder must read to the last byte before it can finish.
 func TestRequestBodyCap(t *testing.T) {
-	st, err := store.Open("", 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	coord := fabric.NewCoordinator(st, fabric.Options{LeaseTTL: time.Minute})
-	defer coord.Close()
-	srv := NewWith(Config{Cache: sweep.NewCache(st), Coordinator: coord})
-	ts := httptest.NewServer(srv.Handler())
-	defer func() { ts.Close(); srv.Close() }()
-
+	ts := newCoordinatorServer(t)
 	for _, tc := range []struct {
 		path, head string
 		atCap      int // the status for a body exactly at the cap

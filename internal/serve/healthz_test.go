@@ -87,16 +87,7 @@ func TestHealthzShape(t *testing.T) {
 // casq_fabric_* samples of a /metrics scrape taken right after, because
 // both read the one registry counter of each event.
 func TestHealthzMatchesMetrics(t *testing.T) {
-	st, err := store.Open("", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	coord := fabric.NewCoordinator(st, fabric.Options{LeaseTTL: time.Minute})
-	defer coord.Close()
-	srv := NewWith(Config{Cache: sweep.NewCache(st), Coordinator: coord})
-	ts := httptest.NewServer(srv.Handler())
-	defer func() { ts.Close(); srv.Close() }()
-
+	ts := newCoordinatorServer(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	w := fabric.NewWorker(ts.URL, 4)
 	w.ID, w.Poll = "w1", 10*time.Millisecond

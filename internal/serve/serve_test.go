@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"casq/internal/experiments"
+	"casq/internal/fabric"
 	"casq/internal/store"
 	"casq/internal/sweep"
 )
@@ -42,6 +43,21 @@ func newTestServerWith(t *testing.T, computes *atomic.Int32, cfg Config) (*httpt
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() { ts.Close(); srv.Close() })
 	return ts, srv
+}
+
+// newCoordinatorServer returns an httptest server whose Server has a
+// fabric coordinator attached, over a fresh memory-only store.
+func newCoordinatorServer(t *testing.T) *httptest.Server {
+	t.Helper()
+	st, err := store.Open("", 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord := fabric.NewCoordinator(st, fabric.Options{LeaseTTL: time.Minute})
+	srv := NewWith(Config{Cache: sweep.NewCache(st), Coordinator: coord})
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() { ts.Close(); srv.Close(); coord.Close() })
+	return ts
 }
 
 // countingBackend counts the writes reaching one store's backend, so a
