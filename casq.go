@@ -235,7 +235,7 @@ func NewLineDevice(name string, n int, opts DeviceOptions) *Device {
 	return device.NewLine(name, n, opts)
 }
 
-// Backend registry, topology families, and calibration snapshots.
+// Backend registry and calibration snapshots.
 
 // Backends lists the named backend registry, ordered by size.
 func Backends() []BackendInfo { return device.Backends() }
