@@ -84,6 +84,30 @@ func TestEngineBellCounts(t *testing.T) {
 	}
 }
 
+// TestEngineSXMeasureSplitsEvenly: SX|0> measures 0 and 1 with equal
+// probability. SX maps the stabilizer Z to -Y, so the measured qubit's
+// destabilizer carries an X factor; the tableau update must not multiply
+// that row by its anticommuting stabilizer.
+func TestEngineSXMeasureSplitsEvenly(t *testing.T) {
+	dev := device.NewLine("sx2", 2, device.DefaultOptions())
+	c := circuit.New(2, 1)
+	c.AddLayer(circuit.OneQubitLayer).SX(0)
+	c.AddLayer(circuit.MeasureLayer).Measure(0, 0)
+	sched.Schedule(c, dev)
+	const shots = 4096
+	res, err := New(dev, noiselessCfg(shots)).Counts(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := res.Counts["0"] + res.Counts["1"]; n != shots {
+		t.Fatalf("counts %v: %d of %d shots are 0 or 1", res.Counts, n, shots)
+	}
+	// 5 sigma of a fair binomial.
+	if d := math.Abs(float64(res.Counts["1"]) - shots/2); d > 5*math.Sqrt(shots/4.0) {
+		t.Fatalf("counts %v are not an even split", res.Counts)
+	}
+}
+
 // TestEngineReadoutError: readout flips corrupt a deterministic |00>
 // sample at roughly the calibrated rate.
 func TestEngineReadoutError(t *testing.T) {

@@ -197,16 +197,18 @@ func (t *Tableau) MeasureZ(q int, rng *rand.Rand) (bit int, deterministic bool, 
 	}
 	if p >= 0 {
 		// Nondeterministic: record the anticommuting stabilizer for frame
-		// redraws, then perform the standard CHP update.
+		// redraws, then perform the standard CHP update. Destabilizer p-n
+		// is skipped: it always anticommutes with stabilizer p (their
+		// product is non-Hermitian) and is overwritten just below.
 		flipX = append([]uint64(nil), t.x[p*t.words:(p+1)*t.words]...)
 		flipZ = append([]uint64(nil), t.z[p*t.words:(p+1)*t.words]...)
+		d := p - t.n
 		for r := 0; r < 2*t.n; r++ {
-			if r != p && (t.x[r*t.words+w]>>b)&1 == 1 {
+			if r != p && r != d && (t.x[r*t.words+w]>>b)&1 == 1 {
 				t.mulRowFrom(r, p)
 			}
 		}
 		// Destabilizer p-n := old stabilizer p; stabilizer p := +/- Z_q.
-		d := p - t.n
 		copy(t.x[d*t.words:(d+1)*t.words], t.x[p*t.words:(p+1)*t.words])
 		copy(t.z[d*t.words:(d+1)*t.words], t.z[p*t.words:(p+1)*t.words])
 		t.sign[d] = t.sign[p]
