@@ -102,6 +102,35 @@ func TestDefaultBackendGolden(t *testing.T) {
 	}
 }
 
+// TestFig7cReproducibleOnBackends: CA-EC compensates Stark angles that
+// sum shifts from several driven neighbours, so fig7c on a backend larger
+// than its ring must still give the same bytes on every run.
+func TestFig7cReproducibleOnBackends(t *testing.T) {
+	if testing.Short() {
+		t.Skip("slow")
+	}
+	for _, backend := range []string{"grid16", "heavyhex29"} {
+		o := FastOptions()
+		o.Backend = backend
+		var first store.Key
+		for i := 0; i < 6; i++ {
+			fig, err := Run("fig7c", o)
+			if err != nil {
+				t.Fatalf("%s: %v", backend, err)
+			}
+			got, err := store.Fingerprint(fig)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i == 0 {
+				first = got
+			} else if got != first {
+				t.Fatalf("%s: run %d fingerprint %s, run 0 gave %s", backend, i, got, first)
+			}
+		}
+	}
+}
+
 // TestFig6OnRegistryBackend runs the Ising figure end-to-end on a
 // 29-qubit heavy-hex backend: the layout stage must place the 6-qubit
 // chain on coupled qubits (zero SWAPs for a path workload) and the

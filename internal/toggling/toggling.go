@@ -212,7 +212,14 @@ func IntegrateFiltered(m *LayerModel, dev *device.Device, includeStark bool, ski
 		}
 	}
 	if includeStark {
+		// Sources in ascending order, so an idle qubit shifted by two
+		// driven neighbours sums them in a fixed order.
+		srcs := make([]int, 0, len(m.Driven))
 		for src := range m.Driven {
+			srcs = append(srcs, src)
+		}
+		sort.Ints(srcs)
+		for _, src := range srcs {
 			for _, nb := range dev.Neighbors(src) {
 				pn, rotN, activeN := pulsesOf(nb)
 				if activeN || rotN {

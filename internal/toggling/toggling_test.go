@@ -152,6 +152,25 @@ func TestStarkOnSpectator(t *testing.T) {
 	}
 }
 
+// TestStarkSumOrderFixed: qubit 2 idles between two driven ECR pairs, so
+// its Stark angle sums a shift from each side. The sum must not depend on
+// map iteration order; CA-EC compensates exactly this angle.
+func TestStarkSumOrderFixed(t *testing.T) {
+	o := device.DefaultOptions()
+	o.Seed = 5
+	d := device.NewLine("stark5", 5, o)
+	c := circuit.New(5, 0)
+	c.AddLayer(circuit.TwoQubitLayer).ECR(0, 1).ECR(3, 4)
+	scheduled(c, d)
+	m := BuildLayerModel(&c.Layers[0], d)
+	want := IntegrateFiltered(m, d, true, nil).PhiZ[2]
+	for i := 0; i < 100; i++ {
+		if got := IntegrateFiltered(m, d, true, nil).PhiZ[2]; math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("call %d: qubit 2 angle %v, first call gave %v", i, got, want)
+		}
+	}
+}
+
 func TestRZZFrameRestoringEcho(t *testing.T) {
 	d := quietDev(3)
 	c := circuit.New(3, 0)
