@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"casq/internal/gates"
 	"casq/internal/linalg"
 )
 
@@ -53,15 +54,15 @@ func (r *Runner) newShot(cp *compiled) *shot {
 		psi:        linalg.NewVector(cp.nq),
 		cbits:      make([]int, cp.ncb),
 		phiZ:       make([]float64, cp.nq),
-		phiZZ:      make([]float64, len(cp.edges)),
+		phiZZ:      make([]float64, len(cp.x.Edges)),
 		omegaExtra: make([]float64, cp.nq),
 		zMasks:     make([]int, 0, cp.nq),
 		zEven:      make([]complex128, 0, cp.nq),
 		zOdd:       make([]complex128, 0, cp.nq),
-		zzMasksA:   make([]int, 0, len(cp.edges)),
-		zzMasksB:   make([]int, 0, len(cp.edges)),
-		zzEven:     make([]complex128, 0, len(cp.edges)),
-		zzOdd:      make([]complex128, 0, len(cp.edges)),
+		zzMasksA:   make([]int, 0, len(cp.x.Edges)),
+		zzMasksB:   make([]int, 0, len(cp.x.Edges)),
+		zzEven:     make([]complex128, 0, len(cp.x.Edges)),
+		zzOdd:      make([]complex128, 0, len(cp.x.Edges)),
 	}
 	return s
 }
@@ -191,107 +192,87 @@ func (s *shot) run(cp *compiled) {
 }
 
 func (s *shot) runLayer(l *layerExec) {
-	cur := l.start
-	for i := range l.events {
-		ev := &l.events[i]
-		s.accumulate(l, cur, ev.t)
-		cur = ev.t
-		s.exec(l, ev)
+	cur := l.Start
+	for i := range l.Events {
+		ev := &l.Events[i]
+		s.accumulate(l, cur, ev.T)
+		cur = ev.T
+		s.exec(ev, l.mats[i])
 	}
-	s.accumulate(l, cur, l.start+l.dur)
-	if s.r.Cfg.EnableT1T2 && l.dur > 0 {
-		s.applyRelaxation(l.dur)
+	s.accumulate(l, cur, l.Start+l.Dur)
+	if s.r.Cfg.EnableT1T2 && l.Dur > 0 {
+		s.applyRelaxation(l.Dur)
 	}
 }
 
-func (s *shot) exec(l *layerExec, ev *event) {
-	if ev.in != nil && ev.in.Cond != nil {
-		c := ev.in.Cond
-		if s.cbits[c.Bit] != c.Value {
-			return
-		}
+// exec applies one event; mat is its gate matrix from compile.
+func (s *shot) exec(ev *Event, mat linalg.Matrix) {
+	if c := ev.In.Cond; c != nil && s.cbits[c.Bit] != c.Value {
+		return
 	}
-	switch ev.kind {
-	case opVirtualZ:
-		s.phiZ[ev.q0] += ev.angle
-	case opDiagRZZ:
-		s.phiZZ[ev.edge] += ev.angle
+	switch ev.Kind {
+	case EvVirtualZ:
+		s.phiZ[ev.Q0] += ev.Angle
+	case EvRZZ:
+		s.phiZZ[ev.Edge] += ev.Angle
 		// Rzz(theta) = exp(-i theta/2 ZZ) carries no single-qubit part.
-	case opPauliX:
-		s.flipAccumulator(ev.q0)
-		s.psi.Apply1Q(ev.mat, ev.q0)
-		if ev.errProb > 0 {
-			s.depolarize1Q(ev.q0, ev.errProb)
+	case EvPulse:
+		s.flipAccumulator(ev.Q0)
+		s.psi.Apply1Q(mat, ev.Q0)
+		if ev.ErrP > 0 {
+			s.depolarize1Q(ev.Q0, ev.ErrP)
 		}
-	case opEchoFlip:
-		s.flipAccumulator(ev.q0)
-	case opApply1Q:
-		s.flushQubit(ev.q0)
-		s.psi.Apply1Q(ev.mat, ev.q0)
-		if ev.errProb > 0 {
-			s.depolarize1Q(ev.q0, ev.errProb)
+	case EvEcho:
+		s.flipAccumulator(ev.Q0)
+		if ev.In.Gate == gates.ECR {
+			// The ECR's physical echo: X on the control, then the
+			// second half of the gate.
+			s.psi.Apply1Q(xMat, ev.Q0)
+			s.apply2Q(mat, ev.Q0, ev.Q1)
 		}
-	case opApply2Q:
-		s.flushQubit(ev.q0)
-		s.flushQubit(ev.q1)
-		// Gate matrices use the |first operand, second operand> basis, so
-		// the first operand is the high bit of the 4x4 index.
-		s.psi.Apply2Q(ev.mat, ev.q0, ev.q1)
-	case opGateErr1Q:
-		s.depolarize1Q(ev.q0, ev.errProb)
-	case opGateErr2Q:
-		s.depolarize2Q(ev.q0, ev.q1, ev.errProb)
-	case opMeasure:
-		s.measure(ev.q0, ev.in.CBit)
+	case EvGate1Q:
+		s.flushQubit(ev.Q0)
+		s.psi.Apply1Q(mat, ev.Q0)
+		if ev.ErrP > 0 {
+			s.depolarize1Q(ev.Q0, ev.ErrP)
+		}
+	case EvGate2Q:
+		s.apply2Q(mat, ev.Q0, ev.Q1)
+	case EvGateErr2Q:
+		s.depolarize2Q(ev.Q0, ev.Q1, ev.ErrP)
+	case EvMeasure:
+		s.measure(ev.Q0, ev.In.CBit)
 	}
+}
+
+// apply2Q flushes both operands and applies a two-qubit matrix. Gate
+// matrices use the |first operand, second operand> basis, so the first
+// operand is the high bit of the 4x4 index.
+func (s *shot) apply2Q(mat linalg.Matrix, q0, q1 int) {
+	s.flushQubit(q0)
+	s.flushQubit(q1)
+	s.psi.Apply2Q(mat, q0, q1)
 }
 
 // accumulate integrates the coherent crosstalk Hamiltonian over [from, to]
-// within the layer's context into the pending phase accumulator.
+// within the layer's context into the pending phase accumulator: the
+// shared ZZ and Stark integral, plus this shot's parity and quasistatic
+// detuning.
 func (s *shot) accumulate(l *layerExec, from, to float64) {
 	dt := to - from
 	if dt <= 0 {
 		return
 	}
 	cfg := &s.r.Cfg
-	res := s.r.Dev.RotaryResidual
-	if cfg.EnableZZ {
-		for i, e := range s.cp.edges {
-			w := s.cp.omega[i]
-			if w == 0 || l.gatePair[i] {
-				continue
-			}
-			fa, fb := 1.0, 1.0
-			if l.rotary[e.A] {
-				fa = res
-			}
-			if l.rotary[e.B] {
-				fb = res
-			}
-			s.phiZZ[i] += w * dt * fa * fb
-			s.phiZ[e.A] -= w * dt * fa
-			s.phiZ[e.B] -= w * dt * fb
-		}
-	}
-	if cfg.EnableStark {
-		for _, st := range s.cp.starks {
-			if !l.driven[st.src] || l.active[st.dst] {
-				continue
-			}
-			f := 1.0
-			if l.rotary[st.dst] {
-				f = res
-			}
-			s.phiZ[st.dst] += st.w * dt * f
-		}
-	}
+	s.cp.x.Integrate(cfg, &l.Lowered, dt, s.phiZ, s.phiZZ)
 	if cfg.EnableParity || cfg.EnableQuasistatic {
+		res := s.r.Dev.RotaryResidual
 		for q := 0; q < s.cp.nq; q++ {
 			w := s.omegaExtra[q]
 			if w == 0 {
 				continue
 			}
-			if l.rotary[q] {
+			if l.Rotary[q] {
 				w *= res
 			}
 			s.phiZ[q] += w * dt
@@ -303,7 +284,7 @@ func (s *shot) accumulate(l *layerExec, from, to float64) {
 // (or Y) pulse: Z_q -> -Z_q.
 func (s *shot) flipAccumulator(q int) {
 	s.phiZ[q] = -s.phiZ[q]
-	for _, ei := range s.cp.qEdges[q] {
+	for _, ei := range s.cp.x.QEdges[q] {
 		s.phiZZ[ei] = -s.phiZZ[ei]
 	}
 }
@@ -330,7 +311,7 @@ func (s *shot) stageZZ(ei int) {
 		return
 	}
 	s.phiZZ[ei] = 0
-	e := s.cp.edges[ei]
+	e := s.cp.x.Edges[ei]
 	sin, cos := math.Sincos(phi / 2)
 	s.zzMasksA = append(s.zzMasksA, 1<<e.A)
 	s.zzMasksB = append(s.zzMasksB, 1<<e.B)
@@ -342,7 +323,7 @@ func (s *shot) stageZZ(ei int) {
 func (s *shot) flushQubit(q int) {
 	s.clearStage()
 	s.stageZ(q)
-	for _, ei := range s.cp.qEdges[q] {
+	for _, ei := range s.cp.x.QEdges[q] {
 		s.stageZZ(ei)
 	}
 	s.applyStaged()
@@ -558,4 +539,9 @@ func (s *shot) measure(q, cbit int) {
 var (
 	xMat = linalg.FromRows([][]complex128{{0, 1}, {1, 0}})
 	yMat = linalg.FromRows([][]complex128{{0, -1i}, {1i, 0}})
+
+	// The ECR runs as its physical sequence ZX(pi/4), X on the control,
+	// ZX(-pi/4), so echo alignment effects emerge from the dynamics.
+	ecrFirstHalf  = gates.Matrix2Q(gates.ZX, math.Pi/4)
+	ecrSecondHalf = gates.Matrix2Q(gates.ZX, -math.Pi/4)
 )

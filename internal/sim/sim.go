@@ -14,14 +14,19 @@
 // pulses. The ECR gate executes as its physical sequence
 // ZX(pi/4) -> X(ctrl) -> ZX(-pi/4) so that echo alignment effects (paper
 // Fig. 3, cases II-IV) emerge from the dynamics rather than being assumed.
+//
+// Compilation lowers each scheduled layer once (lower.go): a per-circuit
+// Crosstalk table, then per layer the context masks (active, driven,
+// rotary, gate pair) and the time-ordered events. The stabilizer engine's
+// compiler (internal/stab) walks the same lowered layers and integrates
+// the same crosstalk between events, so the two engines agree on when a
+// phase accrues, flips or is flushed.
 package sim
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
-	"slices"
 	"sort"
 	"sync"
 
@@ -30,12 +35,6 @@ import (
 	"casq/internal/gates"
 	"casq/internal/linalg"
 	"casq/internal/obs"
-)
-
-// Shared parameter slices for the memoized ECR decomposition.
-var (
-	zxPlusQuarter  = []float64{math.Pi / 4}
-	zxMinusQuarter = []float64{-math.Pi / 4}
 )
 
 // Engine is the simulation-backend contract shared by the statevector
@@ -106,46 +105,12 @@ func CoherentOnly(shots int) Config {
 // deterministic).
 func Ideal() Config { return Config{Shots: 1, Seed: 1} }
 
-type opKind int
-
-const (
-	opApply1Q  opKind = iota // non-diagonal 1q matrix (flush q first)
-	opPauliX                 // X/Y pulse: apply matrix + flip accumulators
-	opVirtualZ               // Rz/Z/S/Sdg: add angle to accumulator
-	opApply2Q                // non-diagonal 2q matrix (flush pair first)
-	opDiagRZZ                // Rzz: add angle to pair accumulator
-	opEchoFlip               // ghost echo: flip accumulators of q0 only
-	opGateErr1Q
-	opGateErr2Q
-	opMeasure
-)
-
-type event struct {
-	t       float64 // absolute time, ns
-	seq     int
-	kind    opKind
-	in      *circuit.Instruction
-	q0      int
-	q1      int
-	mat     linalg.Matrix
-	angle   float64
-	errProb float64
-	edge    int // edge index for opDiagRZZ
-	yPhase  bool
-}
-
+// layerExec is one lowered layer plus the gate matrix each of its events
+// applies (nil for events that only touch the phase accumulator or
+// sample noise).
 type layerExec struct {
-	start, dur float64
-	events     []event
-	rotary     []bool
-	active     []bool
-	driven     []bool
-	gatePair   []bool // per edge index
-}
-
-type starkTerm struct {
-	src, dst int
-	w        float64 // rad/ns
+	Lowered
+	mats []linalg.Matrix
 }
 
 // Runner executes circuits on a device under a noise config.
@@ -174,15 +139,9 @@ func New(dev *device.Device, cfg Config) *Runner {
 
 type compiled struct {
 	nq, ncb int
-	edges   []device.Edge
-	omega   []float64 // rad/ns per edge
-	edgeIdx map[device.Edge]int
-	qEdges  [][]int
-	starks  []starkTerm
+	x       *Crosstalk
 	layers  []layerExec
 }
-
-const hzToRadPerNs = 2 * math.Pi * 1e-9
 
 const (
 	fnvOffset = 14695981039346656037
@@ -191,9 +150,10 @@ const (
 
 // deviceFingerprint hashes the device calibration that compile bakes into
 // the compiled form (topology, ZZ rates, Stark terms, gate-error
-// probabilities), so in-place device mutation between runs — the Fig. 8
-// sweep retunes dev.ZZ per point — invalidates the Runner's cache. Map
-// entries are combined commutatively so iteration order cannot matter.
+// probabilities, and the rotary residual its crosstalk table reads), so
+// in-place device mutation between runs — the Fig. 8 sweep retunes dev.ZZ
+// per point — invalidates the Runner's cache. Map entries are combined
+// commutatively so iteration order cannot matter.
 func deviceFingerprint(d *device.Device) uint64 {
 	h := uint64(fnvOffset)
 	mix := func(v uint64) {
@@ -241,6 +201,7 @@ func deviceFingerprint(d *device.Device) uint64 {
 	for _, v := range d.Err1Q {
 		mix(math.Float64bits(v))
 	}
+	mix(math.Float64bits(d.RotaryResidual))
 	return h
 }
 
@@ -339,49 +300,7 @@ func (r *Runner) compile(c *circuit.Circuit) (*compiled, error) {
 	if c.NQubits > MaxQubits {
 		return nil, fmt.Errorf("sim: %d qubits exceed the statevector limit of %d; use the stabilizer engine (internal/stab) for full-scale twirled circuits", c.NQubits, MaxQubits)
 	}
-	cp := &compiled{nq: c.NQubits, ncb: c.NCBits, edgeIdx: map[device.Edge]int{}}
-	addEdge := func(e device.Edge, hz float64) int {
-		if i, ok := cp.edgeIdx[e]; ok {
-			return i
-		}
-		i := len(cp.edges)
-		cp.edges = append(cp.edges, e)
-		cp.omega = append(cp.omega, hz*hzToRadPerNs)
-		cp.edgeIdx[e] = i
-		return i
-	}
-	for _, e := range r.Dev.AllCrosstalkEdges() {
-		addEdge(e, r.Dev.ZZ[e])
-	}
-	// Register virtual edges used by diagonal RZZ corrections on pairs that
-	// have no calibrated coupling.
-	for _, l := range c.Layers {
-		for _, in := range l.Instrs {
-			if in.Gate == gates.RZZ {
-				e := device.NewEdge(in.Qubits[0], in.Qubits[1])
-				if _, ok := cp.edgeIdx[e]; !ok {
-					addEdge(e, 0)
-				}
-			}
-		}
-	}
-	cp.qEdges = make([][]int, cp.nq)
-	for i, e := range cp.edges {
-		cp.qEdges[e.A] = append(cp.qEdges[e.A], i)
-		cp.qEdges[e.B] = append(cp.qEdges[e.B], i)
-	}
-	for d, hz := range r.Dev.Stark {
-		if hz != 0 {
-			cp.starks = append(cp.starks, starkTerm{d.Src, d.Dst, hz * hzToRadPerNs})
-		}
-	}
-	sort.Slice(cp.starks, func(i, j int) bool {
-		if cp.starks[i].src != cp.starks[j].src {
-			return cp.starks[i].src < cp.starks[j].src
-		}
-		return cp.starks[i].dst < cp.starks[j].dst
-	})
-
+	cp := &compiled{nq: c.NQubits, ncb: c.NCBits, x: NewCrosstalk(r.Dev, c), layers: make([]layerExec, len(c.Layers))}
 	memo := map[matKey]linalg.Matrix{}
 	matrix := func(nq int, g gates.Kind, params []float64) linalg.Matrix {
 		k := matKey{g: g, nq: nq, np: len(params)}
@@ -415,118 +334,32 @@ func (r *Runner) compile(c *circuit.Circuit) (*compiled, error) {
 		return m
 	}
 
-	for li := range c.Layers {
-		l := &c.Layers[li]
-		le := layerExec{
-			start:    l.Start,
-			dur:      l.Duration,
-			rotary:   make([]bool, cp.nq),
-			active:   make([]bool, cp.nq),
-			driven:   make([]bool, cp.nq),
-			gatePair: make([]bool, len(cp.edges)),
-			// Worst case is four events per instruction (ECR/RZZ), so one
-			// allocation covers the layer.
-			events: make([]event, 0, 4*len(l.Instrs)),
-		}
-		seq := 0
-		emit := func(ev event) {
-			ev.seq = seq
-			seq++
-			le.events = append(le.events, ev)
-		}
-		for ii := range l.Instrs {
-			in := &l.Instrs[ii]
-			switch {
-			case in.Gate == gates.Delay || in.Gate == gates.Barrier:
-				continue
-			case in.Gate == gates.Measure:
-				le.active[in.Qubits[0]] = true
-				emit(event{t: l.Start, kind: opMeasure, in: in, q0: in.Qubits[0]})
-			case gates.NumQubits(in.Gate) == 2:
-				q0, q1 := in.Qubits[0], in.Qubits[1]
-				le.active[q0], le.active[q1] = true, true
-				le.driven[q0], le.driven[q1] = true, true
-				le.rotary[q1] = true
-				if i, ok := cp.edgeIdx[device.NewEdge(q0, q1)]; ok {
-					le.gatePair[i] = true
+	for li := range cp.layers {
+		le := &cp.layers[li]
+		cp.x.Lower(&le.Lowered, &c.Layers[li])
+		le.mats = make([]linalg.Matrix, len(le.Events))
+		for i := range le.Events {
+			in := le.Events[i].In
+			switch le.Events[i].Kind {
+			case EvGate1Q:
+				le.mats[i] = matrix(1, in.Gate, in.Params)
+			case EvPulse:
+				le.mats[i] = xMat
+				if in.Gate == gates.YGate {
+					le.mats[i] = yMat
 				}
-				errP := 0.0
-				if p, ok := r.Dev.Err2Q[device.NewEdge(q0, q1)]; ok {
-					errP = p
+			case EvGate2Q:
+				if in.Gate == gates.ECR {
+					le.mats[i] = ecrFirstHalf
 				} else {
-					errP = 5e-3
+					le.mats[i] = matrix(2, in.Gate, in.Params)
 				}
-				mid := l.Start + l.Duration/2
-				end := l.Start + l.Duration
-				switch in.Gate {
-				case gates.ECR:
-					emit(event{t: l.Start, kind: opApply2Q, in: in, q0: q0, q1: q1, mat: matrix(2, gates.ZX, zxPlusQuarter)})
-					emit(event{t: mid, kind: opPauliX, in: in, q0: q0, mat: matrix(1, gates.XGate, nil)})
-					emit(event{t: mid, kind: opApply2Q, in: in, q0: q0, q1: q1, mat: matrix(2, gates.ZX, zxMinusQuarter)})
-					emit(event{t: end, kind: opGateErr2Q, in: in, q0: q0, q1: q1, errProb: errP})
-				case gates.RZZ:
-					ei := cp.edgeIdx[device.NewEdge(q0, q1)]
-					// A pulse-stretched RZZ carries an X2 echo on the control
-					// (pulses at T/2 and T): spectator couplings average out
-					// while the frame returns to identity, so phases pending
-					// from earlier layers are not conjugated. The gate's own
-					// calibrated ZZ angle takes effect at completion.
-					emit(event{t: mid, kind: opEchoFlip, in: in, q0: q0})
-					emit(event{t: end, kind: opEchoFlip, in: in, q0: q0})
-					emit(event{t: end, kind: opDiagRZZ, in: in, q0: q0, q1: q1, angle: in.Params[0], edge: ei})
-					// Its error scales with the stretch fraction relative to
-					// a full ECR.
-					frac := math.Abs(in.Params[0]) / (math.Pi / 2)
-					if frac > 1 {
-						frac = 1
-					}
-					emit(event{t: end, kind: opGateErr2Q, in: in, q0: q0, q1: q1, errProb: errP * frac})
-				default: // CX, Ucan, ZX, SWAP: logical unit with ghost echo
-					emit(event{t: l.Start, kind: opApply2Q, in: in, q0: q0, q1: q1, mat: matrix(2, in.Gate, in.Params)})
-					emit(event{t: mid, kind: opEchoFlip, in: in, q0: q0})
-					emit(event{t: end, kind: opGateErr2Q, in: in, q0: q0, q1: q1, errProb: errP})
-				}
-			default: // one-qubit
-				q := in.Qubits[0]
-				if in.Tag != "dd" {
-					le.active[q] = true
-				}
-				t := l.Start + in.Time
-				errP := r.Dev.Err1Q[q]
-				if in.Tag == "twirl" {
-					errP = 0 // merged into neighboring 1q gates at no cost
-				}
-				switch in.Gate {
-				case gates.RZ:
-					emit(event{t: t, kind: opVirtualZ, in: in, q0: q, angle: in.Params[0]})
-				case gates.ZGate:
-					emit(event{t: t, kind: opVirtualZ, in: in, q0: q, angle: math.Pi})
-				case gates.S:
-					emit(event{t: t, kind: opVirtualZ, in: in, q0: q, angle: math.Pi / 2})
-				case gates.Sdg:
-					emit(event{t: t, kind: opVirtualZ, in: in, q0: q, angle: -math.Pi / 2})
-				case gates.ID:
-					// no-op
-				case gates.XGate, gates.XDD, gates.YGate:
-					mat := matrix(1, gates.XGate, nil)
-					y := false
-					if in.Gate == gates.YGate {
-						mat = matrix(1, gates.YGate, nil)
-						y = true
-					}
-					emit(event{t: t, kind: opPauliX, in: in, q0: q, mat: mat, errProb: errP, yPhase: y})
-				default:
-					emit(event{t: t, kind: opApply1Q, in: in, q0: q, mat: matrix(1, in.Gate, in.Params), errProb: errP})
+			case EvEcho:
+				if in.Gate == gates.ECR {
+					le.mats[i] = ecrSecondHalf
 				}
 			}
 		}
-		slices.SortFunc(le.events, func(a, b event) int {
-			if a.t != b.t {
-				return cmp.Compare(a.t, b.t)
-			}
-			return cmp.Compare(a.seq, b.seq)
-		})
-		cp.layers = append(cp.layers, le)
 	}
 	return cp, nil
 }

@@ -1,18 +1,15 @@
 package stab
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
-	"sort"
 	"sync"
 
 	"casq/internal/circuit"
-	"casq/internal/device"
 	"casq/internal/gates"
 	"casq/internal/pauli"
+	"casq/internal/sim"
 	"casq/internal/twirl"
 )
 
@@ -265,56 +262,17 @@ func HasTwirl(c *circuit.Circuit) bool {
 
 // ---- Compilation ---------------------------------------------------------
 
-type cevKind int
-
-const (
-	cevClifford2 cevKind = iota
-	cevPauliPulse
-	cevVirtualZ
-	cevRZZ
-	cevEchoFlip
-	cevApply1Q
-	cevGateErr2
-	cevMeasure
-)
-
-type cevent struct {
-	t     float64
-	seq   int
-	kind  cevKind
-	q0    int
-	q1    int
-	c1    *pauli.Clifford1Q
-	c2    *pauli.CliffordTable
-	p     pauli.Pauli
-	angle float64
-	errP  float64
-	edge  int
-	cbit  int
-	ec    bool // "ec"-tagged compensation: full angle rides the accumulator
-	ecr   bool // ECR gate: the control's pending phases ride through
-}
-
-type starkTerm struct {
-	src, dst int
-	w        float64 // rad/ns
-}
-
-// compiler is the single-pass walker that mirrors the statevector
-// simulator's event schedule, replacing statevector amplitudes with
-// symbolic coherent-phase accumulators: it integrates every toggling-frame
-// error angle (ZZ, spectator Z, Stark, parity, quasistatic) along the
-// schedule, flips accumulator signs at pi pulses exactly like the
-// toggling-frame simulator does, and converts the surviving angles into
-// Pauli-channel probabilities at the same points where the statevector
-// kernel flushes its phase accumulator.
+// compiler walks the statevector kernel's lowered layers (sim.Crosstalk)
+// with symbolic coherent-phase accumulators in place of amplitudes: it
+// integrates every toggling-frame error angle (ZZ, spectator Z, Stark,
+// parity, quasistatic) between events, flips accumulator signs at pi
+// pulses and echoes, and converts the surviving angles into Pauli-channel
+// probabilities where the statevector kernel flushes its phase
+// accumulator.
 type compiler struct {
-	e       *Engine
-	edges   []device.Edge
-	omega   []float64 // rad/ns
-	edgeIdx map[device.Edge]int
-	qEdges  [][]int
-	starks  []starkTerm
+	e  *Engine
+	x  *sim.Crosstalk
+	lw sim.Lowered // the layer being walked; storage reused across layers
 
 	phi   []float64 // pending deterministic Z angle per qubit
 	tau   []float64 // signed time integral (ns) for per-shot random detuning
@@ -322,10 +280,6 @@ type compiler struct {
 
 	ops   []op
 	nMeas int
-
-	// per-layer context
-	rotary, active, driven []bool
-	gatePair               []bool
 }
 
 func (e *Engine) compile(c *circuit.Circuit) (*program, error) {
@@ -336,54 +290,17 @@ func (e *Engine) compile(c *circuit.Circuit) (*program, error) {
 		return nil, err
 	}
 	nq := c.NQubits
-	cp := &compiler{e: e, edgeIdx: map[device.Edge]int{}}
-	addEdge := func(ed device.Edge, hz float64) int {
-		if i, ok := cp.edgeIdx[ed]; ok {
-			return i
-		}
-		i := len(cp.edges)
-		cp.edges = append(cp.edges, ed)
-		cp.omega = append(cp.omega, hz*hzToRadPerNs)
-		cp.edgeIdx[ed] = i
-		return i
+	x := sim.NewCrosstalk(e.Dev, c)
+	cp := &compiler{
+		e:     e,
+		x:     x,
+		phi:   make([]float64, nq),
+		tau:   make([]float64, nq),
+		phiZZ: make([]float64, len(x.Edges)),
 	}
-	for _, ed := range e.Dev.AllCrosstalkEdges() {
-		addEdge(ed, e.Dev.ZZ[ed])
-	}
-	for _, l := range c.Layers {
-		for _, in := range l.Instrs {
-			if in.Gate == gates.RZZ {
-				ed := device.NewEdge(in.Qubits[0], in.Qubits[1])
-				if _, ok := cp.edgeIdx[ed]; !ok {
-					addEdge(ed, 0)
-				}
-			}
-		}
-	}
-	cp.qEdges = make([][]int, nq)
-	for i, ed := range cp.edges {
-		cp.qEdges[ed.A] = append(cp.qEdges[ed.A], i)
-		cp.qEdges[ed.B] = append(cp.qEdges[ed.B], i)
-	}
-	for d, hz := range e.Dev.Stark {
-		if hz != 0 {
-			cp.starks = append(cp.starks, starkTerm{d.Src, d.Dst, hz * hzToRadPerNs})
-		}
-	}
-	sort.Slice(cp.starks, func(i, j int) bool {
-		if cp.starks[i].src != cp.starks[j].src {
-			return cp.starks[i].src < cp.starks[j].src
-		}
-		return cp.starks[i].dst < cp.starks[j].dst
-	})
-	cp.phi = make([]float64, nq)
-	cp.tau = make([]float64, nq)
-	cp.phiZZ = make([]float64, len(cp.edges))
-
 	for li := range c.Layers {
-		if err := cp.layer(&c.Layers[li], nq); err != nil {
-			return nil, fmt.Errorf("stab: layer %d: %w", li, err)
-		}
+		x.Lower(&cp.lw, &c.Layers[li])
+		cp.layer()
 	}
 	for q := 0; q < nq; q++ {
 		cp.flush(q)
@@ -394,241 +311,126 @@ func (e *Engine) compile(c *circuit.Circuit) (*program, error) {
 	return p, nil
 }
 
-// layer compiles one scheduled layer: event extraction mirroring the
-// statevector compiler, then a symbolic walk that accumulates coherent
-// phases between events and emits ops at them.
-func (cp *compiler) layer(l *circuit.Layer, nq int) error {
-	cp.rotary = make([]bool, nq)
-	cp.active = make([]bool, nq)
-	cp.driven = make([]bool, nq)
-	cp.gatePair = make([]bool, len(cp.edges))
-	var evs []cevent
-	seq := 0
-	emit := func(ev cevent) {
-		ev.seq = seq
-		seq++
-		evs = append(evs, ev)
-	}
-	dev := cp.e.Dev
-	for ii := range l.Instrs {
-		in := &l.Instrs[ii]
-		switch {
-		case in.Gate == gates.Delay || in.Gate == gates.Barrier:
-			continue
-		case in.Gate == gates.Measure:
-			cp.active[in.Qubits[0]] = true
-			emit(cevent{t: l.Start, kind: cevMeasure, q0: in.Qubits[0], cbit: in.CBit})
-		case gates.NumQubits(in.Gate) == 2:
-			q0, q1 := in.Qubits[0], in.Qubits[1]
-			cp.active[q0], cp.active[q1] = true, true
-			cp.driven[q0], cp.driven[q1] = true, true
-			cp.rotary[q1] = true
-			if i, ok := cp.edgeIdx[device.NewEdge(q0, q1)]; ok {
-				cp.gatePair[i] = true
-			}
-			errP := 5e-3
-			if p, ok := dev.Err2Q[device.NewEdge(q0, q1)]; ok {
-				errP = p
-			}
-			mid := l.Start + l.Duration/2
-			end := l.Start + l.Duration
-			switch in.Gate {
-			case gates.RZZ:
-				ei := cp.edgeIdx[device.NewEdge(q0, q1)]
-				emit(cevent{t: mid, kind: cevEchoFlip, q0: q0})
-				emit(cevent{t: end, kind: cevEchoFlip, q0: q0})
-				emit(cevent{t: end, kind: cevRZZ, q0: q0, q1: q1, angle: in.Params[0], edge: ei, ec: in.Tag == "ec"})
-				frac := math.Abs(in.Params[0]) / (math.Pi / 2)
-				if frac > 1 {
-					frac = 1
-				}
-				emit(cevent{t: end, kind: cevGateErr2, q0: q0, q1: q1, errP: errP * frac})
-			default: // ECR, CX, SWAP, Clifford Ucan/ZX: one ideal Clifford
-				tab := clifford2For(in.Gate, in.Params)
-				if tab == nil {
-					return fmt.Errorf("%s is not Clifford", in.Gate)
-				}
-				emit(cevent{t: l.Start, kind: cevClifford2, q0: q0, q1: q1, c2: tab, ecr: in.Gate == gates.ECR})
-				emit(cevent{t: mid, kind: cevEchoFlip, q0: q0})
-				emit(cevent{t: end, kind: cevGateErr2, q0: q0, q1: q1, errP: errP})
-			}
-		default: // one-qubit
-			q := in.Qubits[0]
-			if in.Tag != "dd" {
-				cp.active[q] = true
-			}
-			t := l.Start + in.Time
-			errP := dev.Err1Q[q]
-			if in.Tag == "twirl" {
-				errP = 0
-			}
-			switch in.Gate {
-			case gates.RZ:
-				emit(cevent{t: t, kind: cevVirtualZ, q0: q, angle: in.Params[0], ec: in.Tag == "ec"})
-			case gates.ZGate:
-				emit(cevent{t: t, kind: cevVirtualZ, q0: q, angle: math.Pi})
-			case gates.S:
-				emit(cevent{t: t, kind: cevVirtualZ, q0: q, angle: math.Pi / 2})
-			case gates.Sdg:
-				emit(cevent{t: t, kind: cevVirtualZ, q0: q, angle: -math.Pi / 2})
-			case gates.ID:
-				// no-op
-			case gates.XGate, gates.XDD:
-				emit(cevent{t: t, kind: cevPauliPulse, q0: q, p: pauli.X, errP: errP})
-			case gates.YGate:
-				emit(cevent{t: t, kind: cevPauliPulse, q0: q, p: pauli.Y, errP: errP})
-			default:
-				tab := clifford1For(in.Gate, in.Params)
-				if tab == nil {
-					return fmt.Errorf("%s%v is not Clifford", in.Gate, in.Params)
-				}
-				emit(cevent{t: t, kind: cevApply1Q, q0: q, c1: tab, errP: errP})
-			}
-		}
-	}
-	slices.SortFunc(evs, func(a, b cevent) int {
-		if a.t != b.t {
-			return cmp.Compare(a.t, b.t)
-		}
-		return cmp.Compare(a.seq, b.seq)
-	})
-
+// layer walks the lowered layer, accumulating coherent phases between
+// events and emitting ops at them.
+func (cp *compiler) layer() {
+	l := &cp.lw
 	cur := l.Start
-	for i := range evs {
-		ev := &evs[i]
-		cp.accumulate(cur, ev.t)
-		cur = ev.t
+	for i := range l.Events {
+		ev := &l.Events[i]
+		cp.accumulate(cur, ev.T)
+		cur = ev.T
 		cp.exec(ev)
 	}
-	cp.accumulate(cur, l.Start+l.Duration)
-	if cp.e.Cfg.EnableT1T2 && l.Duration > 0 {
-		for q := 0; q < nq; q++ {
-			cp.emitRelaxation(q, l.Duration)
+	cp.accumulate(cur, l.Start+l.Dur)
+	if cp.e.Cfg.EnableT1T2 && l.Dur > 0 {
+		for q := range cp.phi {
+			cp.emitRelaxation(q, l.Dur)
 		}
 	}
-	return nil
 }
 
-func (cp *compiler) exec(ev *cevent) {
+// exec emits the ops of one event. Supports has already checked that
+// every gate resolves to a Clifford table.
+func (cp *compiler) exec(ev *sim.Event) {
 	cfg := &cp.e.Cfg
-	switch ev.kind {
-	case cevClifford2:
-		if !ev.ecr {
+	in := ev.In
+	switch ev.Kind {
+	case sim.EvGate2Q:
+		if in.Gate != gates.ECR {
 			// Z does not generally commute through CX/SWAP/Ucan as
 			// modeled (their ghost echo is not a physical pulse), so both
 			// operands' pending phases materialize as channels here.
-			cp.flush(ev.q0)
+			cp.flush(ev.Q0)
 		}
 		// An ECR control's pending phases ride: ECR = X(ctrl)·ZX(pi/2)
-		// conjugates Z(ctrl) to -Z(ctrl), and the mid-gate echo-flip
-		// event applies exactly that sign — so coherent Z/ZZ terms on the
+		// conjugates Z(ctrl) to -Z(ctrl), and the mid-gate echo event
+		// applies exactly that sign — so coherent Z/ZZ terms on the
 		// control (including control-control ZZ, the CA-EC headline
 		// channel) stay in the accumulator until a genuinely
 		// non-commuting point, where a deferred EC compensation can still
 		// cancel them, matching the statevector kernel's algebra. The
 		// target's Z is rotated by ZX into non-diagonal form, so it must
 		// convert to a channel before the gate.
-		cp.flush(ev.q1)
-		cp.ops = append(cp.ops, op{kind: opCliff2, q0: ev.q0, q1: ev.q1, c2: ev.c2})
-	case cevPauliPulse:
-		cp.flipAccum(ev.q0)
-		cp.ops = append(cp.ops, op{kind: opPauliGate, q0: ev.q0, p: ev.p})
-		if cfg.EnableGateErr && ev.errP > 0 {
-			cp.emitDepol1(ev.q0, ev.errP)
+		cp.flush(ev.Q1)
+		cp.ops = append(cp.ops, op{kind: opCliff2, q0: ev.Q0, q1: ev.Q1, c2: clifford2For(in.Gate, in.Params)})
+	case sim.EvPulse:
+		cp.flipAccum(ev.Q0)
+		p := pauli.X
+		if in.Gate == gates.YGate {
+			p = pauli.Y
 		}
-	case cevVirtualZ:
-		if ev.ec {
+		cp.ops = append(cp.ops, op{kind: opPauliGate, q0: ev.Q0, p: p})
+		if cfg.EnableGateErr && ev.ErrP > 0 {
+			cp.emitDepol1(ev.Q0, ev.ErrP)
+		}
+	case sim.EvVirtualZ:
+		if in.Gate == gates.RZ && in.Tag == "ec" {
 			// A CA-EC compensation exists to cancel the error integral in
 			// this same accumulator; splitting off a Clifford part here
 			// would desynchronize the two whenever the compensation
 			// exceeds pi/4 (net -k*pi/2 at flush instead of ~0), so the
 			// full angle rides the accumulator exactly as it does in the
 			// statevector kernel.
-			cp.phi[ev.q0] += ev.angle
+			cp.phi[ev.Q0] += ev.Angle
 			return
 		}
-		k, delta := splitQuarter(ev.angle)
+		k, delta := splitQuarter(ev.Angle)
 		if k != 0 {
-			cp.ops = append(cp.ops, op{kind: opCliff1, q0: ev.q0, c1: sPowTable(k)})
+			cp.ops = append(cp.ops, op{kind: opCliff1, q0: ev.Q0, c1: sPowTable(k)})
 		}
-		cp.phi[ev.q0] += delta
-	case cevRZZ:
-		if ev.ec {
-			cp.phiZZ[ev.edge] += ev.angle
+		cp.phi[ev.Q0] += delta
+	case sim.EvRZZ:
+		if in.Tag == "ec" {
+			cp.phiZZ[ev.Edge] += ev.Angle
 			return
 		}
-		k, delta := splitQuarter(ev.angle)
+		k, delta := splitQuarter(ev.Angle)
 		if k != 0 {
-			cp.ops = append(cp.ops, op{kind: opCliff2, q0: ev.q0, q1: ev.q1, c2: clifford2For(gates.RZZ, []float64{float64(k) * math.Pi / 2})})
+			cp.ops = append(cp.ops, op{kind: opCliff2, q0: ev.Q0, q1: ev.Q1, c2: clifford2For(gates.RZZ, []float64{float64(k) * math.Pi / 2})})
 		}
-		cp.phiZZ[ev.edge] += delta
-	case cevEchoFlip:
-		cp.flipAccum(ev.q0)
-	case cevApply1Q:
-		cp.flush(ev.q0)
-		cp.ops = append(cp.ops, op{kind: opCliff1, q0: ev.q0, c1: ev.c1})
-		if cfg.EnableGateErr && ev.errP > 0 {
-			cp.emitDepol1(ev.q0, ev.errP)
+		cp.phiZZ[ev.Edge] += delta
+	case sim.EvEcho:
+		// Every gate's echo, the ECR's included: the Clifford applied at
+		// the gate start already holds the ECR's physical X.
+		cp.flipAccum(ev.Q0)
+	case sim.EvGate1Q:
+		cp.flush(ev.Q0)
+		cp.ops = append(cp.ops, op{kind: opCliff1, q0: ev.Q0, c1: clifford1For(in.Gate, in.Params)})
+		if cfg.EnableGateErr && ev.ErrP > 0 {
+			cp.emitDepol1(ev.Q0, ev.ErrP)
 		}
-	case cevGateErr2:
-		if cfg.EnableGateErr && ev.errP > 0 {
-			cp.ops = append(cp.ops, op{kind: opDepol2, q0: ev.q0, q1: ev.q1, prob: ev.errP})
+	case sim.EvGateErr2Q:
+		if cfg.EnableGateErr && ev.ErrP > 0 {
+			cp.ops = append(cp.ops, op{kind: opDepol2, q0: ev.Q0, q1: ev.Q1, prob: ev.ErrP})
 		}
-	case cevMeasure:
-		cp.flush(ev.q0)
+	case sim.EvMeasure:
+		cp.flush(ev.Q0)
 		flip := 0.0
 		if cfg.EnableReadoutErr {
-			flip = cp.e.Dev.ReadoutErr[ev.q0]
+			flip = cp.e.Dev.ReadoutErr[ev.Q0]
 		}
-		cp.ops = append(cp.ops, op{kind: opMeasure, q0: ev.q0, cbit: ev.cbit, prob: flip, mi: cp.nMeas})
+		cp.ops = append(cp.ops, op{kind: opMeasure, q0: ev.Q0, cbit: in.CBit, prob: flip, mi: cp.nMeas})
 		cp.nMeas++
 	}
 }
 
 // accumulate integrates the coherent crosstalk Hamiltonian over [from, to]
-// into the symbolic phase accumulators — the compile-time mirror of the
-// statevector shot's accumulate.
+// into the symbolic phase accumulators: the shared ZZ and Stark integral,
+// plus the signed time integral the flush turns into the parity and
+// quasistatic coherence factors.
 func (cp *compiler) accumulate(from, to float64) {
 	dt := to - from
 	if dt <= 0 {
 		return
 	}
 	cfg := &cp.e.Cfg
-	res := cp.e.Dev.RotaryResidual
-	if cfg.EnableZZ {
-		for i, ed := range cp.edges {
-			w := cp.omega[i]
-			if w == 0 || cp.gatePair[i] {
-				continue
-			}
-			fa, fb := 1.0, 1.0
-			if cp.rotary[ed.A] {
-				fa = res
-			}
-			if cp.rotary[ed.B] {
-				fb = res
-			}
-			cp.phiZZ[i] += w * dt * fa * fb
-			cp.phi[ed.A] -= w * dt * fa
-			cp.phi[ed.B] -= w * dt * fb
-		}
-	}
-	if cfg.EnableStark {
-		for _, st := range cp.starks {
-			if !cp.driven[st.src] || cp.active[st.dst] {
-				continue
-			}
-			f := 1.0
-			if cp.rotary[st.dst] {
-				f = res
-			}
-			cp.phi[st.dst] += st.w * dt * f
-		}
-	}
+	cp.x.Integrate(cfg, &cp.lw, dt, cp.phi, cp.phiZZ)
 	if cfg.EnableParity || cfg.EnableQuasistatic {
+		res := cp.e.Dev.RotaryResidual
 		for q := range cp.tau {
 			f := 1.0
-			if cp.rotary[q] {
+			if cp.lw.Rotary[q] {
 				f = res
 			}
 			cp.tau[q] += dt * f
@@ -640,7 +442,7 @@ func (cp *compiler) accumulate(from, to float64) {
 func (cp *compiler) flipAccum(q int) {
 	cp.phi[q] = -cp.phi[q]
 	cp.tau[q] = -cp.tau[q]
-	for _, ei := range cp.qEdges[q] {
+	for _, ei := range cp.x.QEdges[q] {
 		cp.phiZZ[ei] = -cp.phiZZ[ei]
 	}
 }
@@ -668,7 +470,7 @@ func (cp *compiler) flush(q int) {
 	if pz := (1 - c) / 2; pz > 1e-15 {
 		cp.ops = append(cp.ops, op{kind: opChan1, q0: q, thrXYZ: pz})
 	}
-	for _, ei := range cp.qEdges[q] {
+	for _, ei := range cp.x.QEdges[q] {
 		phi := cp.phiZZ[ei]
 		if phi == 0 {
 			continue
@@ -676,7 +478,7 @@ func (cp *compiler) flush(q int) {
 		cp.phiZZ[ei] = 0
 		s := math.Sin(phi / 2)
 		if pzz := s * s; pzz > 1e-15 {
-			ed := cp.edges[ei]
+			ed := cp.x.Edges[ei]
 			cp.ops = append(cp.ops, op{kind: opZZ, q0: ed.A, q1: ed.B, prob: pzz})
 		}
 	}

@@ -15,8 +15,9 @@
 //     pauli.CliffordTable tables the twirl pass uses — tracks each
 //     trajectory's deviation from it; and
 //   - a noise model derived from the device calibration via the
-//     Pauli-twirling approximation (PTA): the compiler walks the schedule
-//     exactly like the statevector kernel, integrating every
+//     Pauli-twirling approximation (PTA): the compiler walks the same
+//     lowered layers as the statevector kernel (sim.Crosstalk), with the
+//     same crosstalk integral between events, tracking every
 //     toggling-frame coherent-error angle (with sign flips at DD/echo/
 //     twirl pulses) and converting the surviving angles into Z and
 //     correlated Z(x)Z channel probabilities at the kernel's flush
