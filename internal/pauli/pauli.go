@@ -6,7 +6,6 @@ package pauli
 
 import (
 	"fmt"
-	"math/cmplx"
 
 	"casq/internal/linalg"
 )
@@ -84,14 +83,6 @@ func Mul(p, q Pauli) (phase int, r Pauli) {
 	e := mulTable[p][q]
 	return e.phase, e.res
 }
-
-// HasX reports whether p flips Z eigenstates (p is X or Y). Such Paulis act
-// as pi pulses for phase-type noise and toggle the dynamical-decoupling
-// frame.
-func (p Pauli) HasX() bool { return p == X || p == Y }
-
-// HasZ reports whether p contains a Z component (p is Z or Y).
-func (p Pauli) HasZ() bool { return p == Z || p == Y }
 
 // String is a multi-qubit Pauli operator with a phase i^Phase; Ops[k] acts on
 // qubit k.
@@ -320,17 +311,6 @@ func (s String) ExpectationOnState(v linalg.Vector) float64 {
 	return real(ph * ip)
 }
 
-// RandomSupported returns a uniformly random Pauli (possibly I) per qubit in
-// support, using the provided random source via the next() function which
-// must return uniform values in [0, 4).
-func RandomSupported(n int, support []int, next func() int) String {
-	s := NewString(n)
-	for _, q := range support {
-		s.Ops[q] = Pauli(next())
-	}
-	return s
-}
-
 // PhaseComplex converts a phase exponent to the complex unit i^k.
 func PhaseComplex(k int) complex128 {
 	switch ((k % 4) + 4) % 4 {
@@ -372,6 +352,3 @@ func CheckUnitaryPauli(m linalg.Matrix, n int) (String, bool) {
 		}
 	}
 }
-
-// AbsCmplx is a convenience wrapper (exported for tests of numerical code).
-func AbsCmplx(c complex128) float64 { return cmplx.Abs(c) }

@@ -79,15 +79,6 @@ func PulseTimes(k int, T float64, nBins int) []float64 {
 	return times
 }
 
-// NumPulses returns the pulse count of sequence k (on MinBins bins), the
-// quantity the coloring heuristic minimizes.
-func NumPulses(k int) int {
-	if k == 0 {
-		return 0
-	}
-	return len(PulseTimes(k, 1, MinBins(k)))
-}
-
 // SignIntegral returns the integral of the sign function of sequence k over
 // a unit window; it is 0 for all k >= 1.
 func SignIntegral(k, nBins int) float64 {
