@@ -19,9 +19,10 @@ import (
 // across runs and worker counts.
 //
 // Scorer and IntegrateFiltered share signIntegral/pairIntegral, so the
-// angles agree with the compensation passes' view of the same schedule;
-// only the accumulation container (slices vs maps) and the float summation
-// order differ.
+// angles agree with the compensation passes' view of the same schedule.
+// Both add ZZ terms in crosstalk-edge order and Stark shifts by ascending
+// source qubit, so only the accumulation container (slices vs maps)
+// differs.
 type Scorer struct {
 	dev   *device.Device
 	edges []device.Edge // crosstalk edges with nonzero ZZ, canonical order
@@ -170,8 +171,8 @@ func (s *Scorer) scoreLayer(l *circuit.Layer) float64 {
 		}
 	}
 	// Stark shifts from driven qubits onto idle neighbors, sources in
-	// ascending order (Integrate walks its Driven map; the scorer's fixed
-	// order is what makes the layout argmin bit-stable).
+	// ascending order as in IntegrateFiltered; the fixed order is what
+	// makes the layout argmin bit-stable.
 	for src := 0; src < len(s.sched); src++ {
 		if !s.sched[src].driven {
 			continue
