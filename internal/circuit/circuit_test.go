@@ -1,6 +1,7 @@
 package circuit
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -32,6 +33,81 @@ func TestQubitReusePanics(t *testing.T) {
 	l := &Layer{Kind: OneQubitLayer}
 	l.H(0)
 	l.X(0)
+}
+
+// TestLayerAddRule pins which appends Layer.Add accepts and the exact
+// panic of each one it rejects. The disjointness check runs first, skips
+// dd-tagged pulses and barriers, and ignores delays already in the layer,
+// but a delay added on a busy qubit is rejected (Validate, unlike Add,
+// lets delays share a qubit).
+func TestLayerAddRule(t *testing.T) {
+	one := func(g gates.Kind, q int) Instruction { return Instruction{Gate: g, Qubits: []int{q}} }
+	two := func(g gates.Kind, a, b int) Instruction { return Instruction{Gate: g, Qubits: []int{a, b}} }
+	ddX := Instruction{Gate: gates.XDD, Qubits: []int{0}, Tag: "dd", Time: 100}
+	dd2 := Instruction{Gate: gates.XDD, Qubits: []int{2}, Tag: "dd", Time: 100}
+	delay := Instruction{Gate: gates.Delay, Qubits: []int{0}, Params: []float64{100}}
+	cases := []struct {
+		name  string
+		kind  LayerKind
+		prior []Instruction
+		add   Instruction
+		panic string // "" when the append is accepted
+	}{
+		{"reuse in 1q layer", OneQubitLayer, []Instruction{one(gates.H, 0)}, one(gates.XGate, 0),
+			"circuit: qubit 0 used twice in one layer"},
+		{"gates share a target", TwoQubitLayer, []Instruction{two(gates.ECR, 0, 1)}, two(gates.ECR, 2, 1),
+			"circuit: qubit 1 used twice in one layer"},
+		{"disjoint gates", TwoQubitLayer, []Instruction{two(gates.ECR, 0, 1)}, two(gates.ECR, 2, 3), ""},
+		{"dd pulse on a gate qubit", TwoQubitLayer, []Instruction{two(gates.ECR, 0, 1)}, ddX, ""},
+		{"dd pulses repeat", TwoQubitLayer, []Instruction{two(gates.ECR, 0, 1), dd2}, dd2, ""},
+		{"gate after a dd pulse", TwoQubitLayer, []Instruction{dd2}, two(gates.ECR, 2, 3),
+			"circuit: qubit 2 used twice in one layer"},
+		{"gate after a delay", OneQubitLayer, []Instruction{delay}, one(gates.H, 0), ""},
+		{"delay after a delay", OneQubitLayer, []Instruction{delay}, delay, ""},
+		{"delay after a gate", OneQubitLayer, []Instruction{one(gates.H, 0)}, delay,
+			"circuit: qubit 0 used twice in one layer"},
+		{"delay beside a gate", TwoQubitLayer, []Instruction{two(gates.ECR, 0, 1)},
+			Instruction{Gate: gates.Delay, Qubits: []int{2}, Params: []float64{100}}, ""},
+		{"measure twice", MeasureLayer, []Instruction{{Gate: gates.Measure, Qubits: []int{0}}},
+			Instruction{Gate: gates.Measure, Qubits: []int{0}, CBit: 1}, "circuit: qubit 0 used twice in one layer"},
+		{"reuse before arity", OneQubitLayer, []Instruction{one(gates.H, 0)}, one(gates.ECR, 0),
+			"circuit: qubit 0 used twice in one layer"},
+		{"wrong arity", TwoQubitLayer, nil, one(gates.ECR, 0), "circuit: ecr expects 2 qubits, got 1"},
+		{"2q gate in 1q layer", OneQubitLayer, nil, two(gates.ECR, 0, 1), "circuit: ecr not allowed in 1q layer"},
+		{"2q gate in twirl layer", TwirlLayer, nil, two(gates.CX, 0, 1), "circuit: cx not allowed in twirl layer"},
+		{"1q gate in 2q layer", TwoQubitLayer, nil, one(gates.H, 0), ""},
+		{"measure in 2q layer", TwoQubitLayer, nil, one(gates.Measure, 0), "circuit: measure not allowed in 2q layer"},
+		{"2q gate in measure layer", MeasureLayer, nil, two(gates.ECR, 0, 1), "circuit: ecr not allowed in measure layer"},
+		{"barrier on a busy qubit", MeasureLayer, []Instruction{one(gates.Measure, 0)}, one(gates.Barrier, 0),
+			"circuit: barrier not allowed in measure layer"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			l := &Layer{Kind: c.kind}
+			for _, in := range c.prior {
+				l.Add(in)
+			}
+			got := func() (msg string) {
+				defer func() {
+					if r := recover(); r != nil {
+						msg = fmt.Sprint(r)
+					}
+				}()
+				l.Add(c.add)
+				return ""
+			}()
+			if got != c.panic {
+				t.Fatalf("Add panic = %q, want %q", got, c.panic)
+			}
+			want := len(c.prior)
+			if c.panic == "" {
+				want++
+			}
+			if len(l.Instrs) != want {
+				t.Fatalf("layer holds %d instructions, want %d", len(l.Instrs), want)
+			}
+		})
+	}
 }
 
 func TestDDPulsesMayRepeat(t *testing.T) {
