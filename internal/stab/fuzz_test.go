@@ -77,3 +77,29 @@ func FuzzStabOutcomesPossible(f *testing.F) {
 		}
 	})
 }
+
+// FuzzTableauMatchesPropagation is checkPropagation on decoded input:
+// the first byte gives n = 1 + byte mod 130, the next ceil(n/8) bytes S as
+// a little-endian qubit bitmask, and the rest three bytes per gate (kind,
+// then two qubit draws; see propStep).
+func FuzzTableauMatchesPropagation(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		n := 1 + int(data[0])%130
+		data = data[1:]
+		S := make([]bool, n)
+		for q := range S {
+			S[q] = q/8 < len(data) && data[q/8]>>(q%8)&1 == 1
+		}
+		data = data[min(len(data), (n+7)/8):]
+		var steps []tabStep
+		for i := 0; i+2 < len(data) && len(steps) < 1024; i += 3 {
+			if s, ok := propStep(int(data[i])%propKinds, int(data[i+1]), int(data[i+2]), n); ok {
+				steps = append(steps, s)
+			}
+		}
+		checkPropagation(t, n, steps, [][]bool{S})
+	})
+}

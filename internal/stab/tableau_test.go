@@ -174,3 +174,115 @@ func TestSplitQuarter(t *testing.T) {
 		}
 	}
 }
+
+// tabStep is one gate of a Clifford circuit driven both through the
+// tableau and through independent Pauli propagation: a one-qubit table
+// (c1), a Pauli gate (p), or a two-qubit table on (q0, q1) (c2).
+type tabStep struct {
+	c1     *pauli.Clifford1Q
+	p      pauli.Pauli
+	c2     *pauli.CliffordTable
+	q0, q1 int
+}
+
+// propKinds is the size of propStep's gate alphabet: H, S, Sdg, SX, SXdg
+// as tables, X, Y, Z as Pauli gates, ECR, CX, SWAP as two-qubit tables.
+const propKinds = 11
+
+// propStep decodes gate k of the alphabet on qubits a and b (reduced mod
+// n, b moved off a). It reports false for a two-qubit gate on one qubit.
+func propStep(k, a, b, n int) (tabStep, bool) {
+	s := tabStep{q0: a % n, q1: b % n}
+	switch {
+	case k < 5:
+		s.c1 = clifford1For([]gates.Kind{gates.H, gates.S, gates.Sdg, gates.SX, gates.SXdg}[k], nil)
+	case k < 8:
+		s.p = []pauli.Pauli{pauli.X, pauli.Y, pauli.Z}[k-5]
+	default:
+		if n < 2 {
+			return s, false
+		}
+		if s.q1 == s.q0 {
+			s.q1 = (s.q0 + 1) % n
+		}
+		s.c2 = clifford2For([]gates.Kind{gates.ECR, gates.CX, gates.SWAP}[k-8], nil)
+	}
+	return s, true
+}
+
+// checkPropagation applies steps to NewTableau(n) and, for each subset S,
+// conjugates +Z_S forward through the same steps with the pauli tables,
+// tracking the sign. Z_S stabilizes |0...0>, so its image stabilizes the
+// final state and the tableau must give it expectation exactly +1.
+func checkPropagation(t testing.TB, n int, steps []tabStep, subsets [][]bool) {
+	t.Helper()
+	tab := NewTableau(n)
+	for _, s := range steps {
+		switch {
+		case s.c1 != nil:
+			tab.ApplyClifford1(s.q0, s.c1)
+		case s.c2 != nil:
+			tab.ApplyClifford2(s.q0, s.q1, s.c2)
+		default:
+			tab.ApplyPauli(s.q0, s.p)
+		}
+	}
+	for _, S := range subsets {
+		img := pauli.NewString(n)
+		for q, in := range S {
+			if in {
+				img.Ops[q] = pauli.Z
+			}
+		}
+		for _, s := range steps {
+			neg := false
+			switch {
+			case s.c1 != nil:
+				c := s.c1.Conjugate(img.Ops[s.q0])
+				img.Ops[s.q0], neg = c.Out, c.Sign < 0
+			case s.c2 != nil:
+				c := s.c2.Conjugate(pauli.Pair{P0: img.Ops[s.q0], P1: img.Ops[s.q1]})
+				img.Ops[s.q0], img.Ops[s.q1], neg = c.Out.P0, c.Out.P1, c.Sign < 0
+			default:
+				neg = !img.Ops[s.q0].Commutes(s.p)
+			}
+			if neg {
+				img.Phase = (img.Phase + 2) % 4
+			}
+		}
+		got, err := tab.Expect(img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != 1 {
+			t.Fatalf("n=%d, %d gates: <%v> = %v, want exactly +1", n, len(steps), img, got)
+		}
+	}
+}
+
+// TestTableauMatchesPropagation runs checkPropagation on seeded random
+// circuits at qubit counts whose 2n+1 tableau rows fill one, two, three
+// and four 64-bit words, so every row-word boundary is crossed (the
+// statevector test's n = 4 fits one word).
+func TestTableauMatchesPropagation(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for _, n := range []int{31, 32, 33, 63, 64, 65, 127} {
+		for trial := 0; trial < 3; trial++ {
+			var steps []tabStep
+			for len(steps) < 6*n {
+				if s, ok := propStep(rng.Intn(propKinds), rng.Intn(n), rng.Intn(n), n); ok {
+					steps = append(steps, s)
+				}
+			}
+			subsets := make([][]bool, 12)
+			for i := range subsets {
+				subsets[i] = make([]bool, n)
+				density := rng.Float64()
+				for q := range subsets[i] {
+					subsets[i][q] = rng.Float64() < density
+				}
+			}
+			checkPropagation(t, n, steps, subsets)
+		}
+	}
+}
