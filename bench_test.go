@@ -358,7 +358,7 @@ func stab127Workload(b *testing.B) (*device.Device, *circuit.Circuit) {
 	layer := layerfid.TiledLayer(dev)
 	c := circuit.New(dev.NQubits, 0)
 	prep := c.AddLayer(circuit.OneQubitLayer)
-	for _, in := range layer.TwoQubitGates() {
+	for in := range layer.TwoQubitGates() {
 		prep.H(in.Qubits[0])
 	}
 	for d := 0; d < 4; d++ {
@@ -374,7 +374,10 @@ func stab127Workload(b *testing.B) (*device.Device, *circuit.Circuit) {
 func BenchmarkStabilizer127Q(b *testing.B) {
 	dev, c := stab127Workload(b)
 	obs := make([]sim.ObsSpec, 0, 8)
-	for _, in := range c.Layers[1].TwoQubitGates()[:8] {
+	for in := range c.Layers[1].TwoQubitGates() {
+		if len(obs) == 8 {
+			break
+		}
 		obs = append(obs, sim.ObsSpec{in.Qubits[0]: 'X'})
 	}
 	cfg := sim.DefaultConfig()
@@ -405,7 +408,10 @@ func BenchmarkStabBatch127Q(b *testing.B) {
 		b.Fatal(err)
 	}
 	obs := make([]sim.ObsSpec, 0, 8)
-	for _, in := range c.Layers[1].TwoQubitGates()[:8] {
+	for in := range c.Layers[1].TwoQubitGates() {
+		if len(obs) == 8 {
+			break
+		}
 		obs = append(obs, sim.ObsSpec{in.Qubits[0]: 'X'})
 	}
 	run := func(shots int) func(b *testing.B) {

@@ -12,6 +12,7 @@ package circuit
 
 import (
 	"fmt"
+	"iter"
 	"sort"
 	"strings"
 
@@ -93,14 +94,16 @@ func (l Layer) Clone() Layer {
 }
 
 // Add appends an instruction after validating qubit disjointness and kind
-// compatibility.
+// compatibility. The disjointness check scans the layer for a non-delay
+// instruction on each operand, so Add allocates nothing. DD pulses carry
+// explicit intra-layer times and may repeat on one qubit within a layer
+// window, so they (and barriers) skip the check.
 func (l *Layer) Add(in Instruction) *Layer {
-	used := l.ActiveQubits()
-	for _, q := range in.Qubits {
-		// DD pulses carry explicit intra-layer times and may repeat on one
-		// qubit within a layer window.
-		if used[q] && in.Gate != gates.Barrier && in.Tag != "dd" {
-			panic(fmt.Sprintf("circuit: qubit %d used twice in one layer", q))
+	if in.Gate != gates.Barrier && in.Tag != "dd" {
+		for _, q := range in.Qubits {
+			if l.gateIndex(q) >= 0 {
+				panic(fmt.Sprintf("circuit: qubit %d used twice in one layer", q))
+			}
 		}
 	}
 	arity := gates.NumQubits(in.Gate)
@@ -153,28 +156,39 @@ func (l *Layer) IdleQubits(n int) []int {
 
 // GateOn returns the non-delay instruction acting on q, if any.
 func (l *Layer) GateOn(q int) (Instruction, bool) {
-	for _, in := range l.Instrs {
+	if i := l.gateIndex(q); i >= 0 {
+		return l.Instrs[i], true
+	}
+	return Instruction{}, false
+}
+
+// gateIndex returns the index of the first non-delay instruction acting
+// on q, or -1.
+func (l *Layer) gateIndex(q int) int {
+	for i := range l.Instrs {
+		in := &l.Instrs[i]
 		if in.Gate == gates.Delay {
 			continue
 		}
 		for _, iq := range in.Qubits {
 			if iq == q {
-				return in, true
+				return i
 			}
 		}
 	}
-	return Instruction{}, false
+	return -1
 }
 
-// TwoQubitGates returns the 2-qubit gate instructions of the layer.
-func (l *Layer) TwoQubitGates() []Instruction {
-	var out []Instruction
-	for _, in := range l.Instrs {
-		if gates.NumQubits(in.Gate) == 2 {
-			out = append(out, in)
+// TwoQubitGates iterates over the layer's two-qubit gate instructions in
+// layer order, yielding pointers into Instrs without allocating.
+func (l *Layer) TwoQubitGates() iter.Seq[*Instruction] {
+	return func(yield func(*Instruction) bool) {
+		for i := range l.Instrs {
+			if gates.NumQubits(l.Instrs[i].Gate) == 2 && !yield(&l.Instrs[i]) {
+				return
+			}
 		}
 	}
-	return out
 }
 
 // Circuit is a layered quantum circuit.

@@ -227,7 +227,55 @@ func TestTwoQubitGates(t *testing.T) {
 	l.ECR(0, 1)
 	l.Ucan(2, 3, 0.1, 0.2, 0.3)
 	l.Add(Instruction{Gate: gates.Delay, Qubits: []int{4}, Params: []float64{10}})
-	if len(l.TwoQubitGates()) != 2 {
-		t.Error("TwoQubitGates count wrong")
+	var got []gates.Kind
+	for in := range l.TwoQubitGates() {
+		got = append(got, in.Gate)
+	}
+	if len(got) != 2 || got[0] != gates.ECR || got[1] != gates.Ucan {
+		t.Errorf("TwoQubitGates yields %v, want [ecr ucan]", got)
+	}
+}
+
+// TestLayerAddAllocs fills 127-qubit layers whose instruction and operand
+// slices are preallocated: Add's disjointness check and a pass over
+// TwoQubitGates allocate nothing.
+func TestLayerAddAllocs(t *testing.T) {
+	const n = 127
+	ops := make([][]int, n)
+	for q := range ops {
+		ops[q] = []int{q}
+	}
+	pairs := make([][]int, n/2)
+	for i := range pairs {
+		pairs[i] = []int{2 * i, 2*i + 1}
+	}
+	twirl := &Layer{Kind: TwirlLayer, Instrs: make([]Instruction, 0, n)}
+	if a := testing.AllocsPerRun(20, func() {
+		twirl.Instrs = twirl.Instrs[:0]
+		for q := 0; q < n; q++ {
+			twirl.Add(Instruction{Gate: gates.XGate, Qubits: ops[q], Tag: "twirl"})
+		}
+	}); a != 0 {
+		t.Errorf("filling a %d-qubit twirl layer: %v allocations, want 0", n, a)
+	}
+	gate := &Layer{Kind: TwoQubitLayer, Instrs: make([]Instruction, 0, 3*n)}
+	if a := testing.AllocsPerRun(20, func() {
+		gate.Instrs = gate.Instrs[:0]
+		for _, p := range pairs {
+			gate.Add(Instruction{Gate: gates.ECR, Qubits: p})
+		}
+		for q := 0; q < n; q++ {
+			gate.Add(Instruction{Gate: gates.XDD, Qubits: ops[q], Tag: "dd", Time: 100})
+			gate.Add(Instruction{Gate: gates.XDD, Qubits: ops[q], Tag: "dd", Time: 300})
+		}
+		ecrs := 0
+		for range gate.TwoQubitGates() {
+			ecrs++
+		}
+		if ecrs != len(pairs) {
+			t.Fatalf("TwoQubitGates yields %d gates, want %d", ecrs, len(pairs))
+		}
+	}); a != 0 {
+		t.Errorf("filling a %d-qubit gate layer with DD pulses: %v allocations, want 0", n, a)
 	}
 }

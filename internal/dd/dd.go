@@ -199,7 +199,9 @@ func concurrentGates(c *circuit.Circuit, w sched.Window) []circuit.Instruction {
 		if l.Start >= w.End || l.Start+l.Duration <= w.Start {
 			continue
 		}
-		out = append(out, l.TwoQubitGates()...)
+		for in := range l.TwoQubitGates() {
+			out = append(out, *in)
+		}
 	}
 	return out
 }
@@ -212,8 +214,12 @@ func splitAtGateLayers(c *circuit.Circuit, windows []sched.Window, minDur float6
 	var cuts []float64
 	for li := range c.Layers {
 		l := &c.Layers[li]
-		if len(l.TwoQubitGates()) > 0 && l.Duration > 0 {
+		if l.Duration <= 0 {
+			continue
+		}
+		for range l.TwoQubitGates() {
 			cuts = append(cuts, l.Start, l.Start+l.Duration)
+			break
 		}
 	}
 	sort.Float64s(cuts)

@@ -55,8 +55,12 @@ func Fig8LayerFidelity(sp Spec, opts Options) (Figure, error) {
 			// stabilizer engine — the only one that fits 127 qubits.
 			engine = exec.EngineAuto
 		}
+		ecrs := 0
+		for range layer.TwoQubitGates() {
+			ecrs++
+		}
 		fig.Notef("backend %s: full-device layer, %d ECR gates on %d qubits, engine %s",
-			opts.Backend, len(layer.TwoQubitGates()), dev.NQubits, engine)
+			opts.Backend, ecrs, dev.NQubits, engine)
 	} else {
 		devOpts := device.DefaultOptions()
 		devOpts.Seed = 47

@@ -39,7 +39,7 @@ type Partition struct {
 func Partitions(l *circuit.Layer, dev *device.Device) []Partition {
 	var parts []Partition
 	used := map[int]bool{}
-	for _, in := range l.TwoQubitGates() {
+	for in := range l.TwoQubitGates() {
 		parts = append(parts, Partition{
 			Qubits: []int{in.Qubits[0], in.Qubits[1]},
 			Label:  fmt.Sprintf("gate(%d,%d)", in.Qubits[0], in.Qubits[1]),

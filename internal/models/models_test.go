@@ -163,7 +163,11 @@ func TestCombinedFloquetIdealP00(t *testing.T) {
 
 func TestLayerFidelityLayerShape(t *testing.T) {
 	l := LayerFidelityLayer()
-	if len(l.TwoQubitGates()) != 3 {
+	ecrs := 0
+	for range l.TwoQubitGates() {
+		ecrs++
+	}
+	if ecrs != 3 {
 		t.Error("benchmark layer must have 3 ECR gates")
 	}
 	idle := l.IdleQubits(10)

@@ -252,7 +252,7 @@ func ConjugateLayer(l *circuit.Layer, s pauli.String) (pauli.String, error) {
 		pz[q/64] |= zb << (q % 64)
 	}
 	neg := false
-	for _, in := range l.TwoQubitGates() {
+	for in := range l.TwoQubitGates() {
 		tab := clifford2For(in.Gate, in.Params)
 		if tab == nil {
 			return pauli.String{}, fmt.Errorf("stab: %s is not Clifford", in.Gate)

@@ -82,14 +82,15 @@ func addPauli(l *circuit.Layer, p pauli.Pauli, q int) {
 func Instance(c *circuit.Circuit, scope Scope, rng *rand.Rand) (*circuit.Circuit, error) {
 	out := circuit.New(c.NQubits, c.NCBits)
 	for _, l := range c.Layers {
-		if l.Kind != circuit.TwoQubitLayer || len(l.TwoQubitGates()) == 0 {
+		if l.Kind != circuit.TwoQubitLayer {
 			out.Layers = append(out.Layers, l.Clone())
 			continue
 		}
 		pre := circuit.Layer{Kind: circuit.TwirlLayer}
 		post := circuit.Layer{Kind: circuit.TwirlLayer}
-		ok := true
-		for _, in := range l.TwoQubitGates() {
+		ok, gated := true, false
+		for in := range l.TwoQubitGates() {
+			gated = true
 			q0, q1 := in.Qubits[0], in.Qubits[1]
 			switch in.Gate {
 			case gates.ECR, gates.CX, gates.SWAP:
@@ -114,7 +115,7 @@ func Instance(c *circuit.Circuit, scope Scope, rng *rand.Rand) (*circuit.Circuit
 				ok = false
 			}
 		}
-		if !ok {
+		if !ok || !gated {
 			out.Layers = append(out.Layers, l.Clone())
 			continue
 		}
@@ -149,7 +150,7 @@ func Instances(c *circuit.Circuit, scope Scope, k int, rng *rand.Rand) ([]*circu
 // protocol to know which Pauli to measure after d layer applications.
 func PropagateThroughLayer(l *circuit.Layer, s pauli.String) (pauli.String, error) {
 	out := pauli.String{Ops: append([]pauli.Pauli(nil), s.Ops...), Phase: s.Phase}
-	for _, in := range l.TwoQubitGates() {
+	for in := range l.TwoQubitGates() {
 		tab, err := TableFor(in.Gate)
 		if err != nil {
 			return pauli.String{}, err
