@@ -39,7 +39,6 @@ import (
 	"casq/internal/circuit"
 	"casq/internal/device"
 	"casq/internal/obs"
-	"casq/internal/pauli"
 	"casq/internal/sim"
 )
 
@@ -234,53 +233,4 @@ func (e *Engine) Info(c *circuit.Circuit) (CompileInfo, error) {
 		return CompileInfo{}, err
 	}
 	return p.info(), nil
-}
-
-// ConjugateLayer conjugates a Pauli string through the ideal action of a
-// two-qubit Clifford layer using the engine's packed-row machinery:
-// s -> L s L^dagger with the sign tracked in the phase (0 or 2 added).
-// It is the tableau-side counterpart of twirl.PropagateThroughLayer and
-// is cross-checked against it property-wise.
-func ConjugateLayer(l *circuit.Layer, s pauli.String) (pauli.String, error) {
-	n := len(s.Ops)
-	words := (n + 63) / 64
-	px := make([]uint64, words)
-	pz := make([]uint64, words)
-	for q, p := range s.Ops {
-		xb, zb := xzFromPauli(p)
-		px[q/64] |= xb << (q % 64)
-		pz[q/64] |= zb << (q % 64)
-	}
-	neg := false
-	for in := range l.TwoQubitGates() {
-		tab := clifford2For(in.Gate, in.Params)
-		if tab == nil {
-			return pauli.String{}, fmt.Errorf("stab: %s is not Clifford", in.Gate)
-		}
-		q0, q1 := in.Qubits[0], in.Qubits[1]
-		w0, b0 := q0/64, uint(q0%64)
-		w1, b1 := q1/64, uint(q1%64)
-		p0 := pauliFromXZ((px[w0]>>b0)&1, (pz[w0]>>b0)&1)
-		p1 := pauliFromXZ((px[w1]>>b1)&1, (pz[w1]>>b1)&1)
-		c := tab.Conjugate(pauli.Pair{P0: p0, P1: p1})
-		nx0, nz0 := xzFromPauli(c.Out.P0)
-		nx1, nz1 := xzFromPauli(c.Out.P1)
-		px[w0] = px[w0]&^(1<<b0) | nx0<<b0
-		pz[w0] = pz[w0]&^(1<<b0) | nz0<<b0
-		px[w1] = px[w1]&^(1<<b1) | nx1<<b1
-		pz[w1] = pz[w1]&^(1<<b1) | nz1<<b1
-		if c.Sign < 0 {
-			neg = !neg
-		}
-	}
-	out := pauli.NewString(n)
-	out.Phase = s.Phase
-	if neg {
-		out.Phase = (out.Phase + 2) % 4
-	}
-	for q := 0; q < n; q++ {
-		w, b := q/64, uint(q%64)
-		out.Ops[q] = pauliFromXZ((px[w]>>b)&1, (pz[w]>>b)&1)
-	}
-	return out, nil
 }
