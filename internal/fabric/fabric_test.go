@@ -374,10 +374,6 @@ func TestDistributedBitIdentical(t *testing.T) {
 	defer c.Close()
 	ts := httptest.NewServer(c.Handler())
 	defer ts.Close()
-	sw, err := c.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var wg sync.WaitGroup
@@ -387,6 +383,17 @@ func TestDistributedBitIdentical(t *testing.T) {
 		w.Poll = 5 * time.Millisecond
 		wg.Add(1)
 		go func() { defer wg.Done(); w.Run(ctx) }()
+	}
+	// Submit only once both workers have polled the empty queue: a worker
+	// that starts late could otherwise find all four cells already done.
+	for deadline := time.Now().Add(10 * time.Second); c.Stats().Workers < 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("coordinator saw %d workers before the sweep, want 2", c.Stats().Workers)
+		}
+	}
+	sw, err := c.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
 	}
 	select {
 	case <-sw.Done():
