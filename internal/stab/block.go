@@ -126,18 +126,32 @@ func (b *bern) draw(r *wordRNG) uint64 {
 	return w
 }
 
-// symp2 is a two-qubit Clifford's conjugation action on the symplectic
-// bits, as masks: out[j] = XOR over i of (in[i] & m[i][j]), with i, j
-// running over (x0, z0, x1, z1). Built once per distinct CliffordTable.
-type symp2 struct {
-	m [4][4]uint64
+// symp1 is a one-qubit Clifford's conjugation action on the symplectic
+// bits, as masks: newX = (x & mxx) ^ (z & mzx); newZ = (x & mxz) ^ (z & mzz).
+// The bit-plane path applies it to 64 shots per word, the tableau to 64
+// rows per word.
+type symp1 struct {
+	mxx, mzx, mxz, mzz uint64
 }
 
 // onesIf expands a symplectic bit into a word mask.
 func onesIf(b uint64) uint64 { return -(b & 1) }
 
-func newSymp2(tbl *pauli.CliffordTable) *symp2 {
-	s := &symp2{}
+func newSymp1(tbl *pauli.Clifford1Q) symp1 {
+	ax, az := xzFromPauli(tbl.Conjugate(pauli.X).Out)
+	bx, bz := xzFromPauli(tbl.Conjugate(pauli.Z).Out)
+	return symp1{mxx: onesIf(ax), mzx: onesIf(bx), mxz: onesIf(az), mzz: onesIf(bz)}
+}
+
+// symp2 is a two-qubit Clifford's conjugation action on the symplectic
+// bits, as masks: out[j] = XOR over i of (in[i] & m[i][j]), with i, j
+// running over (x0, z0, x1, z1).
+type symp2 struct {
+	m [4][4]uint64
+}
+
+func newSymp2(tbl *pauli.CliffordTable) symp2 {
+	var s symp2
 	ins := [4]pauli.Pair{
 		{P0: pauli.X, P1: pauli.I},
 		{P0: pauli.Z, P1: pauli.I},
@@ -165,9 +179,8 @@ type blockOp struct {
 	kind   opKind
 	q0, q1 int32
 
-	// opCliff1: newX = (x & mxx) ^ (z & mzx); newZ = (x & mxz) ^ (z & mzz).
-	mxx, mzx, mxz, mzz uint64
-	// opCliff2 symplectic masks.
+	// opCliff1 and opCliff2 symplectic masks.
+	s1 symp1
 	sy *symp2
 
 	// Channel table: flip draws the 64-shot event mask; for opChan1 a
@@ -198,7 +211,7 @@ type blockProgram struct {
 // program, before the shot loop.
 func (p *program) blockPlan() *blockProgram {
 	bp := &blockProgram{nq: p.nq, ncb: p.ncb, ops: make([]blockOp, len(p.ops))}
-	c1memo := map[*pauli.Clifford1Q][4]uint64{}
+	c1memo := map[*pauli.Clifford1Q]symp1{}
 	c2memo := map[*pauli.CliffordTable]*symp2{}
 	for i := range p.ops {
 		o := &p.ops[i]
@@ -207,20 +220,17 @@ func (p *program) blockPlan() *blockProgram {
 		b.q0, b.q1 = int32(o.q0), int32(o.q1)
 		switch o.kind {
 		case opCliff1:
-			m, ok := c1memo[o.c1]
+			s1, ok := c1memo[o.c1]
 			if !ok {
-				cx := o.c1.Conjugate(pauli.X)
-				cz := o.c1.Conjugate(pauli.Z)
-				ax, az := xzFromPauli(cx.Out)
-				bx, bz := xzFromPauli(cz.Out)
-				m = [4]uint64{onesIf(ax), onesIf(bx), onesIf(az), onesIf(bz)}
-				c1memo[o.c1] = m
+				s1 = newSymp1(o.c1)
+				c1memo[o.c1] = s1
 			}
-			b.mxx, b.mzx, b.mxz, b.mzz = m[0], m[1], m[2], m[3]
+			b.s1 = s1
 		case opCliff2:
 			sy, ok := c2memo[o.c2]
 			if !ok {
-				sy = newSymp2(o.c2)
+				s2 := newSymp2(o.c2)
+				sy = &s2
 				c2memo[o.c2] = sy
 			}
 			b.sy = sy
@@ -311,8 +321,8 @@ func (f *blockFrame) run(bp *blockProgram) {
 		switch o.kind {
 		case opCliff1:
 			x, z := f.x[o.q0], f.z[o.q0]
-			f.x[o.q0] = (x & o.mxx) ^ (z & o.mzx)
-			f.z[o.q0] = (x & o.mxz) ^ (z & o.mzz)
+			f.x[o.q0] = (x & o.s1.mxx) ^ (z & o.s1.mzx)
+			f.z[o.q0] = (x & o.s1.mxz) ^ (z & o.s1.mzz)
 		case opCliff2:
 			m := &o.sy.m
 			x0, z0 := f.x[o.q0], f.z[o.q0]

@@ -10,31 +10,37 @@ import (
 
 // Tableau is a bit-packed Aaronson-Gottesman stabilizer tableau on n
 // qubits: rows 0..n-1 are destabilizer generators, rows n..2n-1 stabilizer
-// generators, plus one scratch row for deterministic-measurement phase
-// accumulation. Row Paulis are stored as X/Z bitmasks over uint64 words
-// with one sign bit per row, so a 127-qubit row is two words — conjugating
-// the full tableau through a layer of Cliffords is O(n rows * O(1) per
-// touched qubit), never 2^n.
+// generators, plus one scratch row (2n) for deterministic-measurement and
+// expectation phase accumulation. It is stored qubit-major, as stim
+// stores its tableaus (Gidney 2021): qubit q owns an X plane and a Z
+// plane of rw = ceil((2n+1)/64) row words, bit r of which is row r's X
+// (Z) bit at q, and one sign plane holds every row's sign. A gate on k
+// qubits therefore rewrites 2k planes of rw words — four words per plane
+// at 127 qubits — as mask arithmetic over all rows at once, never
+// visiting rows one by one. Row products (measurement and expectation
+// reconstruction) walk one bit per qubit.
 type Tableau struct {
-	n, words int
-	x, z     []uint64 // (2n+1) rows * words
-	sign     []bool   // per row: true = -1
+	n, words int      // qubits; qubit-axis words of a packed Pauli
+	rw       int      // row words per plane
+	x, z     []uint64 // plane q is [q*rw, (q+1)*rw)
+	sign     []uint64 // rw words: bit r set = row r is negated
 }
 
 // NewTableau returns the tableau of |0...0>: destabilizer i = X_i,
 // stabilizer i = Z_i, all signs +.
 func NewTableau(n int) *Tableau {
-	words := (n + 63) / 64
+	rw := (2*n + 1 + 63) / 64
 	t := &Tableau{
 		n:     n,
-		words: words,
-		x:     make([]uint64, (2*n+1)*words),
-		z:     make([]uint64, (2*n+1)*words),
-		sign:  make([]bool, 2*n+1),
+		words: (n + 63) / 64,
+		rw:    rw,
+		x:     make([]uint64, n*rw),
+		z:     make([]uint64, n*rw),
+		sign:  make([]uint64, rw),
 	}
 	for i := 0; i < n; i++ {
-		t.x[i*words+i/64] |= 1 << (i % 64)
-		t.z[(n+i)*words+i/64] |= 1 << (i % 64)
+		t.x[i*rw+i/64] |= 1 << (i % 64)
+		t.z[i*rw+(n+i)/64] |= 1 << ((n + i) % 64)
 	}
 	return t
 }
@@ -42,20 +48,9 @@ func NewTableau(n int) *Tableau {
 // N returns the qubit count.
 func (t *Tableau) N() int { return t.n }
 
-// rowPauli extracts the Pauli of row r at qubit q.
-func (t *Tableau) rowPauli(r, q int) pauli.Pauli {
-	w, b := q/64, uint(q%64)
-	xb := (t.x[r*t.words+w] >> b) & 1
-	zb := (t.z[r*t.words+w] >> b) & 1
-	return pauliFromXZ(xb, zb)
-}
-
-// setRowPauli writes the Pauli of row r at qubit q.
-func (t *Tableau) setRowPauli(r, q int, p pauli.Pauli) {
-	w, b := q/64, uint(q%64)
-	xb, zb := xzFromPauli(p)
-	t.x[r*t.words+w] = t.x[r*t.words+w]&^(1<<b) | xb<<b
-	t.z[r*t.words+w] = t.z[r*t.words+w]&^(1<<b) | zb<<b
+// planes returns the X and Z planes of qubit q.
+func (t *Tableau) planes(q int) (xq, zq []uint64) {
+	return t.x[q*t.rw : (q+1)*t.rw], t.z[q*t.rw : (q+1)*t.rw]
 }
 
 // pauliFromXZ maps symplectic bits to a Pauli: (0,0)=I, (1,0)=X, (1,1)=Y,
@@ -84,50 +79,127 @@ func xzFromPauli(p pauli.Pauli) (xb, zb uint64) {
 	return 0, 0
 }
 
-// ApplyClifford1 conjugates every row through a one-qubit Clifford on q.
+// byPauli splits one word of a qubit's X and Z planes by the rows' factor
+// there, indexed like pauli.Pauli: I, X, Y, Z.
+func byPauli(x, z uint64) [4]uint64 {
+	return [4]uint64{^(x | z), x &^ z, x & z, z &^ x}
+}
+
+// ApplyClifford1 conjugates every row through a one-qubit Clifford on q:
+// the symplectic masks the bit-plane path uses (symp1), plus a sign flip
+// on the rows whose factor at q the table negates.
 func (t *Tableau) ApplyClifford1(q int, tbl *pauli.Clifford1Q) {
-	for r := 0; r < 2*t.n; r++ {
-		p := t.rowPauli(r, q)
-		if p == pauli.I {
-			continue
+	s := newSymp1(tbl)
+	var neg uint8 // bit p set: tbl negates Pauli p
+	for p := pauli.X; p <= pauli.Z; p++ {
+		if tbl.Conjugate(p).Sign < 0 {
+			neg |= 1 << p
 		}
-		c := tbl.Conjugate(p)
-		t.setRowPauli(r, q, c.Out)
-		if c.Sign < 0 {
-			t.sign[r] = !t.sign[r]
+	}
+	xq, zq := t.planes(q)
+	for w := range t.sign {
+		x, z := xq[w], zq[w]
+		by := byPauli(x, z)
+		for k := neg; k != 0; k &= k - 1 {
+			t.sign[w] ^= by[bits.TrailingZeros8(k)]
 		}
+		xq[w] = (x & s.mxx) ^ (z & s.mzx)
+		zq[w] = (x & s.mxz) ^ (z & s.mzz)
 	}
 }
 
 // ApplyClifford2 conjugates every row through a two-qubit Clifford whose
-// first operand is q0 (the Pair.P0 slot of the table).
+// first operand is q0 (the Pair.P0 slot of the table): the symplectic
+// masks the bit-plane path uses (symp2), plus a sign flip on the rows
+// whose factor pair at (q0, q1) the table negates.
 func (t *Tableau) ApplyClifford2(q0, q1 int, tbl *pauli.CliffordTable) {
-	for r := 0; r < 2*t.n; r++ {
-		p0 := t.rowPauli(r, q0)
-		p1 := t.rowPauli(r, q1)
-		if p0 == pauli.I && p1 == pauli.I {
-			continue
+	s := newSymp2(tbl)
+	m := &s.m
+	var neg uint16 // bit 4*P0+P1 set: tbl negates P0 (x) P1
+	for k := 1; k < 16; k++ {
+		if tbl.Conjugate(pauli.Pair{P0: pauli.Pauli(k >> 2), P1: pauli.Pauli(k & 3)}).Sign < 0 {
+			neg |= 1 << k
 		}
-		c := tbl.Conjugate(pauli.Pair{P0: p0, P1: p1})
-		t.setRowPauli(r, q0, c.Out.P0)
-		t.setRowPauli(r, q1, c.Out.P1)
-		if c.Sign < 0 {
-			t.sign[r] = !t.sign[r]
+	}
+	x0p, z0p := t.planes(q0)
+	x1p, z1p := t.planes(q1)
+	for w := range t.sign {
+		x0, z0, x1, z1 := x0p[w], z0p[w], x1p[w], z1p[w]
+		by0, by1 := byPauli(x0, z0), byPauli(x1, z1)
+		for k := neg; k != 0; k &= k - 1 {
+			i := bits.TrailingZeros16(k)
+			t.sign[w] ^= by0[i>>2] & by1[i&3]
 		}
+		x0p[w] = (x0 & m[0][0]) ^ (z0 & m[1][0]) ^ (x1 & m[2][0]) ^ (z1 & m[3][0])
+		z0p[w] = (x0 & m[0][1]) ^ (z0 & m[1][1]) ^ (x1 & m[2][1]) ^ (z1 & m[3][1])
+		x1p[w] = (x0 & m[0][2]) ^ (z0 & m[1][2]) ^ (x1 & m[2][2]) ^ (z1 & m[3][2])
+		z1p[w] = (x0 & m[0][3]) ^ (z0 & m[1][3]) ^ (x1 & m[2][3]) ^ (z1 & m[3][3])
 	}
 }
 
 // ApplyPauli conjugates every row through a Pauli gate on q: rows whose
-// factor at q anticommutes with p flip sign.
+// factor at q anticommutes with p flip sign, one masked XOR per row word.
 func (t *Tableau) ApplyPauli(q int, p pauli.Pauli) {
-	if p == pauli.I {
-		return
+	xb, zb := xzFromPauli(p)
+	mx, mz := onesIf(zb), onesIf(xb) // symplectic product: x_row*z_p ^ z_row*x_p
+	xq, zq := t.planes(q)
+	for w := range t.sign {
+		t.sign[w] ^= xq[w]&mx ^ zq[w]&mz
 	}
-	for r := 0; r < 2*t.n; r++ {
-		if !t.rowPauli(r, q).Commutes(p) {
-			t.sign[r] = !t.sign[r]
+}
+
+// negated reports whether row r carries a minus sign.
+func (t *Tableau) negated(r int) bool { return t.sign[r/64]>>(r%64)&1 == 1 }
+
+// setSign sets row r's sign (true = -1).
+func (t *Tableau) setSign(r int, neg bool) {
+	t.sign[r/64] &^= 1 << (r % 64)
+	if neg {
+		t.sign[r/64] |= 1 << (r % 64)
+	}
+}
+
+// row returns row r as packed X/Z masks over the qubit axis.
+func (t *Tableau) row(r int) (px, pz []uint64) {
+	px, pz = make([]uint64, t.words), make([]uint64, t.words)
+	w, b := r/64, uint(r%64)
+	for q := 0; q < t.n; q++ {
+		px[q/64] |= (t.x[q*t.rw+w] >> b & 1) << (q % 64)
+		pz[q/64] |= (t.z[q*t.rw+w] >> b & 1) << (q % 64)
+	}
+	return px, pz
+}
+
+// copyRow sets row dst to row src, sign included.
+func (t *Tableau) copyRow(dst, src int) {
+	ws, bs := src/64, uint(src%64)
+	wd, bd := dst/64, uint(dst%64)
+	for i := dst / 64; i < len(t.x); i += t.rw {
+		t.x[i] = t.x[i]&^(1<<bd) | (t.x[i-wd+ws]>>bs&1)<<bd
+		t.z[i] = t.z[i]&^(1<<bd) | (t.z[i-wd+ws]>>bs&1)<<bd
+	}
+	t.setSign(dst, t.negated(src))
+}
+
+// clearRow sets row r to +I.
+func (t *Tableau) clearRow(r int) {
+	for i := r / 64; i < len(t.x); i += t.rw {
+		t.x[i] &^= 1 << (r % 64)
+		t.z[i] &^= 1 << (r % 64)
+	}
+	t.setSign(r, false)
+}
+
+// nextRow returns the first row in [r, hi) whose bit is set in plane, or
+// hi when there is none.
+func nextRow(plane []uint64, r, hi int) int {
+	for r < hi {
+		if w := plane[r/64] >> (r % 64); w != 0 {
+			return min(r+bits.TrailingZeros64(w), hi)
 		}
+		r = (r/64 + 1) * 64
 	}
+	return hi
 }
 
 // mulRowFrom sets row dst := row src * row dst with exact sign tracking.
@@ -136,44 +208,35 @@ func (t *Tableau) ApplyPauli(q int, p pauli.Pauli) {
 // result), which is asserted.
 func (t *Tableau) mulRowFrom(dst, src int) {
 	phase := 0 // exponent of i, mod 4
-	if t.sign[dst] {
+	if t.negated(dst) {
 		phase += 2
 	}
-	if t.sign[src] {
+	if t.negated(src) {
 		phase += 2
 	}
+	ws, bs := src/64, uint(src%64)
+	wd, bd := dst/64, uint(dst%64)
 	for q := 0; q < t.n; q++ {
-		ps := t.rowPauli(src, q)
-		pd := t.rowPauli(dst, q)
-		if ps == pauli.I || pd == pauli.I {
+		is, id := q*t.rw+ws, q*t.rw+wd
+		xs, zs := t.x[is]>>bs&1, t.z[is]>>bs&1
+		if xs|zs == 0 {
 			continue
 		}
-		k, _ := pauli.Mul(ps, pd)
-		phase += k
-	}
-	for w := 0; w < t.words; w++ {
-		t.x[dst*t.words+w] ^= t.x[src*t.words+w]
-		t.z[dst*t.words+w] ^= t.z[src*t.words+w]
+		if xd, zd := t.x[id]>>bd&1, t.z[id]>>bd&1; xd|zd != 0 {
+			k, _ := pauli.Mul(pauliFromXZ(xs, zs), pauliFromXZ(xd, zd))
+			phase += k
+		}
+		t.x[id] ^= xs << bd
+		t.z[id] ^= zs << bd
 	}
 	switch phase % 4 {
 	case 0:
-		t.sign[dst] = false
+		t.setSign(dst, false)
 	case 2:
-		t.sign[dst] = true
+		t.setSign(dst, true)
 	default:
 		panic(fmt.Sprintf("stab: non-Hermitian row product (phase i^%d)", phase%4))
 	}
-}
-
-// anticommutesMask reports whether row r anticommutes with the packed
-// Pauli (px, pz): the symplectic form parity over all qubits.
-func (t *Tableau) anticommutesMask(r int, px, pz []uint64) bool {
-	var par uint64
-	for w := 0; w < t.words; w++ {
-		par ^= t.x[r*t.words+w] & pz[w]
-		par ^= t.z[r*t.words+w] & px[w]
-	}
-	return parity64(par)
 }
 
 func parity64(v uint64) bool { return bits.OnesCount64(v)&1 == 1 }
@@ -187,54 +250,38 @@ func parity64(v uint64) bool { return bits.OnesCount64(v)&1 == 1 }
 // nondeterministic outcomes per shot without losing multi-qubit outcome
 // correlations.
 func (t *Tableau) MeasureZ(q int, rng *rand.Rand) (bit int, deterministic bool, flipX, flipZ []uint64) {
-	w, b := q/64, uint(q%64)
-	p := -1
-	for r := t.n; r < 2*t.n; r++ {
-		if (t.x[r*t.words+w]>>b)&1 == 1 {
-			p = r
-			break
-		}
-	}
-	if p >= 0 {
+	n := t.n
+	xq, _ := t.planes(q)
+	if p := nextRow(xq, n, 2*n); p < 2*n {
 		// Nondeterministic: record the anticommuting stabilizer for frame
 		// redraws, then perform the standard CHP update. Destabilizer p-n
 		// is skipped: it always anticommutes with stabilizer p (their
-		// product is non-Hermitian) and is overwritten just below.
-		flipX = append([]uint64(nil), t.x[p*t.words:(p+1)*t.words]...)
-		flipZ = append([]uint64(nil), t.z[p*t.words:(p+1)*t.words]...)
-		d := p - t.n
-		for r := 0; r < 2*t.n; r++ {
-			if r != p && r != d && (t.x[r*t.words+w]>>b)&1 == 1 {
+		// product is non-Hermitian) and is overwritten just below. Each
+		// product changes only its own row, so the rows still to visit
+		// read as before the update.
+		flipX, flipZ = t.row(p)
+		d := p - n
+		for r := nextRow(xq, 0, 2*n); r < 2*n; r = nextRow(xq, r+1, 2*n) {
+			if r != p && r != d {
 				t.mulRowFrom(r, p)
 			}
 		}
 		// Destabilizer p-n := old stabilizer p; stabilizer p := +/- Z_q.
-		copy(t.x[d*t.words:(d+1)*t.words], t.x[p*t.words:(p+1)*t.words])
-		copy(t.z[d*t.words:(d+1)*t.words], t.z[p*t.words:(p+1)*t.words])
-		t.sign[d] = t.sign[p]
-		for i := 0; i < t.words; i++ {
-			t.x[p*t.words+i] = 0
-			t.z[p*t.words+i] = 0
-		}
-		t.z[p*t.words+w] = 1 << b
+		t.copyRow(d, p)
+		t.clearRow(p)
+		t.z[q*t.rw+p/64] |= 1 << (p % 64)
 		bit = rng.Intn(2)
-		t.sign[p] = bit == 1
+		t.setSign(p, bit == 1)
 		return bit, false, flipX, flipZ
 	}
 	// Deterministic: accumulate stabilizer rows paired with destabilizers
 	// that contain X_q into the scratch row; its sign is the outcome.
-	sc := 2 * t.n
-	for i := 0; i < t.words; i++ {
-		t.x[sc*t.words+i] = 0
-		t.z[sc*t.words+i] = 0
+	sc := 2 * n
+	t.clearRow(sc)
+	for r := nextRow(xq, 0, n); r < n; r = nextRow(xq, r+1, n) {
+		t.mulRowFrom(sc, r+n)
 	}
-	t.sign[sc] = false
-	for r := 0; r < t.n; r++ {
-		if (t.x[r*t.words+w]>>b)&1 == 1 {
-			t.mulRowFrom(sc, r+t.n)
-		}
-	}
-	if t.sign[sc] {
+	if t.negated(sc) {
 		bit = 1
 	}
 	return bit, true, nil, nil
@@ -243,32 +290,49 @@ func (t *Tableau) MeasureZ(q int, rng *rand.Rand) (bit int, deterministic bool, 
 // ExpectPacked returns <psi| P |psi> for the packed Pauli (px, pz) with
 // the given sign (true = -P): exactly +1, -1, or 0 on a stabilizer state.
 func (t *Tableau) ExpectPacked(px, pz []uint64, neg bool) float64 {
-	for r := t.n; r < 2*t.n; r++ {
-		if t.anticommutesMask(r, px, pz) {
-			return 0
+	// Bit r of anti is the symplectic product of row r with P, summed over
+	// P's support: every row's anticommutation at once.
+	anti := make([]uint64, t.rw)
+	for w := range px {
+		for s := px[w] | pz[w]; s != 0; s &= s - 1 {
+			b := bits.TrailingZeros64(s)
+			q := w*64 + b
+			if q >= t.n {
+				break
+			}
+			xq, zq := t.planes(q)
+			if pz[w]>>b&1 == 1 {
+				for i := range anti {
+					anti[i] ^= xq[i]
+				}
+			}
+			if px[w]>>b&1 == 1 {
+				for i := range anti {
+					anti[i] ^= zq[i]
+				}
+			}
 		}
+	}
+	n := t.n
+	if nextRow(anti, n, 2*n) < 2*n {
+		return 0
 	}
 	// P commutes with the whole group, so it is +/- a product of
 	// stabilizer generators: generator i participates iff destabilizer i
 	// anticommutes with P.
-	sc := 2 * t.n
-	for i := 0; i < t.words; i++ {
-		t.x[sc*t.words+i] = 0
-		t.z[sc*t.words+i] = 0
+	sc := 2 * n
+	t.clearRow(sc)
+	for r := nextRow(anti, 0, n); r < n; r = nextRow(anti, r+1, n) {
+		t.mulRowFrom(sc, r+n)
 	}
-	t.sign[sc] = false
-	for r := 0; r < t.n; r++ {
-		if t.anticommutesMask(r, px, pz) {
-			t.mulRowFrom(sc, r+t.n)
-		}
-	}
-	for w := 0; w < t.words; w++ {
-		if t.x[sc*t.words+w] != px[w] || t.z[sc*t.words+w] != pz[w] {
+	rx, rz := t.row(sc)
+	for w := range rx {
+		if rx[w] != px[w] || rz[w] != pz[w] {
 			panic("stab: stabilizer-product reconstruction mismatch")
 		}
 	}
 	val := 1.0
-	if t.sign[sc] != neg {
+	if t.negated(sc) != neg {
 		val = -1
 	}
 	return val
