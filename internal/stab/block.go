@@ -206,12 +206,11 @@ type blockProgram struct {
 }
 
 // blockPlan lowers the program's op stream into bit-plane form:
-// per-Clifford symplectic mask derivation (memoized per table) and
+// per-Clifford symplectic masks (two-qubit ones shared per table) and
 // per-channel alias/threshold table construction. Called once per compiled
 // program, before the shot loop.
 func (p *program) blockPlan() *blockProgram {
 	bp := &blockProgram{nq: p.nq, ncb: p.ncb, ops: make([]blockOp, len(p.ops))}
-	c1memo := map[*pauli.Clifford1Q]symp1{}
 	c2memo := map[*pauli.CliffordTable]*symp2{}
 	for i := range p.ops {
 		o := &p.ops[i]
@@ -220,12 +219,7 @@ func (p *program) blockPlan() *blockProgram {
 		b.q0, b.q1 = int32(o.q0), int32(o.q1)
 		switch o.kind {
 		case opCliff1:
-			s1, ok := c1memo[o.c1]
-			if !ok {
-				s1 = newSymp1(o.c1)
-				c1memo[o.c1] = s1
-			}
-			b.s1 = s1
+			b.s1 = newSymp1(o.c1)
 		case opCliff2:
 			sy, ok := c2memo[o.c2]
 			if !ok {
