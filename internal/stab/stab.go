@@ -10,8 +10,9 @@
 // splits a compiled circuit into
 //
 //   - an ideal Clifford skeleton, simulated exactly: a bit-packed
-//     Aaronson-Gottesman tableau produces one reference trajectory, and a
-//     per-shot Pauli frame — conjugated through the same
+//     Aaronson-Gottesman tableau, stored qubit-major so a gate rewrites
+//     only its qubits' row-word planes, produces one reference
+//     trajectory, and a per-shot Pauli frame — conjugated through the same
 //     pauli.CliffordTable tables the twirl pass uses — tracks each
 //     trajectory's deviation from it; and
 //   - a noise model derived from the device calibration via the
