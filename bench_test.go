@@ -15,7 +15,6 @@ import (
 	"casq"
 	"casq/internal/caec"
 	"casq/internal/circuit"
-	"casq/internal/correl"
 	"casq/internal/dd"
 	"casq/internal/device"
 	"casq/internal/exec"
@@ -545,49 +544,6 @@ func BenchmarkLayoutPipeline127Q(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkCorrelations127Q measures the correlation-spectroscopy
-// estimator at full scale: the two-point covariance/correlation matrix of
-// 127 outcome planes (8001 pairs) over 10^4 shots, word-parallel XOR
-// popcount reductions plus the delete-one-block jackknife, reported as a
-// pairs/s metric. The scalar sub-benchmark runs the retained per-shot reference estimator on
-// the same planes, so pairs/s(packed)/pairs/s(scalar) is the word-level
-// speedup on this machine.
-func BenchmarkCorrelations127Q(b *testing.B) {
-	const (
-		n     = 127
-		shots = 10_000
-	)
-	rng := rand.New(rand.NewSource(9))
-	pb := sim.NewPackedBits(n, shots)
-	for c := 0; c < n; c++ {
-		for w := range pb.Planes[c] {
-			// Sparse-ish flips (~6% rate), matching a weak-noise device.
-			pb.Planes[c][w] = rng.Uint64() & rng.Uint64() & rng.Uint64() & rng.Uint64()
-		}
-	}
-	pairs := float64(correl.Pairs(n))
-	b.Run("packed", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			m := correl.Estimate(pb)
-			if m.Shots != shots {
-				b.Fatal("wrong shot count")
-			}
-		}
-		b.ReportMetric(pairs*float64(b.N)/b.Elapsed().Seconds(), "pairs/s")
-	})
-	b.Run("scalar", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			m := correl.EstimateScalar(pb)
-			if m.Shots != shots {
-				b.Fatal("wrong shot count")
-			}
-		}
-		b.ReportMetric(pairs*float64(b.N)/b.Elapsed().Seconds(), "pairs/s")
-	})
 }
 
 // BenchmarkFigC1Decay regenerates the correlation-decay figure under the

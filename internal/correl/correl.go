@@ -5,25 +5,20 @@
 // Edmunds et al. measure directly and the paper's context-aware passes are
 // designed to suppress.
 //
-// The estimator never unpacks shots to bytes. For a pair (i, j) the three
+// The estimator never unpacks shots to bytes. For a pair (i, j) the two
 // sufficient statistics are popcount reductions over 64-shot words:
 //
 //	n1[i]      = popcount(P_i)            one flip count per plane
-//	nxor(i,j)  = popcount(P_i XOR P_j)    shots where exactly one flipped
-//	n11(i,j)   = (n1[i] + n1[j] - nxor)/2 joint flips, recovered without AND
+//	n11(i,j)   = popcount(P_i AND P_j)    joint flips
 //
 // from which Cov(i,j) = n11/S - p_i p_j and Corr = Cov/sqrt(p_i q_i p_j q_j).
 // Standard errors come from a delete-one-block jackknife over the 64-shot
 // words (the shot-resampling granularity the bit-plane layout gives for
 // free), so every reported covariance carries an honest uncertainty and
 // tests can pin estimates with k-sigma bounds instead of eyeballed
-// tolerances.
-//
-// A naive per-shot scalar reference (EstimateScalar) counts the same
-// statistics by walking individual bits; the two paths share every
-// floating-point step after counting, so they are bit-identical whenever
-// the integer counts agree — the differential test that would catch any
-// tail-word mask leaking invalid bits into a popcount.
+// tolerances. The jackknife costs one pass over the words per pair, and a
+// figure reads an SE for only the few pairs above its reporting floor, so
+// the Matrix keeps the planes and runs it for one pair when asked.
 package correl
 
 import (
@@ -47,11 +42,15 @@ type Matrix struct {
 	// N11 is the per-pair joint flip count (both bits 1 in one shot).
 	N11 []int
 	// Cov and Corr are the per-pair covariance and Pearson correlation of
-	// the two flip indicators. SECov and SECorr are their delete-one-block
-	// jackknife standard errors (zero when the record holds a single
-	// 64-shot word — one block cannot be resampled).
-	Cov, Corr     []float64
-	SECov, SECorr []float64
+	// the two flip indicators. SECovAt and SECorrAt give their standard
+	// errors.
+	Cov, Corr []float64
+
+	// words is the 64-shot word count of the record; planes holds a copy
+	// of the outcome planes, bit i's words at [i*words, (i+1)*words),
+	// with the bits past Shots cleared.
+	words  int
+	planes []uint64
 }
 
 // PairIndex maps a pair i < j on n bits to its packed upper-triangular
@@ -69,11 +68,47 @@ func (m Matrix) CovAt(i, j int) float64 { return m.pairVal(m.Cov, i, j) }
 // CorrAt returns the flip correlation of the pair (order-free).
 func (m Matrix) CorrAt(i, j int) float64 { return m.pairVal(m.Corr, i, j) }
 
-// SECovAt returns the jackknife standard error of CovAt.
-func (m Matrix) SECovAt(i, j int) float64 { return m.pairVal(m.SECov, i, j) }
+// SECovAt returns the delete-one-block jackknife standard error of CovAt
+// (order-free). It is zero when the record holds a single 64-shot word:
+// one block cannot be resampled.
+func (m Matrix) SECovAt(i, j int) float64 { return m.jackknife(i, j, covOf) }
 
-// SECorrAt returns the jackknife standard error of CorrAt.
-func (m Matrix) SECorrAt(i, j int) float64 { return m.pairVal(m.SECorr, i, j) }
+// SECorrAt returns the delete-one-block jackknife standard error of
+// CorrAt, on the same terms as SECovAt.
+func (m Matrix) SECorrAt(i, j int) float64 { return m.jackknife(i, j, corrOf) }
+
+// plane returns bit i's masked outcome words.
+func (m Matrix) plane(i int) []uint64 { return m.planes[i*m.words : (i+1)*m.words] }
+
+// jackknife runs the delete-one-word jackknife of stat for one pair: each
+// word's leave-one-out estimate theta_w, their mean, and
+// sqrt((W-1)/W * sum (theta_w - mean)^2), in that float order.
+func (m Matrix) jackknife(i, j int, stat func(n11, oi, oj, S int) float64) float64 {
+	if i == j || m.words < 2 {
+		return 0
+	}
+	if i > j {
+		i, j = j, i
+	}
+	pi, pj := m.plane(i), m.plane(j)
+	n11 := m.N11[PairIndex(m.N, i, j)]
+	theta := make([]float64, m.words)
+	var mean float64
+	for w := range theta {
+		oi := m.Ones[i] - bits.OnesCount64(pi[w])
+		oj := m.Ones[j] - bits.OnesCount64(pj[w])
+		theta[w] = stat(n11-bits.OnesCount64(pi[w]&pj[w]), oi, oj, m.Shots-wordShots(m.Shots, w))
+		mean += theta[w]
+	}
+	W := float64(m.words)
+	mean /= W
+	var v float64
+	for _, t := range theta {
+		d := t - mean
+		v += d * d
+	}
+	return math.Sqrt((W - 1) / W * v)
+}
 
 func (m Matrix) pairVal(s []float64, i, j int) float64 {
 	if i == j {
@@ -122,7 +157,7 @@ func (m Matrix) Sparse(minAbsCorr float64) []PairStat {
 		for j := i + 1; j < m.N; j++ {
 			k := PairIndex(m.N, i, j)
 			if math.Abs(m.Corr[k]) >= minAbsCorr {
-				out = append(out, PairStat{I: i, J: j, Corr: m.Corr[k], Cov: m.Cov[k], SE: m.SECorr[k]})
+				out = append(out, PairStat{I: i, J: j, Corr: m.Corr[k], Cov: m.Cov[k], SE: m.SECorrAt(i, j)})
 			}
 		}
 	}
@@ -200,20 +235,6 @@ func ChiSquare2x2(n [4]int, p [4]float64, shots int) float64 {
 // 1.7 million tables.
 const ChiSquare3DF5Sigma = 33.0
 
-// Estimate computes the flip-correlation matrix from packed outcome
-// planes by word-parallel popcount reductions: one XOR+popcount per pair
-// per 64 shots, never unpacking to per-shot bytes. Invalid bits beyond
-// pb.Shots in the final word are masked out of every count.
-func Estimate(pb sim.PackedBits) Matrix { return estimate(pb, false) }
-
-// EstimateScalar is the naive per-shot reference estimator: it counts the
-// same sufficient statistics by reading individual bits, then shares every
-// floating-point step with Estimate — so the two are bit-identical
-// whenever the counting paths agree, and any masked-tail leak in the
-// packed path shows up as an exact mismatch. It exists for differential
-// tests and benchmarks; production callers use Estimate.
-func EstimateScalar(pb sim.PackedBits) Matrix { return estimate(pb, true) }
-
 // blockWords returns the word count of a shot record.
 func blockWords(shots int) int {
 	return (shots + sim.ShotBlockSize - 1) / sim.ShotBlockSize
@@ -235,7 +256,12 @@ func wordShots(shots, w int) int {
 	return sim.ShotBlockSize
 }
 
-func estimate(pb sim.PackedBits, scalar bool) Matrix {
+// Estimate computes the flip-correlation matrix from packed outcome
+// planes by word-parallel popcount reductions: one AND+popcount per pair
+// per 64 shots, never unpacking to per-shot bytes. Invalid bits beyond
+// pb.Shots in the final word are masked out of every count. The matrix
+// keeps a masked copy of the planes for SECovAt and SECorrAt.
+func Estimate(pb sim.PackedBits) Matrix {
 	n, S := len(pb.Planes), pb.Shots
 	m := Matrix{
 		N: n, Shots: S,
@@ -243,96 +269,31 @@ func estimate(pb sim.PackedBits, scalar bool) Matrix {
 		P:    make([]float64, n),
 		N11:  make([]int, Pairs(n)),
 		Cov:  make([]float64, Pairs(n)), Corr: make([]float64, Pairs(n)),
-		SECov: make([]float64, Pairs(n)), SECorr: make([]float64, Pairs(n)),
 	}
 	if n == 0 || S == 0 {
 		return m
 	}
-	words := blockWords(S)
-
-	// Per-bit, per-word flip counts. The packed path is one masked
-	// popcount per word; the scalar reference increments per shot.
-	rowOnes := make([][]int, n)
-	for i := range rowOnes {
-		rowOnes[i] = make([]int, words)
-		if scalar {
-			for s := 0; s < S; s++ {
-				if pb.Bit(i, s) == 1 {
-					rowOnes[i][s/sim.ShotBlockSize]++
-				}
-			}
-		} else {
-			for w := 0; w < words; w++ {
-				rowOnes[i][w] = bits.OnesCount64(pb.Planes[i][w] & wordMask(S, w))
-			}
-		}
-		for _, c := range rowOnes[i] {
-			m.Ones[i] += c
+	m.words = blockWords(S)
+	m.planes = make([]uint64, n*m.words)
+	for i, src := range pb.Planes {
+		row := m.plane(i)
+		for w := range row {
+			row[w] = src[w] & wordMask(S, w)
+			m.Ones[i] += bits.OnesCount64(row[w])
 		}
 		m.P[i] = float64(m.Ones[i]) / float64(S)
 	}
-
-	// Per-pair reduction. xw holds this pair's per-word XOR popcounts so
-	// the jackknife can delete one block at a time; thetaCov/thetaCorr are
-	// the leave-one-out estimates, reused across pairs.
-	xw := make([]int, words)
-	thetaCov := make([]float64, words)
-	thetaCorr := make([]float64, words)
 	for i := 0; i < n; i++ {
+		pi := m.plane(i)
 		for j := i + 1; j < n; j++ {
-			nxor := 0
-			if scalar {
-				for w := range xw {
-					xw[w] = 0
-				}
-				for s := 0; s < S; s++ {
-					if pb.Bit(i, s) != pb.Bit(j, s) {
-						xw[s/sim.ShotBlockSize]++
-					}
-				}
-				for _, c := range xw {
-					nxor += c
-				}
-			} else {
-				pi, pj := pb.Planes[i], pb.Planes[j]
-				for w := 0; w < words; w++ {
-					c := bits.OnesCount64((pi[w] ^ pj[w]) & wordMask(S, w))
-					xw[w] = c
-					nxor += c
-				}
+			n11 := 0
+			for w, x := range m.plane(j) {
+				n11 += bits.OnesCount64(pi[w] & x)
 			}
-			// Everything below is shared between the packed and scalar
-			// paths: identical float ops on identical integer counts.
 			k := PairIndex(n, i, j)
-			n11 := (m.Ones[i] + m.Ones[j] - nxor) / 2
 			m.N11[k] = n11
 			m.Cov[k] = covOf(n11, m.Ones[i], m.Ones[j], S)
 			m.Corr[k] = corrOf(n11, m.Ones[i], m.Ones[j], S)
-			if words > 1 {
-				var meanCov, meanCorr float64
-				for w := 0; w < words; w++ {
-					Sw := S - wordShots(S, w)
-					oi := m.Ones[i] - rowOnes[i][w]
-					oj := m.Ones[j] - rowOnes[j][w]
-					n11w := (oi + oj - (nxor - xw[w])) / 2
-					thetaCov[w] = covOf(n11w, oi, oj, Sw)
-					thetaCorr[w] = corrOf(n11w, oi, oj, Sw)
-					meanCov += thetaCov[w]
-					meanCorr += thetaCorr[w]
-				}
-				W := float64(words)
-				meanCov /= W
-				meanCorr /= W
-				var vc, vr float64
-				for w := 0; w < words; w++ {
-					dc := thetaCov[w] - meanCov
-					dr := thetaCorr[w] - meanCorr
-					vc += dc * dc
-					vr += dr * dr
-				}
-				m.SECov[k] = math.Sqrt((W - 1) / W * vc)
-				m.SECorr[k] = math.Sqrt((W - 1) / W * vr)
-			}
 		}
 	}
 	return m

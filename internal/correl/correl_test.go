@@ -69,12 +69,12 @@ func TestIndependentBernoulli5Sigma(t *testing.T) {
 		var meanSE float64
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
-				k := PairIndex(n, i, j)
-				bound := 5 * math.Max(m.SECov[k], sigmaCov)
-				if math.Abs(m.Cov[k]) > bound {
-					t.Errorf("p=%v: cov(%d,%d) = %v exceeds 5 sigma (%v)", p, i, j, m.Cov[k], bound)
+				se := m.SECovAt(i, j)
+				bound := 5 * math.Max(se, sigmaCov)
+				if math.Abs(m.CovAt(i, j)) > bound {
+					t.Errorf("p=%v: cov(%d,%d) = %v exceeds 5 sigma (%v)", p, i, j, m.CovAt(i, j), bound)
 				}
-				meanSE += m.SECov[k]
+				meanSE += se
 			}
 		}
 		// Jackknife calibration: the mean reported SE must be within a
@@ -180,12 +180,113 @@ func TestCorrelatedZZClosedForm(t *testing.T) {
 	}
 }
 
+// estimateScalar is the naive per-shot reference estimator: it counts the
+// sufficient statistics by reading individual bits (joint flips through
+// the XOR identity n11 = (n1[i] + n1[j] - nxor)/2) and computes every
+// pair's jackknife standard errors eagerly, in the float order SECovAt and
+// SECorrAt keep. Its float math after counting matches Estimate's, so the
+// two are bit-identical whenever the integer counts agree, and a masked
+// tail leaking into a popcount shows up as an exact mismatch.
+func estimateScalar(pb sim.PackedBits) (m Matrix, seCov, seCorr []float64) {
+	n, S := len(pb.Planes), pb.Shots
+	m = Matrix{
+		N: n, Shots: S,
+		Ones: make([]int, n),
+		P:    make([]float64, n),
+		N11:  make([]int, Pairs(n)),
+		Cov:  make([]float64, Pairs(n)), Corr: make([]float64, Pairs(n)),
+	}
+	seCov, seCorr = make([]float64, Pairs(n)), make([]float64, Pairs(n))
+	if n == 0 || S == 0 {
+		return m, seCov, seCorr
+	}
+	words := blockWords(S)
+	rowOnes := make([][]int, n)
+	for i := range rowOnes {
+		rowOnes[i] = make([]int, words)
+		for s := 0; s < S; s++ {
+			if pb.Bit(i, s) == 1 {
+				rowOnes[i][s/sim.ShotBlockSize]++
+			}
+		}
+		for _, c := range rowOnes[i] {
+			m.Ones[i] += c
+		}
+		m.P[i] = float64(m.Ones[i]) / float64(S)
+	}
+	xw := make([]int, words)
+	thetaCov := make([]float64, words)
+	thetaCorr := make([]float64, words)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			for w := range xw {
+				xw[w] = 0
+			}
+			for s := 0; s < S; s++ {
+				if pb.Bit(i, s) != pb.Bit(j, s) {
+					xw[s/sim.ShotBlockSize]++
+				}
+			}
+			nxor := 0
+			for _, c := range xw {
+				nxor += c
+			}
+			k := PairIndex(n, i, j)
+			n11 := (m.Ones[i] + m.Ones[j] - nxor) / 2
+			m.N11[k] = n11
+			m.Cov[k] = covOf(n11, m.Ones[i], m.Ones[j], S)
+			m.Corr[k] = corrOf(n11, m.Ones[i], m.Ones[j], S)
+			if words < 2 {
+				continue
+			}
+			var meanCov, meanCorr float64
+			for w := 0; w < words; w++ {
+				Sw := S - wordShots(S, w)
+				oi := m.Ones[i] - rowOnes[i][w]
+				oj := m.Ones[j] - rowOnes[j][w]
+				n11w := (oi + oj - (nxor - xw[w])) / 2
+				thetaCov[w] = covOf(n11w, oi, oj, Sw)
+				thetaCorr[w] = corrOf(n11w, oi, oj, Sw)
+				meanCov += thetaCov[w]
+				meanCorr += thetaCorr[w]
+			}
+			W := float64(words)
+			meanCov /= W
+			meanCorr /= W
+			var vc, vr float64
+			for w := 0; w < words; w++ {
+				dc := thetaCov[w] - meanCov
+				dr := thetaCorr[w] - meanCorr
+				vc += dc * dc
+				vr += dr * dr
+			}
+			seCov[k] = math.Sqrt((W - 1) / W * vc)
+			seCorr[k] = math.Sqrt((W - 1) / W * vr)
+		}
+	}
+	return m, seCov, seCorr
+}
+
+// sameBits reports whether two float slices are bit-for-bit equal.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // TestPackedVsScalarBitIdentical is the differential pin: the packed
-// word-parallel estimator and the naive per-shot reference must agree
-// bit-for-bit on random planes — including records whose shot counts are
-// not multiples of 64 and whose tail words carry deliberately planted
-// garbage beyond the last valid shot, the exact class of bug a missing
-// tail mask would silently absorb into a popcount.
+// word-parallel estimator, with its on-demand jackknife, and the naive
+// per-shot reference must agree bit-for-bit on random planes — every
+// field and both standard errors of every pair — including records whose
+// shot counts are not multiples of 64 and whose tail words carry
+// deliberately planted garbage beyond the last valid shot, the exact class
+// of bug a missing tail mask would silently absorb into a popcount.
 func TestPackedVsScalarBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, S := range []int{1, 63, 64, 65, 130, 640, 1000} {
@@ -197,13 +298,25 @@ func TestPackedVsScalarBitIdentical(t *testing.T) {
 				pb.Planes[i][w] = rng.Uint64()
 			}
 		}
-		packed, scalar := Estimate(pb), EstimateScalar(pb)
-		if !reflect.DeepEqual(packed, scalar) {
-			t.Fatalf("shots=%d: packed and scalar estimators differ\npacked: %+v\nscalar: %+v", S, packed, scalar)
+		packed := Estimate(pb)
+		ref, seCov, seCorr := estimateScalar(pb)
+		if packed.N != ref.N || packed.Shots != ref.Shots ||
+			!reflect.DeepEqual(packed.Ones, ref.Ones) || !reflect.DeepEqual(packed.N11, ref.N11) ||
+			!sameBits(packed.P, ref.P) || !sameBits(packed.Cov, ref.Cov) || !sameBits(packed.Corr, ref.Corr) {
+			t.Fatalf("shots=%d: packed and scalar estimators differ\npacked: %+v\nscalar: %+v", S, packed, ref)
 		}
-		if S < 64 {
-			for _, se := range packed.SECov {
-				if se != 0 {
+		for i := 0; i < ref.N; i++ {
+			for j := 0; j < ref.N; j++ {
+				if i == j {
+					continue
+				}
+				k := PairIndex(ref.N, min(i, j), max(i, j))
+				got := []float64{packed.SECovAt(i, j), packed.SECorrAt(i, j)}
+				want := []float64{seCov[k], seCorr[k]}
+				if !sameBits(got, want) {
+					t.Fatalf("shots=%d: SECov, SECorr of (%d,%d) = %v, scalar reference %v", S, i, j, got, want)
+				}
+				if S <= sim.ShotBlockSize && (got[0] != 0 || got[1] != 0) {
 					t.Fatalf("shots=%d: single-block record reported nonzero jackknife SE", S)
 				}
 			}
@@ -286,3 +399,58 @@ func TestJointCountsOrderFree(t *testing.T) {
 		t.Fatalf("joint counts sum to %d, want %d", total, m.Shots)
 	}
 }
+
+// BenchmarkCorrelations127Q measures the correlation-spectroscopy
+// estimator at full scale: the two-point covariance/correlation matrix of
+// 127 outcome planes (8001 pairs) over 10^4 shots, reported as pairs/s.
+// "packed" is Estimate alone; "packed+se" also runs the on-demand
+// jackknife for both standard errors of every pair, the work the
+// per-shot reference "scalar" does eagerly, so their pairs/s ratio is the
+// word-level speedup on this machine.
+func BenchmarkCorrelations127Q(b *testing.B) {
+	const (
+		n     = 127
+		shots = 10_000
+	)
+	rng := rand.New(rand.NewSource(9))
+	pb := sim.NewPackedBits(n, shots)
+	for c := 0; c < n; c++ {
+		for w := range pb.Planes[c] {
+			// Sparse-ish flips (~6% rate), matching a weak-noise device.
+			pb.Planes[c][w] = rng.Uint64() & rng.Uint64() & rng.Uint64() & rng.Uint64()
+		}
+	}
+	pairs := float64(Pairs(n))
+	b.Run("packed", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if m := Estimate(pb); m.Shots != shots {
+				b.Fatal("wrong shot count")
+			}
+		}
+		b.ReportMetric(pairs*float64(b.N)/b.Elapsed().Seconds(), "pairs/s")
+	})
+	b.Run("packed+se", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			m := Estimate(pb)
+			for p := 0; p < n; p++ {
+				for q := p + 1; q < n; q++ {
+					seSink += m.SECovAt(p, q) + m.SECorrAt(p, q)
+				}
+			}
+		}
+		b.ReportMetric(pairs*float64(b.N)/b.Elapsed().Seconds(), "pairs/s")
+	})
+	b.Run("scalar", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if m, _, _ := estimateScalar(pb); m.Shots != shots {
+				b.Fatal("wrong shot count")
+			}
+		}
+		b.ReportMetric(pairs*float64(b.N)/b.Elapsed().Seconds(), "pairs/s")
+	})
+}
+
+var seSink float64
