@@ -158,13 +158,15 @@ type Result struct {
 	// ExpVals are the shot-weighted means of the observables (expectation
 	// jobs only).
 	ExpVals []float64
-	// Counts merges the measured bitstrings (counts jobs only).
+	// Counts merges the measured bitstrings of a counts job whose outcomes
+	// are not all packed; it is nil when Packed is set. Executor.Counts
+	// returns the merged map either way.
 	Counts map[string]int
 	// Packed holds the job's outcomes as bit-planes — instance shot slices
 	// concatenated in instance order — when every instance ran on a
 	// bit-plane engine (counts jobs only; nil otherwise). Downstream
-	// estimators can accumulate from these words (expval's *Packed
-	// functions) instead of walking the Counts map.
+	// estimators accumulate from these words (expval's *Packed functions,
+	// correl.Estimate); Packed.Counts() expands them into the bitstring map.
 	Packed *sim.PackedBits
 	// Shots is the total number of shots executed — always the full
 	// budget.
@@ -395,22 +397,22 @@ func (e *Executor) Run(ctx context.Context, job Job) (Result, error) {
 		InstanceShots: make([]int, 0, ro.Instances),
 		Reports:       make([]pass.Report, 0, ro.Instances),
 	}
-	if len(job.Observables) > 0 {
-		res.ExpVals = make([]float64, len(job.Observables))
-	} else {
-		res.Counts = map[string]int{}
-	}
 	// Counts jobs where every instance ran on a bit-plane engine stay
-	// packed through aggregation: instance planes are concatenated in
-	// instance order and expanded to the bitstring map once, and the merged
-	// planes are returned for downstream packed accumulation. A mixed job
-	// (auto dispatch picking the statevector kernel for some instances)
-	// falls back to per-instance expansion.
+	// packed: instance planes are concatenated in instance order and
+	// returned as Packed, with no bitstring map. A mixed job (auto dispatch
+	// picking the statevector kernel for some instances) expands each
+	// instance into the merged Counts map instead.
 	allPacked := len(job.Observables) == 0
 	for k := 0; allPacked && k < ro.Instances; k++ {
 		if !outs[k].hasPacked || len(outs[k].packed.Planes) != len(outs[0].packed.Planes) {
 			allPacked = false
 		}
+	}
+	switch {
+	case len(job.Observables) > 0:
+		res.ExpVals = make([]float64, len(job.Observables))
+	case !allPacked:
+		res.Counts = map[string]int{}
 	}
 	for k := 0; k < ro.Instances; k++ {
 		o := outs[k]
@@ -433,7 +435,6 @@ func (e *Executor) Run(ctx context.Context, job Job) (Result, error) {
 			merged = merged.Append(outs[k].packed)
 		}
 		res.Packed = &merged
-		merged.CountsInto(res.Counts)
 	}
 	if len(job.Observables) > 0 && res.Shots > 0 {
 		for i := range res.ExpVals {
@@ -458,11 +459,16 @@ func (e *Executor) Expectations(ctx context.Context, c *circuit.Circuit, obs []s
 }
 
 // Counts is the sampling entry point: it merges measured bitstring counts
-// across the twirl instances, preserving the full shot budget.
+// across the twirl instances, preserving the full shot budget. An
+// all-packed job's planes are expanded into the map here, the one caller
+// that reads it.
 func (e *Executor) Counts(ctx context.Context, c *circuit.Circuit, ro RunOptions) (sim.Result, error) {
 	res, err := e.Run(ctx, Job{Circuit: c, Opts: ro})
 	if err != nil {
 		return sim.Result{}, err
+	}
+	if res.Packed != nil {
+		return res.Packed.Counts(), nil
 	}
 	return sim.Result{Counts: res.Counts, Shots: res.Shots}, nil
 }

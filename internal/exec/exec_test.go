@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -303,8 +304,9 @@ func TestMatchesSerialReference(t *testing.T) {
 // TestCountsPackedAggregation pins the packed-counts aggregation contract:
 // a counts job whose instances all run on the bit-plane stabilizer engine
 // returns the merged outcome planes — instance shot slices concatenated in
-// instance order, covering the full budget — and the bitstring map is
-// exactly their expansion. A statevector job returns no planes.
+// instance order, covering the full budget — and no bitstring map, and
+// Executor.Counts returns exactly the planes' expansion. A statevector job
+// returns no planes.
 func TestCountsPackedAggregation(t *testing.T) {
 	dev := testDevice()
 	c := circuit.New(4, 2)
@@ -322,6 +324,9 @@ func TestCountsPackedAggregation(t *testing.T) {
 	if res.Packed == nil {
 		t.Fatal("stab counts job returned no packed planes")
 	}
+	if res.Counts != nil {
+		t.Errorf("all-packed job built a counts map: %v", res.Counts)
+	}
 	if res.Packed.Shots != res.Shots || res.Shots != 150 {
 		t.Fatalf("packed shots %d, merged shots %d, want 150", res.Packed.Shots, res.Shots)
 	}
@@ -329,13 +334,12 @@ func TestCountsPackedAggregation(t *testing.T) {
 		t.Fatalf("%d planes, want 2", len(res.Packed.Planes))
 	}
 	expanded := res.Packed.Counts()
-	if len(expanded.Counts) != len(res.Counts) {
-		t.Fatalf("plane expansion %v differs from merged counts %v", expanded.Counts, res.Counts)
+	counted, err := e.Counts(context.Background(), c, ro)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for bits, n := range res.Counts {
-		if expanded.Counts[bits] != n {
-			t.Errorf("counts[%q] = %d, plane expansion has %d", bits, n, expanded.Counts[bits])
-		}
+	if !reflect.DeepEqual(counted, expanded) {
+		t.Errorf("Executor.Counts %+v, plane expansion %+v", counted, expanded)
 	}
 	ro.Engine = EngineStatevector
 	res, err = e.Run(context.Background(), Job{Circuit: c, Opts: ro})
