@@ -22,7 +22,8 @@ import (
 //   - Pauli channels draw 64-shot Bernoulli masks from precomputed
 //     threshold tables (see bern): sparse probabilities sample the set
 //     bits geometrically, dense ones combine random words along the
-//     binary expansion of p — both exact, both O(1)ish per 64 shots;
+//     binary expansion of p, evaluated from the top word down until every
+//     bit is decided — both exact, both O(1)ish per 64 shots;
 //   - measurements read a 64-shot outcome word straight off the X plane,
 //     redraw nondeterministic branches with one fair-coin word (flipping
 //     the recorded anticommuting stabilizer onto exactly the redrawn
@@ -38,11 +39,19 @@ import (
 // words, and the per-shot frames keep their own rand.Source streams.
 type wordRNG struct{ s uint64 }
 
+// splitMixGamma is the SplitMix64 state increment: output k of a stream
+// whose state is s is splitMix(s + (k+1)*splitMixGamma).
+const splitMixGamma = 0x9e3779b97f4a7c15
+
 func (r *wordRNG) seed(v int64) { r.s = uint64(v) }
 
 func (r *wordRNG) next() uint64 {
-	r.s += 0x9e3779b97f4a7c15
-	z := r.s
+	r.s += splitMixGamma
+	return splitMix(r.s)
+}
+
+// splitMix is the SplitMix64 output function of a state.
+func splitMix(z uint64) uint64 {
 	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
 	z = (z ^ z>>27) * 0x94d049bb133111eb
 	return z ^ z>>31
@@ -61,8 +70,11 @@ func (r *wordRNG) intn(n int) int {
 
 // bernSparse is the probability below which a Bernoulli mask is cheaper to
 // sample by geometric gaps between set bits (expected 64p log draws) than
-// by combining words along the binary expansion of p (up to 53 word
-// draws). Every calibration-derived channel in practice sits far below it.
+// by combining words along the binary expansion of p (about 7 of up to 53
+// outputs evaluated, see draw). Most calibration-derived channels sit far
+// below it, but not all: the coherent idle channels of a long
+// spectroscopy window reach p from 0.05 to 0.97, and about a fifth of
+// figC1's masks on eagle127 take the dense path.
 const bernSparse = 0.05
 
 // bern is one precomputed Bernoulli-mask table: everything needed to draw
@@ -70,6 +82,14 @@ const bernSparse = 0.05
 // tables are built once at compile time — this is the "threshold table"
 // half of the channel tables; chan1 ops pair one bern with conditional
 // X/Y/Z thresholds (see blockOp).
+//
+// The dense mask is w = r_{n-1} op ... op r_1 op r_0 over the next n
+// outputs r_k of the block RNG, n = 53 - trailingZeros(p53), where op_k
+// is OR if bit t+k of p53 is set and AND if it is clear (the binary
+// expansion of p, LSB first). draw evaluates it from the top word down
+// and stops when every bit is decided, which takes about log2(64) + 1
+// outputs instead of n; the mask and the RNG state after the draw are
+// the same as if all n outputs had been combined from the bottom up.
 type bern struct {
 	p      float64
 	invLog float64 // 1/ln(1-p): sparse path gap scale; 0 selects the dense path
@@ -110,17 +130,24 @@ func (b *bern) draw(r *wordRNG) uint64 {
 		}
 		return w
 	}
-	// Dense: combine random words along the binary expansion of p
-	// (LSB-first over the 53-bit fraction): bit set -> OR, clear -> AND.
-	// Exact for the 53-bit truncation of p, like any float64 comparison.
-	p53 := b.p53
-	t := bits.TrailingZeros64(p53)
-	w := r.next()
-	for j := t + 1; j < 53; j++ {
-		if p53>>uint(j)&1 == 1 {
-			w = r.next() | w
+	// Dense, exact for the 53-bit truncation of p like any float64
+	// comparison, evaluated top down (see bern). open holds the bits no
+	// word above has decided: an OR word sets and closes the open bits it
+	// has, an AND word closes the open bits it lacks, which stay 0. Bit 0
+	// of ops is set, so r_0 closes every bit still open at its own value.
+	t := bits.TrailingZeros64(b.p53)
+	ops, n := b.p53>>uint(t), 53-t
+	s0 := r.s
+	r.s += uint64(n) * splitMixGamma
+	var w uint64
+	open := ^uint64(0)
+	for k := n - 1; k >= 0 && open != 0; k-- {
+		rk := splitMix(s0 + uint64(k+1)*splitMixGamma)
+		if ops>>uint(k)&1 == 1 {
+			w |= rk & open
+			open &^= rk
 		} else {
-			w = r.next() & w
+			open &= rk
 		}
 	}
 	return w

@@ -42,6 +42,76 @@ func TestBernoulliMaskFrequencies(t *testing.T) {
 	}
 }
 
+// drawEager is the dense draw combined from the bottom word up: all n
+// outputs of the binary expansion, each ORed or ANDed into the mask. The
+// lazy draw must return the same mask and leave the same RNG state.
+func (b *bern) drawEager(r *wordRNG) uint64 {
+	p53 := b.p53
+	t := bits.TrailingZeros64(p53)
+	w := r.next()
+	for j := t + 1; j < 53; j++ {
+		if p53>>uint(j)&1 == 1 {
+			w = r.next() | w
+		} else {
+			w = r.next() & w
+		}
+	}
+	return w
+}
+
+// checkDenseDraws draws masks from two copies of one block RNG, lazily
+// and eagerly, and reports the first draw where the masks or the states
+// after it differ.
+func checkDenseDraws(t *testing.T, p float64, seed uint64, draws int) {
+	t.Helper()
+	b := makeBern(p)
+	if b.invLog != 0 || b.p53 == 0 {
+		t.Fatalf("p=%v does not take the dense path", p)
+	}
+	lazy, eager := wordRNG{s: seed}, wordRNG{s: seed}
+	for d := 0; d < draws; d++ {
+		got, want := b.draw(&lazy), b.drawEager(&eager)
+		if got != want || lazy.s != eager.s {
+			t.Fatalf("p=%v seed=%#x draw %d: mask %#x state %#x, eager mask %#x state %#x",
+				p, seed, d, got, lazy.s, want, eager.s)
+		}
+	}
+}
+
+// TestBernDenseMatchesEager pins the lazily decided dense Bernoulli mask
+// to the eager combination over every output: the same mask and the same
+// RNG state after each draw, at the edges of the dense range (just above
+// bernSparse and just below 1), at powers of two (one or few outputs, all
+// AND or all OR), and at random p, over many seeds.
+func TestBernDenseMatchesEager(t *testing.T) {
+	ps := []float64{math.Nextafter(bernSparse, 1), 0.0625, 0.25, 0.5, 0.75, 0.97, 1 - 0x1p-53}
+	rng := wordRNG{s: 2024}
+	for i := 0; i < 64; i++ {
+		ps = append(ps, bernSparse+(1-bernSparse)*rng.float64())
+	}
+	for _, p := range ps {
+		for seed := 0; seed < 64; seed++ {
+			checkDenseDraws(t, p, splitMix(uint64(seed)), 16)
+		}
+	}
+}
+
+// FuzzBernDraw runs the lazy-versus-eager dense draw check on arbitrary
+// seeds and probabilities; p outside the dense range is skipped.
+func FuzzBernDraw(f *testing.F) {
+	f.Add(uint64(1), math.Nextafter(bernSparse, 1))
+	f.Add(uint64(2), 0.0625)
+	f.Add(uint64(3), 0.5)
+	f.Add(uint64(4), 0.97)
+	f.Add(uint64(5), 1-0x1p-53)
+	f.Fuzz(func(t *testing.T, seed uint64, p float64) {
+		if !(p >= bernSparse && p < 1) {
+			t.Skip("not a dense probability")
+		}
+		checkDenseDraws(t, p, seed, 8)
+	})
+}
+
 // chanProgram builds a minimal program around the given ops (no Cliffords,
 // no tableau needed for channel sampling).
 func chanProgram(nq, ncb int, ops []op, meas []measInfo) (*program, *blockProgram) {
