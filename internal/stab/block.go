@@ -466,7 +466,12 @@ func (w *blockWorker) scalar() *frame {
 // results bit-identical for any worker count.
 func (e *Engine) forEachShotBlock(p *program,
 	onBlock func(b, base int, bf *blockFrame), onTail func(i int, f *frame)) {
-	bp := p.blockPlan()
+	// Runs of fewer than 64 shots fill no block, so they skip lowering
+	// the program (every op's masks and Bernoulli tables).
+	var bp *blockProgram
+	if e.numShots() >= sim.ShotBlockSize {
+		bp = p.blockPlan()
+	}
 	tr, lane := e.Cfg.Tracer, e.Cfg.Lane
 	sim.ForEachShotBlock(e.numShots(), e.Cfg.Workers,
 		func() *blockWorker { return newBlockWorker(p) },
