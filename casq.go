@@ -157,8 +157,9 @@ func NewTracer() *Tracer { return obs.NewTracer() }
 // estimated word-parallel from packed bit planes.
 type (
 	// CorrelationMatrix holds per-qubit flip rates and per-pair
-	// covariance/correlation estimates with jackknife standard errors,
-	// reduced directly from PackedBits planes by word-parallel popcounts.
+	// covariance/correlation estimates, reduced directly from PackedBits
+	// planes by word-parallel popcounts. It keeps the planes, and its
+	// SECovAt/SECorrAt methods run the jackknife for one pair on demand.
 	CorrelationMatrix = correl.Matrix
 	// CorrelationPair is one thresholded pair of a sparse correlation
 	// matrix: indices, correlation, and its standard error.
@@ -174,9 +175,9 @@ type (
 
 // EstimateCorrelations reduces packed outcome planes to the full
 // correlation matrix of bit flips — marginals, pair covariances and
-// correlations, and delete-one-block jackknife standard errors — without
-// ever unpacking shots to bytes: all pair counts come from word-parallel
-// popcount identities over the bit planes.
+// correlations — without ever unpacking shots to bytes: all pair counts
+// come from word-parallel popcounts over the bit planes. Delete-one-block
+// jackknife standard errors are computed per pair when asked for.
 func EstimateCorrelations(pb PackedBits) CorrelationMatrix { return correl.Estimate(pb) }
 
 // PackedBitsFromCounts expands a bitstring-counts map (the statevector

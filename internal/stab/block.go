@@ -39,8 +39,7 @@ import (
 // words, and the per-shot frames keep their own rand.Source streams.
 type wordRNG struct{ s uint64 }
 
-// splitMixGamma is the SplitMix64 state increment: output k of a stream
-// whose state is s is splitMix(s + (k+1)*splitMixGamma).
+// splitMixGamma is the SplitMix64 state increment.
 const splitMixGamma = 0x9e3779b97f4a7c15
 
 func (r *wordRNG) seed(v int64) { r.s = uint64(v) }
@@ -70,26 +69,17 @@ func (r *wordRNG) intn(n int) int {
 
 // bernSparse is the probability below which a Bernoulli mask is cheaper to
 // sample by geometric gaps between set bits (expected 64p log draws) than
-// by combining words along the binary expansion of p (about 7 of up to 53
-// outputs evaluated, see draw). Most calibration-derived channels sit far
-// below it, but not all: the coherent idle channels of a long
-// spectroscopy window reach p from 0.05 to 0.97, and about a fifth of
-// figC1's masks on eagle127 take the dense path.
+// by combining words along the binary expansion of p (about 7 outputs, see
+// draw). Most calibration-derived channels sit far below it, but figC1's
+// idle channels reach p = 0.99, and a fifth of its masks on eagle127 are dense.
 const bernSparse = 0.05
 
 // bern is one precomputed Bernoulli-mask table: everything needed to draw
 // a 64-shot mask whose bits are independently 1 with probability p. The
 // tables are built once at compile time — this is the "threshold table"
 // half of the channel tables; chan1 ops pair one bern with conditional
-// X/Y/Z thresholds (see blockOp).
-//
-// The dense mask is w = r_{n-1} op ... op r_1 op r_0 over the next n
-// outputs r_k of the block RNG, n = 53 - trailingZeros(p53), where op_k
-// is OR if bit t+k of p53 is set and AND if it is clear (the binary
-// expansion of p, LSB first). draw evaluates it from the top word down
-// and stops when every bit is decided, which takes about log2(64) + 1
-// outputs instead of n; the mask and the RNG state after the draw are
-// the same as if all n outputs had been combined from the bottom up.
+// X/Y/Z thresholds (see blockOp). A dense mask is decided lazily, from
+// the top word of p's binary expansion down (see draw).
 type bern struct {
 	p      float64
 	invLog float64 // 1/ln(1-p): sparse path gap scale; 0 selects the dense path
@@ -130,11 +120,13 @@ func (b *bern) draw(r *wordRNG) uint64 {
 		}
 		return w
 	}
-	// Dense, exact for the 53-bit truncation of p like any float64
-	// comparison, evaluated top down (see bern). open holds the bits no
-	// word above has decided: an OR word sets and closes the open bits it
-	// has, an AND word closes the open bits it lacks, which stay 0. Bit 0
-	// of ops is set, so r_0 closes every bit still open at its own value.
+	// Dense: w = r_{n-1} op ... op r_1 op r_0 over the next n outputs, with
+	// op_k OR where bit t+k of p53 is set and AND where it is clear (the
+	// binary expansion of p, exact for its 53-bit truncation). Evaluated top
+	// down, an OR word decides the open bits it sets and an AND word those
+	// it clears, so about 7 outputs decide all 64 bits; bit 0 of ops is set,
+	// so r_0 decides the rest. Output k is splitMix(s0 + (k+1)γ), and the
+	// state skips all n outputs, as the bottom-up combination would.
 	t := bits.TrailingZeros64(b.p53)
 	ops, n := b.p53>>uint(t), 53-t
 	s0 := r.s
