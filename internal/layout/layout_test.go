@@ -267,17 +267,7 @@ func TestChooseCycleWorkload(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := 12
-	c := circuit.New(n, 0)
-	for s := 0; s < 3; s++ {
-		l := c.AddLayer(circuit.TwoQubitLayer)
-		for q := 2 * s; q < n; q += 6 {
-			l.ECR(q, (q+1)%n)
-		}
-		l2 := c.AddLayer(circuit.TwoQubitLayer)
-		for q := 2*s + 3; q < n+2*s; q += 6 {
-			l2.ECR(q%n, (q+1)%n)
-		}
-	}
+	c := ringProbe()
 	pl, err := Choose(dev, c, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
