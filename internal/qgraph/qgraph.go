@@ -3,29 +3,33 @@
 // the heart of the CA-DD pass (paper Algorithm 1 / Fig. 5): idle qubits must
 // receive colors (Walsh sequence indices) such that no two crosstalk-coupled
 // qubits share a color, subject to pre-assigned colors on gate qubits.
+//
+// Adjacency is one sorted slice per node, so every traversal — the layout
+// search's path enumeration, its all-pairs hop distances, routing BFS —
+// walks neighbors in ascending order without touching a map or copying a
+// list.
 package qgraph
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
-// Graph is an undirected graph on nodes 0..N-1 with an adjacency set.
+// Graph is an undirected simple graph on nodes 0..N-1. Each node's
+// neighbors are kept as one slice sorted ascending.
 type Graph struct {
 	N   int
-	adj []map[int]bool
+	adj [][]int
 }
 
 // New returns an empty graph on n nodes.
 func New(n int) *Graph {
-	g := &Graph{N: n, adj: make([]map[int]bool, n)}
-	for i := range g.adj {
-		g.adj[i] = make(map[int]bool)
-	}
-	return g
+	return &Graph{N: n, adj: make([][]int, n)}
 }
 
-// AddEdge inserts the undirected edge (a, b). Self-loops are rejected.
+// AddEdge inserts the undirected edge (a, b); adding an existing edge
+// again changes nothing. Self-loops are rejected.
 func (g *Graph) AddEdge(a, b int) {
 	if a == b {
 		panic(fmt.Sprintf("qgraph: self-loop on node %d", a))
@@ -33,8 +37,17 @@ func (g *Graph) AddEdge(a, b int) {
 	if a < 0 || a >= g.N || b < 0 || b >= g.N {
 		panic(fmt.Sprintf("qgraph: edge (%d,%d) out of range [0,%d)", a, b, g.N))
 	}
-	g.adj[a][b] = true
-	g.adj[b][a] = true
+	g.adj[a] = insertSorted(g.adj[a], b)
+	g.adj[b] = insertSorted(g.adj[b], a)
+}
+
+// insertSorted adds v to the sorted list s unless it is already there.
+func insertSorted(s []int, v int) []int {
+	i, found := slices.BinarySearch(s, v)
+	if found {
+		return s
+	}
+	return slices.Insert(s, i, v)
 }
 
 // HasEdge reports whether (a, b) is an edge.
@@ -42,17 +55,16 @@ func (g *Graph) HasEdge(a, b int) bool {
 	if a < 0 || a >= g.N || b < 0 || b >= g.N {
 		return false
 	}
-	return g.adj[a][b]
+	_, found := slices.BinarySearch(g.adj[a], b)
+	return found
 }
 
-// Neighbors returns the sorted neighbor list of node a.
+// Neighbors returns the sorted neighbor list of node a. The slice is the
+// graph's own, so callers must not write to it; its capacity equals its
+// length, so appending to it copies.
 func (g *Graph) Neighbors(a int) []int {
-	out := make([]int, 0, len(g.adj[a]))
-	for b := range g.adj[a] {
-		out = append(out, b)
-	}
-	sort.Ints(out)
-	return out
+	nb := g.adj[a]
+	return nb[:len(nb):len(nb)]
 }
 
 // Degree returns the number of neighbors of a.
@@ -61,19 +73,13 @@ func (g *Graph) Degree(a int) int { return len(g.adj[a]) }
 // Edges returns all edges (a < b), sorted.
 func (g *Graph) Edges() [][2]int {
 	var out [][2]int
-	for a := 0; a < g.N; a++ {
-		for b := range g.adj[a] {
+	for a, nb := range g.adj {
+		for _, b := range nb {
 			if a < b {
 				out = append(out, [2]int{a, b})
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i][0] != out[j][0] {
-			return out[i][0] < out[j][0]
-		}
-		return out[i][1] < out[j][1]
-	})
 	return out
 }
 
@@ -83,16 +89,16 @@ func (g *Graph) IsBipartite() bool {
 	for i := range color {
 		color[i] = -1
 	}
+	queue := make([]int, 0, g.N)
 	for s := 0; s < g.N; s++ {
 		if color[s] != -1 {
 			continue
 		}
 		color[s] = 0
-		queue := []int{s}
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			for v := range g.adj[u] {
+		queue = append(queue[:0], s)
+		for head := 0; head < len(queue); head++ {
+			u := queue[head]
+			for _, v := range g.adj[u] {
 				if color[v] == -1 {
 					color[v] = 1 - color[u]
 					queue = append(queue, v)
@@ -114,21 +120,17 @@ func (g *Graph) Components() [][]int {
 		if seen[s] {
 			continue
 		}
-		var comp []int
-		queue := []int{s}
+		comp := []int{s}
 		seen[s] = true
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			comp = append(comp, u)
-			for v := range g.adj[u] {
+		for head := 0; head < len(comp); head++ {
+			for _, v := range g.adj[comp[head]] {
 				if !seen[v] {
 					seen[v] = true
-					queue = append(queue, v)
+					comp = append(comp, v)
 				}
 			}
 		}
-		sort.Ints(comp)
+		slices.Sort(comp)
 		comps = append(comps, comp)
 	}
 	return comps
@@ -139,13 +141,13 @@ func (g *Graph) Components() [][]int {
 func (g *Graph) Subgraph(nodes []int) (*Graph, []int) {
 	idx := make(map[int]int, len(nodes))
 	order := append([]int(nil), nodes...)
-	sort.Ints(order)
+	slices.Sort(order)
 	for i, n := range order {
 		idx[n] = i
 	}
 	s := New(len(order))
 	for i, n := range order {
-		for b := range g.adj[n] {
+		for _, b := range g.adj[n] {
 			if j, ok := idx[b]; ok && i < j {
 				s.AddEdge(i, j)
 			}
@@ -159,35 +161,45 @@ func (g *Graph) Subgraph(nodes []int) (*Graph, []int) {
 // to bin qubit pairs by coupling-graph distance.
 func (g *Graph) Distances(src int) []int {
 	dist := make([]int, g.N)
+	g.bfs(src, dist, make([]int, 0, g.N))
+	return dist
+}
+
+// AllDistances returns the full pairwise hop-distance matrix (one BFS per
+// node; -1 for unreachable pairs). The rows share one backing array and
+// the BFS passes share one queue.
+func (g *Graph) AllDistances() [][]int {
+	flat := make([]int, g.N*g.N)
+	queue := make([]int, 0, g.N)
+	out := make([][]int, g.N)
+	for i := range out {
+		out[i] = flat[i*g.N : (i+1)*g.N : (i+1)*g.N]
+		g.bfs(i, out[i], queue)
+	}
+	return out
+}
+
+// bfs fills dist with hop distances from src, -1 where unreachable. queue
+// is scratch of capacity g.N: every node enters it at most once, so it
+// never grows.
+func (g *Graph) bfs(src int, dist, queue []int) {
 	for i := range dist {
 		dist[i] = -1
 	}
 	if src < 0 || src >= g.N {
-		return dist
+		return
 	}
 	dist[src] = 0
-	queue := []int{src}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for v := range g.adj[u] {
+	queue = append(queue[:0], src)
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
+		for _, v := range g.adj[u] {
 			if dist[v] == -1 {
 				dist[v] = dist[u] + 1
 				queue = append(queue, v)
 			}
 		}
 	}
-	return dist
-}
-
-// AllDistances returns the full pairwise hop-distance matrix (one BFS per
-// node; -1 for unreachable pairs).
-func (g *Graph) AllDistances() [][]int {
-	out := make([][]int, g.N)
-	for i := range out {
-		out[i] = g.Distances(i)
-	}
-	return out
 }
 
 // Coloring maps node -> color index (>= 0); nodes absent from the map are
@@ -210,7 +222,7 @@ func GreedyColor(g *Graph, order []int, fixed Coloring, forbidden map[int][]int)
 			continue
 		}
 		used := map[int]bool{}
-		for b := range g.adj[n] {
+		for _, b := range g.adj[n] {
 			if col, ok := c[b]; ok {
 				used[col] = true
 			}
@@ -256,12 +268,11 @@ func (c Coloring) MaxColor() int {
 // coloring heuristic), restricted to the provided subset.
 func DegreeOrder(g *Graph, subset []int) []int {
 	out := append([]int(nil), subset...)
-	sort.Slice(out, func(i, j int) bool {
-		di, dj := g.Degree(out[i]), g.Degree(out[j])
-		if di != dj {
-			return di > dj
+	slices.SortFunc(out, func(a, b int) int {
+		if c := cmp.Compare(g.Degree(b), g.Degree(a)); c != 0 {
+			return c
 		}
-		return out[i] < out[j]
+		return cmp.Compare(a, b)
 	})
 	return out
 }
