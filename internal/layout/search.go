@@ -1,10 +1,11 @@
 package layout
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -138,7 +139,7 @@ type scored struct {
 // over the sorted region so the result is bit-stable across runs.
 func (s *staticContext) evaluate(phys []int, ia []igEdge) scored {
 	s.region = append(s.region[:0], phys...)
-	sort.Ints(s.region)
+	slices.Sort(s.region)
 	for _, p := range s.region {
 		s.member[p] = true
 	}
@@ -206,22 +207,29 @@ func (s *staticContext) evaluate(phys []int, ia []igEdge) scored {
 // order within each round. The same ordering feeds the surrogate's fit
 // batch, so the model trains on distinct regions rather than one region's
 // orientations.
-func diverseOrder(pre []scored) []scored {
-	byRegion := map[string][]scored{}
-	var order []string // regions in first-seen (static score) order
-	for _, c := range pre {
-		if _, seen := byRegion[c.key]; !seen {
-			order = append(order, c.key)
+//
+// rank lists pre's indices in static order; diverseOrder reorders it in
+// place. Regions are numbered in first-seen order, and a candidate that is
+// its region's k-th takes slot (k, region), so sorting by slot yields
+// round k's candidates in region order.
+func diverseOrder(pre []scored, rank []int) []scored {
+	region := map[string]int{}
+	var seen []int // per region: candidates ranked so far
+	slot := make([]int, len(pre))
+	for _, i := range rank {
+		r, ok := region[pre[i].key]
+		if !ok {
+			r = len(seen)
+			region[pre[i].key] = r
+			seen = append(seen, 0)
 		}
-		byRegion[c.key] = append(byRegion[c.key], c)
+		slot[i] = seen[r]*len(pre) + r
+		seen[r]++
 	}
-	out := make([]scored, 0, len(pre))
-	for round := 0; len(out) < len(pre); round++ {
-		for _, rk := range order {
-			if round < len(byRegion[rk]) {
-				out = append(out, byRegion[rk][round])
-			}
-		}
+	slices.SortFunc(rank, func(a, b int) int { return cmp.Compare(slot[a], slot[b]) })
+	out := make([]scored, len(rank))
+	for j, i := range rank {
+		out[j] = pre[i]
 	}
 	return out
 }
@@ -317,13 +325,19 @@ func ChooseWith(dev *device.Device, c *circuit.Circuit, opts Options) (*Placemen
 	for i, phys := range cands {
 		pre[i] = sctx.evaluate(phys, ia)
 	}
-	sort.Slice(pre, func(i, j int) bool {
-		if pre[i].score != pre[j].score {
-			return pre[i].score < pre[j].score
+	// Sort indices, not the candidates: ties on score break toward the
+	// lexicographically smallest mapping, and mappings are distinct.
+	rank := make([]int, len(pre))
+	for i := range rank {
+		rank[i] = i
+	}
+	slices.SortFunc(rank, func(a, b int) int {
+		if c := cmp.Compare(pre[a].score, pre[b].score); c != 0 {
+			return c
 		}
-		return lexLess(pre[i].phys, pre[j].phys)
+		return slices.Compare(pre[a].phys, pre[b].phys)
 	})
-	order := diverseOrder(pre)
+	order := diverseOrder(pre, rank)
 	observeTier(mTierStatic)
 
 	workers := opts.Workers
@@ -363,11 +377,11 @@ func ChooseWith(dev *device.Device, c *circuit.Circuit, opts Options) (*Placemen
 			for i := range rest {
 				preds[i] = pred{i, model.Predict(rest[i].feats)}
 			}
-			sort.Slice(preds, func(i, j int) bool {
-				if preds[i].y != preds[j].y {
-					return preds[i].y < preds[j].y
+			slices.SortFunc(preds, func(a, b pred) int {
+				if c := cmp.Compare(a.y, b.y); c != 0 {
+					return c
 				}
-				return preds[i].idx < preds[j].idx
+				return cmp.Compare(a.idx, b.idx)
 			})
 			k := opts.ExactTopK
 			if k > len(preds) {

@@ -229,7 +229,7 @@ func TestDiverseOrderKeysDistinctRegions(t *testing.T) {
 	if a.key == c.key {
 		t.Errorf("distinct regions share key %q", a.key)
 	}
-	ordered := diverseOrder([]scored{a, b, c})
+	ordered := diverseOrder([]scored{a, b, c}, []int{0, 1, 2})
 	if len(ordered) != 3 {
 		t.Fatalf("diverse order dropped candidates: %d of 3", len(ordered))
 	}
