@@ -428,17 +428,21 @@ func (f *blockFrame) anticommuteWord(pl *obsPlan) uint64 {
 }
 
 // blockWorker is one worker's reusable state for the block-granular shot
-// loop: the bit-plane frame for full 64-shot words, a lazily built scalar
-// reference frame for the remainder tail, and a classical-bit scratch for
-// key building.
+// loop: the bit-plane frame for full 64-shot words and the scalar
+// reference frame for the remainder tail, each built on first use.
 type blockWorker struct {
 	bf *blockFrame
 	sf *frame
 	p  *program
 }
 
-func newBlockWorker(p *program) *blockWorker {
-	return &blockWorker{bf: newBlockFrame(p), p: p}
+// block returns the worker's bit-plane frame, building it on first use
+// (a run of fewer than 64 shots never does).
+func (w *blockWorker) block() *blockFrame {
+	if w.bf == nil {
+		w.bf = newBlockFrame(w.p)
+	}
+	return w.bf
 }
 
 // scalar returns the worker's scalar reference frame, building it on
@@ -466,15 +470,16 @@ func (e *Engine) forEachShotBlock(p *program,
 	}
 	tr, lane := e.Cfg.Tracer, e.Cfg.Lane
 	sim.ForEachShotBlock(e.numShots(), e.Cfg.Workers,
-		func() *blockWorker { return newBlockWorker(p) },
+		func() *blockWorker { return &blockWorker{p: p} },
 		func(b, base int, w *blockWorker) {
 			var sp obs.Span
 			if tr.Enabled() {
 				sp = tr.Start("stab.block").WithLane(lane)
 			}
-			w.bf.reset(sim.BlockSeed(e.Cfg.Seed, b))
-			w.bf.run(bp)
-			onBlock(b, base, w.bf)
+			bf := w.block()
+			bf.reset(sim.BlockSeed(e.Cfg.Seed, b))
+			bf.run(bp)
+			onBlock(b, base, bf)
 			sp.End()
 		},
 		func(i int, w *blockWorker) {
