@@ -133,8 +133,8 @@ func TestPackedBitsRoundTrip(t *testing.T) {
 	if got := pb.Ones(0); got != 2 {
 		t.Errorf("Ones(0) = %d, want 2", got)
 	}
-	if got := pb.OnesXor(0, 1); got != 3 {
-		t.Errorf("OnesXor(0,1) = %d, want 3", got)
+	if got := pb.OnesParity([]int{0, 1}); got != 3 {
+		t.Errorf("OnesParity(0,1) = %d, want 3", got)
 	}
 }
 
@@ -146,8 +146,8 @@ func TestPackedBitsTailMask(t *testing.T) {
 	if got := pb.Ones(0); got != 2 {
 		t.Errorf("Ones with dirty tail = %d, want 2", got)
 	}
-	if got := pb.OnesXor(0, 0); got != 0 {
-		t.Errorf("OnesXor(self) = %d, want 0", got)
+	if got := pb.OnesParity([]int{0, 0}); got != 0 {
+		t.Errorf("OnesParity(self) = %d, want 0", got)
 	}
 }
 

@@ -63,17 +63,6 @@ func (pb PackedBits) Ones(c int) int {
 	return n
 }
 
-// OnesXor counts the shots where classical bits a and b differ — the
-// packed accumulator behind ZZ-type parity expectations.
-func (pb PackedBits) OnesXor(a, b int) int {
-	n := 0
-	pa, pc := pb.Planes[a], pb.Planes[b]
-	for w := range pa {
-		n += bits.OnesCount64((pa[w] ^ pc[w]) & pb.tailMask(w))
-	}
-	return n
-}
-
 // OnesParity counts the shots whose XOR over the listed classical bits is
 // 1 — the packed accumulator behind arbitrary Z-moment estimation
 // (<prod Z_i> = 1 - 2*OnesParity/Shots). A bit index out of range

@@ -8,7 +8,7 @@ import (
 // TestPackedBitsAppendChainPopcounts is the correlation-popcount
 // regression for Append tail masking: chained appends of records whose
 // shot counts are not multiples of 64 — each operand carrying planted
-// garbage beyond its last valid shot — must keep Ones and OnesXor totals
+// garbage beyond its last valid shot — must keep Ones and OnesParity totals
 // exactly equal to a per-shot scalar rebuild. This is the exact class of
 // bug the correl estimator's pair counts would silently absorb: a single
 // leaked tail bit shifts every covariance downstream of it.
@@ -56,8 +56,8 @@ func TestPackedBitsAppendChainPopcounts(t *testing.T) {
 						chain, acc.Shots, c, got, wantOnes[c])
 				}
 			}
-			if got := acc.OnesXor(0, 1); got != wantXor {
-				t.Fatalf("chain %v after %d shots: OnesXor = %d, want %d (tail leak)",
+			if got := acc.OnesParity([]int{0, 1}); got != wantXor {
+				t.Fatalf("chain %v after %d shots: OnesParity(0,1) = %d, want %d (tail leak)",
 					chain, acc.Shots, got, wantXor)
 			}
 			// Every accumulated bit must still be addressable per shot.
