@@ -429,29 +429,13 @@ func (f *blockFrame) anticommuteWord(pl *obsPlan) uint64 {
 
 // blockWorker is one worker's reusable state for the block-granular shot
 // loop: the bit-plane frame for full 64-shot words and the scalar
-// reference frame for the remainder tail, each built on first use.
+// reference frame for the remainder tail. Each is built on the worker's
+// first unit of its kind, so a run of fewer than 64 shots builds no
+// bit-plane frame, and only the worker that claims the tail builds a
+// scalar one.
 type blockWorker struct {
 	bf *blockFrame
 	sf *frame
-	p  *program
-}
-
-// block returns the worker's bit-plane frame, building it on first use
-// (a run of fewer than 64 shots never does).
-func (w *blockWorker) block() *blockFrame {
-	if w.bf == nil {
-		w.bf = newBlockFrame(w.p)
-	}
-	return w.bf
-}
-
-// scalar returns the worker's scalar reference frame, building it on
-// first use (only the one worker that claims the tail unit ever pays).
-func (w *blockWorker) scalar() *frame {
-	if w.sf == nil {
-		w.sf = newFrame(w.p)
-	}
-	return w.sf
 }
 
 // forEachShotBlock runs the bit-plane shot loop over the compiled program:
@@ -470,22 +454,26 @@ func (e *Engine) forEachShotBlock(p *program,
 	}
 	tr, lane := e.Cfg.Tracer, e.Cfg.Lane
 	sim.ForEachShotBlock(e.numShots(), e.Cfg.Workers,
-		func() *blockWorker { return &blockWorker{p: p} },
+		func() *blockWorker { return new(blockWorker) },
 		func(b, base int, w *blockWorker) {
+			if w.bf == nil {
+				w.bf = newBlockFrame(p)
+			}
 			var sp obs.Span
 			if tr.Enabled() {
 				sp = tr.Start("stab.block").WithLane(lane)
 			}
-			bf := w.block()
-			bf.reset(sim.BlockSeed(e.Cfg.Seed, b))
-			bf.run(bp)
-			onBlock(b, base, bf)
+			w.bf.reset(sim.BlockSeed(e.Cfg.Seed, b))
+			w.bf.run(bp)
+			onBlock(b, base, w.bf)
 			sp.End()
 		},
 		func(i int, w *blockWorker) {
-			f := w.scalar()
-			f.reset(sim.ShotSeed(e.Cfg.Seed, i))
-			f.run(p)
-			onTail(i, f)
+			if w.sf == nil {
+				w.sf = newFrame(p)
+			}
+			w.sf.reset(sim.ShotSeed(e.Cfg.Seed, i))
+			w.sf.run(p)
+			onTail(i, w.sf)
 		})
 }
