@@ -481,12 +481,3 @@ func enumerate(dev *device.Device, g, ig *qgraph.Graph, opts Options) [][]int {
 	}
 	return cands
 }
-
-func lexLess(a, b []int) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return false
-}

@@ -279,7 +279,7 @@ func argmin(best *Placement, pls []*Placement) *Placement {
 			continue
 		}
 		if best == nil || pl.Score < best.Score ||
-			(pl.Score == best.Score && lexLess(pl.Phys, best.Phys)) {
+			(pl.Score == best.Score && slices.Compare(pl.Phys, best.Phys) < 0) {
 			best = pl
 		}
 	}

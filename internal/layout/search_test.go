@@ -250,3 +250,14 @@ func sameInts(a, b []int) bool {
 	}
 	return true
 }
+
+// lexLess orders equal-length mappings lexicographically — the tie-break
+// the search applies, restated independently of it.
+func lexLess(a, b []int) bool {
+	for i := range a {
+		if a[i] != b[i] {
+			return a[i] < b[i]
+		}
+	}
+	return false
+}
