@@ -60,8 +60,8 @@ func (g *Graph) HasEdge(a, b int) bool {
 }
 
 // Neighbors returns the sorted neighbor list of node a. The slice is the
-// graph's own, so callers must not write to it; its capacity equals its
-// length, so appending to it copies.
+// graph's own: callers must not write to it, and a later AddEdge may
+// change it. Its capacity equals its length, so appending to it copies.
 func (g *Graph) Neighbors(a int) []int {
 	nb := g.adj[a]
 	return nb[:len(nb):len(nb)]
