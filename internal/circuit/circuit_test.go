@@ -185,6 +185,82 @@ func TestValidateCatchesErrors(t *testing.T) {
 	}
 }
 
+// TestValidateRule pins which circuits Validate accepts and the exact
+// error of each one it rejects. Unlike Layer.Add, Validate lets delays,
+// barriers and dd pulses share a qubit with anything in the layer, and it
+// reports a qubit out of range on every instruction, those included.
+func TestValidateRule(t *testing.T) {
+	on := func(g gates.Kind, qs ...int) Instruction { return Instruction{Gate: g, Qubits: qs} }
+	dd := func(g gates.Kind, q int, at float64) Instruction {
+		return Instruction{Gate: g, Qubits: []int{q}, Tag: "dd", Time: at}
+	}
+	twirl := func(g gates.Kind, q int) Instruction { return Instruction{Gate: g, Qubits: []int{q}, Tag: "twirl"} }
+	delay := func(q int) Instruction { return Instruction{Gate: gates.Delay, Qubits: []int{q}, Params: []float64{100}} }
+	measure := func(q, cbit int) Instruction { return Instruction{Gate: gates.Measure, Qubits: []int{q}, CBit: cbit} }
+	layer := func(kind LayerKind, instrs ...Instruction) Layer { return Layer{Kind: kind, Instrs: instrs} }
+	cases := []struct {
+		name   string
+		layers []Layer
+		err    string // "" when the circuit is valid
+	}{
+		{"qubit out of range", []Layer{layer(OneQubitLayer, on(gates.H, 4))},
+			"circuit: layer 0: qubit 4 out of range"},
+		{"negative qubit", []Layer{layer(OneQubitLayer, on(gates.H, 0)), layer(TwoQubitLayer, on(gates.ECR, 1, -1))},
+			"circuit: layer 1: qubit -1 out of range"},
+		{"delay out of range", []Layer{layer(OneQubitLayer, on(gates.H, 0), delay(5))},
+			"circuit: layer 0: qubit 5 out of range"},
+		{"barrier out of range", []Layer{layer(OneQubitLayer, on(gates.Barrier, 0, 1, 2, 3, 4))},
+			"circuit: layer 0: qubit 4 out of range"},
+		{"dd pulse out of range", []Layer{layer(TwoQubitLayer, on(gates.ECR, 0, 1), dd(gates.XDD, 7, 100))},
+			"circuit: layer 0: qubit 7 out of range"},
+		{"2q gate over a 1q gate", []Layer{layer(OneQubitLayer, on(gates.H, 1)), layer(TwoQubitLayer, on(gates.ECR, 0, 1), on(gates.H, 1))},
+			"circuit: layer 1: qubit 1 used twice"},
+		{"1q gate under a 2q gate", []Layer{layer(OneQubitLayer, on(gates.SX, 2), on(gates.CX, 3, 2))},
+			"circuit: layer 0: qubit 2 used twice"},
+		{"repeated twirl pauli", []Layer{layer(TwirlLayer, twirl(gates.XGate, 2), twirl(gates.ZGate, 3), twirl(gates.ZGate, 2))},
+			"circuit: layer 0: qubit 2 used twice"},
+		{"measure twice", []Layer{layer(MeasureLayer, measure(0, 0), measure(0, 1))},
+			"circuit: layer 0: qubit 0 used twice"},
+		{"cbit out of range", []Layer{layer(MeasureLayer, measure(0, 0), measure(1, 2))},
+			"circuit: layer 0: cbit 2 out of range"},
+		{"negative cbit", []Layer{layer(MeasureLayer, measure(3, -1))},
+			"circuit: layer 0: cbit -1 out of range"},
+		{"condition bit out of range", []Layer{layer(OneQubitLayer,
+			Instruction{Gate: gates.XGate, Qubits: []int{0}, Cond: &Condition{Bit: 3, Value: 1}})},
+			"circuit: layer 0: condition bit 3 out of range"},
+		{"untagged 1q gate in 2q layer", []Layer{layer(TwoQubitLayer, on(gates.ECR, 0, 1), on(gates.H, 2))},
+			"circuit: layer 0: 1q gate h in 2q layer without dd tag"},
+		{"twirl pauli in 2q layer", []Layer{layer(TwoQubitLayer, twirl(gates.XGate, 2))},
+			"circuit: layer 0: 1q gate x in 2q layer without dd tag"},
+
+		{"delays repeat", []Layer{layer(OneQubitLayer, on(gates.H, 0), delay(0), delay(0), delay(1))}, ""},
+		{"barriers repeat", []Layer{layer(OneQubitLayer, on(gates.Barrier, 0, 1, 2, 3), on(gates.H, 0), on(gates.Barrier, 0, 1))}, ""},
+		{"dd pulses repeat", []Layer{layer(TwoQubitLayer, on(gates.ECR, 0, 1),
+			dd(gates.XDD, 2, 100), dd(gates.XDD, 2, 300), dd(gates.XDD, 0, 200))}, ""},
+		{"consecutive layers", []Layer{
+			layer(OneQubitLayer, on(gates.H, 0), on(gates.SX, 1)),
+			layer(TwirlLayer, twirl(gates.XGate, 0), twirl(gates.YGate, 1)),
+			layer(TwoQubitLayer, on(gates.ECR, 0, 1)),
+			layer(TwirlLayer, twirl(gates.ZGate, 0), twirl(gates.XGate, 1)),
+			layer(MeasureLayer, measure(0, 0), measure(1, 1)),
+			layer(OneQubitLayer, Instruction{Gate: gates.XGate, Qubits: []int{0}, Cond: &Condition{Bit: 1, Value: 1}}),
+		}, ""},
+		{"dd-tagged 1q gate in 2q layer", []Layer{layer(TwoQubitLayer, on(gates.CX, 0, 1), dd(gates.YGate, 2, 0))}, ""},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			circ := &Circuit{NQubits: 4, NCBits: 2, Layers: c.layers}
+			got := ""
+			if err := circ.Validate(); err != nil {
+				got = err.Error()
+			}
+			if got != c.err {
+				t.Fatalf("Validate = %q, want %q", got, c.err)
+			}
+		})
+	}
+}
+
 func TestInsertLayer(t *testing.T) {
 	c := New(1, 0)
 	c.AddLayer(OneQubitLayer).H(0)
