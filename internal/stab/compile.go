@@ -61,7 +61,8 @@ type measInfo struct {
 
 // program is one compiled circuit: the op stream, the reference
 // measurement record, and the final reference tableau (for expectation
-// values).
+// values). A program lives only for the engine call that compiled it,
+// which hands its op stream back to opPool on return (release).
 type program struct {
 	nq, ncb, words int
 	ops            []op
@@ -75,6 +76,19 @@ type CompileInfo struct {
 	Cliffords int // tableau/frame conjugations
 	Channels  int // derived Pauli-channel locations
 	Measures  int
+}
+
+// opPool recycles op streams between compiles: a cold fig8 request
+// compiles 144 programs of about 2,000 ops each, and growing each stream
+// from empty allocates about three times its final size.
+var opPool = sync.Pool{New: func() any { return new([]op) }}
+
+// release returns the program's op stream to opPool. The program must not
+// be used afterwards.
+func (p *program) release() {
+	ops := p.ops[:0]
+	p.ops = nil
+	opPool.Put(&ops)
 }
 
 // ---- Clifford table resolution -------------------------------------------
@@ -297,6 +311,7 @@ func (e *Engine) compile(c *circuit.Circuit) (*program, error) {
 		phi:   make([]float64, nq),
 		tau:   make([]float64, nq),
 		phiZZ: make([]float64, len(x.Edges)),
+		ops:   (*opPool.Get().(*[]op))[:0],
 	}
 	for li := range c.Layers {
 		x.Lower(&cp.lw, &c.Layers[li])
@@ -538,10 +553,12 @@ func composeChan(a, b [4]float64) [4]float64 {
 // reference runs the ideal Clifford skeleton once on the tableau, drawing
 // nondeterministic measurement outcomes from a seed-derived RNG and
 // recording, per measurement, the branch-flip stabilizer the frame
-// sampler needs.
+// sampler needs. The RNG is seeded at the first measurement: a program
+// that measures nothing (fig8's expectation circuits) never builds one,
+// and a freshly seeded source draws the same outcomes either way.
 func (p *program) reference(seed int64) {
 	p.tab = NewTableau(p.nq)
-	rng := rand.New(rand.NewSource(seed*6364136223846793005 + 1442695040888963407))
+	var rng *rand.Rand
 	for i := range p.ops {
 		o := &p.ops[i]
 		switch o.kind {
@@ -552,6 +569,9 @@ func (p *program) reference(seed int64) {
 		case opPauliGate:
 			p.tab.ApplyPauli(o.q0, o.p)
 		case opMeasure:
+			if rng == nil {
+				rng = rand.New(rand.NewSource(seed*6364136223846793005 + 1442695040888963407))
+			}
 			bit, det, fx, fz := p.tab.MeasureZ(o.q0, rng)
 			p.meas = append(p.meas, measInfo{ref: bit, det: det, fx: fx, fz: fz})
 		}

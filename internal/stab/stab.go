@@ -100,6 +100,7 @@ func (e *Engine) CountsPacked(c *circuit.Circuit) (sim.PackedBits, error) {
 	if err != nil {
 		return sim.PackedBits{}, err
 	}
+	defer p.release()
 	pb := sim.NewPackedBits(p.ncb, e.numShots())
 	e.forEachShotBlock(p,
 		func(b, base int, bf *blockFrame) {
@@ -172,6 +173,7 @@ func (e *Engine) Expectations(c *circuit.Circuit, obs []sim.ObsSpec) ([]float64,
 	if err != nil {
 		return nil, err
 	}
+	defer p.release()
 	plans := make([]obsPlan, len(obs))
 	for j, o := range obs {
 		if plans[j], err = e.planObs(p, o); err != nil {
@@ -233,5 +235,6 @@ func (e *Engine) Info(c *circuit.Circuit) (CompileInfo, error) {
 	if err != nil {
 		return CompileInfo{}, err
 	}
+	defer p.release()
 	return p.info(), nil
 }
