@@ -302,20 +302,26 @@ func (l *Layer) CondRZ(q int, theta float64, bit, value int) *Layer {
 }
 
 // Validate checks structural invariants: qubit indices in range, classical
-// bits in range, layer contents matching their kinds.
+// bits in range, layer contents matching their kinds. Within a layer no
+// qubit may carry two instructions, except delays, barriers and dd pulses.
 func (c *Circuit) Validate() error {
-	for li, l := range c.Layers {
-		seen := map[int]bool{}
-		for _, in := range l.Instrs {
+	// last[q] is 1 + the index of the last layer whose instructions used
+	// q, so one slice serves the whole circuit.
+	last := make([]int, c.NQubits)
+	for li := range c.Layers {
+		l := &c.Layers[li]
+		for ii := range l.Instrs {
+			in := &l.Instrs[ii]
+			shared := in.Gate == gates.Delay || in.Gate == gates.Barrier || in.Tag == "dd"
 			for _, q := range in.Qubits {
 				if q < 0 || q >= c.NQubits {
 					return fmt.Errorf("circuit: layer %d: qubit %d out of range", li, q)
 				}
-				if in.Gate != gates.Delay && in.Gate != gates.Barrier && in.Tag != "dd" {
-					if seen[q] {
+				if !shared {
+					if last[q] == li+1 {
 						return fmt.Errorf("circuit: layer %d: qubit %d used twice", li, q)
 					}
-					seen[q] = true
+					last[q] = li + 1
 				}
 			}
 			if in.Gate == gates.Measure && (in.CBit < 0 || in.CBit >= c.NCBits) {
