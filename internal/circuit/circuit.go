@@ -301,9 +301,11 @@ func (l *Layer) CondRZ(q int, theta float64, bit, value int) *Layer {
 	return l.Add(Instruction{Gate: gates.RZ, Qubits: []int{q}, Params: []float64{theta}, Cond: &Condition{Bit: bit, Value: value}})
 }
 
-// Validate checks structural invariants: qubit indices in range, classical
-// bits in range, layer contents matching their kinds. Within a layer no
-// qubit may carry two instructions, except delays, barriers and dd pulses.
+// Validate checks structural invariants: qubit indices in range, operand
+// counts matching each gate (Add's rule, plus exactly one qubit for a
+// measure or reset), classical bits in range, layer contents matching
+// their kinds. Within a layer no qubit may carry two instructions, except
+// delays, barriers and dd pulses.
 func (c *Circuit) Validate() error {
 	// last[q] is 1 + the index of the last layer whose instructions used
 	// q, so one slice serves the whole circuit.
@@ -323,6 +325,13 @@ func (c *Circuit) Validate() error {
 					}
 					last[q] = li + 1
 				}
+			}
+			arity := gates.NumQubits(in.Gate)
+			if in.Gate == gates.Measure || in.Gate == gates.Reset {
+				arity = 1
+			}
+			if arity > 0 && len(in.Qubits) != arity {
+				return fmt.Errorf("circuit: layer %d: %s expects %d qubits, got %d", li, in.Gate, arity, len(in.Qubits))
 			}
 			if in.Gate == gates.Measure && (in.CBit < 0 || in.CBit >= c.NCBits) {
 				return fmt.Errorf("circuit: layer %d: cbit %d out of range", li, in.CBit)

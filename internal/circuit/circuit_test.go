@@ -187,15 +187,18 @@ func TestValidateCatchesErrors(t *testing.T) {
 
 // TestValidateRule pins which circuits Validate accepts and the exact
 // error of each one it rejects. Unlike Layer.Add, Validate lets delays,
-// barriers and dd pulses share a qubit with anything in the layer, and it
-// reports a qubit out of range on every instruction, those included.
+// barriers and dd pulses share a qubit with anything in the layer, it
+// reports a qubit out of range on every instruction, those included, and
+// it requires exactly one qubit for a measure or reset.
 func TestValidateRule(t *testing.T) {
 	on := func(g gates.Kind, qs ...int) Instruction { return Instruction{Gate: g, Qubits: qs} }
 	dd := func(g gates.Kind, q int, at float64) Instruction {
 		return Instruction{Gate: g, Qubits: []int{q}, Tag: "dd", Time: at}
 	}
 	twirl := func(g gates.Kind, q int) Instruction { return Instruction{Gate: g, Qubits: []int{q}, Tag: "twirl"} }
-	delay := func(q int) Instruction { return Instruction{Gate: gates.Delay, Qubits: []int{q}, Params: []float64{100}} }
+	delay := func(q int) Instruction {
+		return Instruction{Gate: gates.Delay, Qubits: []int{q}, Params: []float64{100}}
+	}
 	measure := func(q, cbit int) Instruction { return Instruction{Gate: gates.Measure, Qubits: []int{q}, CBit: cbit} }
 	layer := func(kind LayerKind, instrs ...Instruction) Layer { return Layer{Kind: kind, Instrs: instrs} }
 	cases := []struct {
@@ -232,6 +235,19 @@ func TestValidateRule(t *testing.T) {
 			"circuit: layer 0: 1q gate h in 2q layer without dd tag"},
 		{"twirl pauli in 2q layer", []Layer{layer(TwoQubitLayer, twirl(gates.XGate, 2))},
 			"circuit: layer 0: 1q gate x in 2q layer without dd tag"},
+		{"2q gate on one qubit", []Layer{layer(TwoQubitLayer, on(gates.ECR, 0))},
+			"circuit: layer 0: ecr expects 2 qubits, got 1"},
+		{"2q gate on three qubits", []Layer{layer(TwoQubitLayer, on(gates.RZZ, 0, 1, 2))},
+			"circuit: layer 0: rzz expects 2 qubits, got 3"},
+		{"1q gate on no qubit", []Layer{layer(MeasureLayer, on(gates.H))},
+			"circuit: layer 0: h expects 1 qubits, got 0"},
+		{"dd pulse on two qubits", []Layer{layer(TwoQubitLayer, on(gates.ECR, 0, 1),
+			Instruction{Gate: gates.XDD, Qubits: []int{2, 3}, Tag: "dd"})},
+			"circuit: layer 0: xdd expects 1 qubits, got 2"},
+		{"measure on no qubit", []Layer{layer(MeasureLayer, Instruction{Gate: gates.Measure})},
+			"circuit: layer 0: measure expects 1 qubits, got 0"},
+		{"reset on two qubits", []Layer{layer(MeasureLayer, on(gates.Reset, 0, 1))},
+			"circuit: layer 0: reset expects 1 qubits, got 2"},
 
 		{"delays repeat", []Layer{layer(OneQubitLayer, on(gates.H, 0), delay(0), delay(0), delay(1))}, ""},
 		{"barriers repeat", []Layer{layer(OneQubitLayer, on(gates.Barrier, 0, 1, 2, 3), on(gates.H, 0), on(gates.Barrier, 0, 1))}, ""},
@@ -246,6 +262,9 @@ func TestValidateRule(t *testing.T) {
 			layer(OneQubitLayer, Instruction{Gate: gates.XGate, Qubits: []int{0}, Cond: &Condition{Bit: 1, Value: 1}}),
 		}, ""},
 		{"dd-tagged 1q gate in 2q layer", []Layer{layer(TwoQubitLayer, on(gates.CX, 0, 1), dd(gates.YGate, 2, 0))}, ""},
+		{"delay and barrier on any number of qubits", []Layer{layer(OneQubitLayer,
+			Instruction{Gate: gates.Delay, Params: []float64{100}}, on(gates.Barrier), on(gates.Barrier, 0, 1, 2))}, ""},
+		{"reset", []Layer{layer(MeasureLayer, on(gates.Reset, 0), measure(1, 0))}, ""},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

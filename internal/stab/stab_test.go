@@ -1,6 +1,7 @@
 package stab
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -231,5 +232,47 @@ func TestEngineInfo(t *testing.T) {
 	}
 	if inf.Cliffords < 2 || inf.Channels == 0 || inf.Measures != 1 || inf.Ops != inf.Cliffords+inf.Channels+inf.Measures {
 		t.Fatalf("implausible compile info: %+v", inf)
+	}
+}
+
+// TestEnginesRejectWrongArity hands both engines instructions with the
+// wrong operand count, built without Layer.Add as a library user can.
+// Validate rejects them, so each engine returns an error instead of
+// panicking when it lowers the layer.
+func TestEnginesRejectWrongArity(t *testing.T) {
+	dev := device.NewLine("arity4", 4, device.DefaultOptions())
+	cases := []struct {
+		kind circuit.LayerKind
+		in   circuit.Instruction
+		err  string
+	}{
+		{circuit.TwoQubitLayer, circuit.Instruction{Gate: gates.ECR, Qubits: []int{0}},
+			"circuit: layer 1: ecr expects 2 qubits, got 1"},
+		{circuit.MeasureLayer, circuit.Instruction{Gate: gates.H},
+			"circuit: layer 1: h expects 1 qubits, got 0"},
+		{circuit.MeasureLayer, circuit.Instruction{Gate: gates.Measure},
+			"circuit: layer 1: measure expects 1 qubits, got 0"},
+	}
+	for _, tc := range cases {
+		c := circuit.New(4, 1)
+		c.AddLayer(circuit.OneQubitLayer).H(0)
+		l := c.AddLayer(tc.kind)
+		l.Instrs = append(l.Instrs, tc.in)
+		sched.Schedule(c, dev)
+		engines := []sim.Engine{New(dev, noiselessCfg(4)), sim.New(dev, noiselessCfg(4))}
+		for _, e := range engines {
+			err := func() (err error) {
+				defer func() {
+					if r := recover(); r != nil {
+						err = fmt.Errorf("panic: %v", r)
+					}
+				}()
+				_, err = e.Counts(c)
+				return err
+			}()
+			if err == nil || err.Error() != tc.err {
+				t.Errorf("%T.Counts on %s %v: error %v, want %q", e, tc.in.Gate, tc.in.Qubits, err, tc.err)
+			}
+		}
 	}
 }
