@@ -151,9 +151,15 @@ func colorWindow(c *circuit.Circuit, dev *device.Device, g *qgraph.Graph, w sche
 	// ColorGraph seeds the greedy coloring.
 	fixed := qgraph.Coloring{}
 	rotary := map[int]bool{}
-	for _, gate := range concurrentGates(c, w) {
-		fixed[gate.Qubits[0]] = 1
-		rotary[gate.Qubits[1]] = true
+	for li := range c.Layers {
+		l := &c.Layers[li]
+		if l.Start >= w.End || l.Start+l.Duration <= w.Start {
+			continue // the layer does not overlap the window
+		}
+		for gate := range l.TwoQubitGates() {
+			fixed[gate.Qubits[0]] = 1
+			rotary[gate.Qubits[1]] = true
+		}
 	}
 	forbidden := map[int][]int{}
 	for _, q := range w.Qubits {
@@ -188,22 +194,6 @@ func colorWindow(c *circuit.Circuit, dev *device.Device, g *qgraph.Graph, w sche
 		}
 	}
 	return colors, nil
-}
-
-// concurrentGates returns the two-qubit gates whose layers overlap the
-// window in time.
-func concurrentGates(c *circuit.Circuit, w sched.Window) []circuit.Instruction {
-	var out []circuit.Instruction
-	for li := range c.Layers {
-		l := &c.Layers[li]
-		if l.Start >= w.End || l.Start+l.Duration <= w.Start {
-			continue
-		}
-		for in := range l.TwoQubitGates() {
-			out = append(out, *in)
-		}
-	}
-	return out
 }
 
 // splitAtGateLayers cuts every window at the boundaries of layers that
