@@ -68,11 +68,48 @@ func pauliGate(p pauli.Pauli) gates.Kind {
 	return gates.ID
 }
 
-func addPauli(l *circuit.Layer, p pauli.Pauli, q int) {
+// twirlLayer is a pre or post TwirlLayer under construction, allocated at
+// its largest possible size: one Pauli per qubit of the gates and, under
+// AllQubits, per idle qubit. Every Pauli's operand lives in one backing
+// array.
+type twirlLayer struct {
+	l    circuit.Layer
+	qs   []int
+	busy []int // per qubit: the stamp of the last layer holding a Pauli on it
+}
+
+func newTwirlLayer(size int, busy []int) *twirlLayer {
+	return &twirlLayer{
+		l:    circuit.Layer{Kind: circuit.TwirlLayer, Instrs: make([]circuit.Instruction, 0, size)},
+		qs:   make([]int, 0, size),
+		busy: busy,
+	}
+}
+
+// add appends Pauli p on qubit q, unless p is the identity. A second
+// Pauli on one qubit panics with Layer.Add's message: it means two of the
+// gates share an operand.
+func (t *twirlLayer) add(p pauli.Pauli, q, stamp int) {
 	if p == pauli.I {
 		return
 	}
-	l.Add(circuit.Instruction{Gate: pauliGate(p), Qubits: []int{q}, Tag: "twirl"})
+	if mark(t.busy, q, stamp) {
+		panic(fmt.Sprintf("circuit: qubit %d used twice in one layer", q))
+	}
+	t.qs = append(t.qs, q)
+	n := len(t.qs)
+	t.l.Instrs = append(t.l.Instrs, circuit.Instruction{Gate: pauliGate(p), Qubits: t.qs[n-1 : n : n], Tag: "twirl"})
+}
+
+// mark stamps qubit q in m and reports whether it already carried the
+// stamp. A qubit outside the circuit is not marked; Validate reports it.
+func mark(m []int, q, stamp int) bool {
+	if q < 0 || q >= len(m) {
+		return false
+	}
+	was := m[q] == stamp
+	m[q] = stamp
+	return was
 }
 
 // Instance returns a new circuit with one sampled Pauli twirl applied: every
@@ -80,17 +117,46 @@ func addPauli(l *circuit.Layer, p pauli.Pauli, q int) {
 // preserve the layer's logical operation. Layers containing non-twirlable
 // gates are passed through unchanged.
 func Instance(c *circuit.Circuit, scope Scope, rng *rand.Rand) (*circuit.Circuit, error) {
-	out := circuit.New(c.NQubits, c.NCBits)
-	for _, l := range c.Layers {
+	n := c.NQubits
+	out := circuit.New(n, c.NCBits)
+	// Per-qubit stamps (1 + the layer index): which qubits the layer's own
+	// instructions act on, and which hold a Pauli in its pre and post
+	// twirl layers.
+	marks := make([]int, 3*n)
+	active, inPre, inPost := marks[:n], marks[n:2*n], marks[2*n:]
+	for li := range c.Layers {
+		l := &c.Layers[li]
 		if l.Kind != circuit.TwoQubitLayer {
 			out.Layers = append(out.Layers, l.Clone())
 			continue
 		}
-		pre := circuit.Layer{Kind: circuit.TwirlLayer}
-		post := circuit.Layer{Kind: circuit.TwirlLayer}
-		ok, gated := true, false
+		stamp := li + 1
+		gated, busy := 0, 0
+		for i := range l.Instrs {
+			in := &l.Instrs[i]
+			if in.Gate == gates.Delay {
+				continue
+			}
+			for _, q := range in.Qubits {
+				if q >= 0 && q < n && !mark(active, q, stamp) {
+					busy++
+				}
+			}
+			if gates.NumQubits(in.Gate) == 2 {
+				gated++
+			}
+		}
+		if gated == 0 {
+			out.Layers = append(out.Layers, l.Clone())
+			continue
+		}
+		size := 2 * gated
+		if scope == AllQubits {
+			size += n - busy
+		}
+		pre, post := newTwirlLayer(size, inPre), newTwirlLayer(size, inPost)
+		ok := true
 		for in := range l.TwoQubitGates() {
-			gated = true
 			q0, q1 := in.Qubits[0], in.Qubits[1]
 			switch in.Gate {
 			case gates.ECR, gates.CX, gates.SWAP:
@@ -100,33 +166,36 @@ func Instance(c *circuit.Circuit, scope Scope, rng *rand.Rand) (*circuit.Circuit
 				}
 				p := pauli.Pair{P0: twoPauli[rng.Intn(4)], P1: twoPauli[rng.Intn(4)]}
 				q, _ := tab.InvertFor(p) // global sign is unobservable
-				addPauli(&pre, p.P0, q0)
-				addPauli(&pre, p.P1, q1)
-				addPauli(&post, q.P0, q0)
-				addPauli(&post, q.P1, q1)
+				pre.add(p.P0, q0, stamp)
+				pre.add(p.P1, q1, stamp)
+				post.add(q.P0, q0, stamp)
+				post.add(q.P1, q1, stamp)
 			case gates.RZZ, gates.Ucan:
 				// Twirl group restricted to the commutant {II, XX, YY, ZZ}.
 				p := twoPauli[rng.Intn(4)]
-				addPauli(&pre, p, q0)
-				addPauli(&pre, p, q1)
-				addPauli(&post, p, q0)
-				addPauli(&post, p, q1)
+				pre.add(p, q0, stamp)
+				pre.add(p, q1, stamp)
+				post.add(p, q0, stamp)
+				post.add(p, q1, stamp)
 			default:
 				ok = false
 			}
 		}
-		if !ok || !gated {
+		if !ok {
 			out.Layers = append(out.Layers, l.Clone())
 			continue
 		}
 		if scope == AllQubits {
-			for _, q := range l.IdleQubits(c.NQubits) {
+			for q := 0; q < n; q++ {
+				if active[q] == stamp {
+					continue
+				}
 				p := twoPauli[rng.Intn(4)]
-				addPauli(&pre, p, q)
-				addPauli(&post, p, q)
+				pre.add(p, q, stamp)
+				post.add(p, q, stamp)
 			}
 		}
-		out.Layers = append(out.Layers, pre, l.Clone(), post)
+		out.Layers = append(out.Layers, pre.l, l.Clone(), post.l)
 	}
 	return out, nil
 }

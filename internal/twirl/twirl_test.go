@@ -1,6 +1,7 @@
 package twirl
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -122,6 +123,43 @@ func TestInstanceStructure(t *testing.T) {
 	}
 	if twirlLayers != 8 {
 		t.Errorf("expected 8 twirl layers (4 gates x pre/post), got %d", twirlLayers)
+	}
+}
+
+// TestInstanceSharedOperandPanics twirls a layer whose two ECRs share
+// qubit 1, built without Layer.Add. Whenever both gates draw a non-identity
+// Pauli on that qubit for the same twirl layer, Instance panics with
+// Layer.Add's message; otherwise it returns.
+func TestInstanceSharedOperandPanics(t *testing.T) {
+	c := circuit.New(3, 0)
+	l := c.AddLayer(circuit.TwoQubitLayer)
+	l.Instrs = []circuit.Instruction{
+		{Gate: gates.ECR, Qubits: []int{0, 1}},
+		{Gate: gates.ECR, Qubits: []int{1, 2}},
+	}
+	panics := 0
+	for seed := int64(1); seed <= 20; seed++ {
+		msg := func() (msg string) {
+			defer func() {
+				if r := recover(); r != nil {
+					msg = fmt.Sprint(r)
+				}
+			}()
+			if _, err := Instance(c, AllQubits, rand.New(rand.NewSource(seed))); err != nil {
+				t.Fatal(err)
+			}
+			return ""
+		}()
+		switch msg {
+		case "":
+		case "circuit: qubit 1 used twice in one layer":
+			panics++
+		default:
+			t.Fatalf("seed %d: panic %q", seed, msg)
+		}
+	}
+	if panics == 0 {
+		t.Error("no seed out of 20 panicked on the shared operand")
 	}
 }
 
