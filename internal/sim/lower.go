@@ -117,6 +117,17 @@ type Lowered struct {
 	Driven     []bool // per qubit: a two-qubit gate drives it, Stark-shifting its neighbours
 	Rotary     []bool // per qubit: a two-qubit gate's target, its crosstalk echoed to the rotary residual
 	GatePair   []bool // per edge: a two-qubit gate's own pair, whose ZZ is calibrated away
+
+	// Sort scratch, reused across layers.
+	keys  []eventKey
+	spare []Event
+}
+
+// eventKey is a pointer-free sort key: an event's time and its index in
+// emission order.
+type eventKey struct {
+	t float64
+	i int32
 }
 
 // resetMask returns m resized to n entries, all false, reusing its
@@ -134,6 +145,13 @@ func resetMask(m []bool, n int) []bool {
 // time, ties in instruction order. dst's storage is reused, so one
 // Lowered can walk a whole circuit layer by layer.
 func (x *Crosstalk) Lower(dst *Lowered, l *circuit.Layer) {
+	x.emit(dst, l)
+	dst.sortEvents()
+}
+
+// emit fills dst with layer l's context masks and its events in emission
+// order, instruction by instruction.
+func (x *Crosstalk) emit(dst *Lowered, l *circuit.Layer) {
 	nq := len(x.QEdges)
 	dst.Start, dst.Dur = l.Start, l.Duration
 	dst.Active = resetMask(dst.Active, nq)
@@ -218,8 +236,35 @@ func (x *Crosstalk) Lower(dst *Lowered, l *circuit.Layer) {
 			evs = append(evs, ev)
 		}
 	}
-	slices.SortStableFunc(evs, func(a, b Event) int { return cmp.Compare(a.T, b.T) })
 	dst.Events = evs
+}
+
+// sortEvents orders dst.Events by time, ties in emission order: the order
+// a stable sort by time gives. Events are 64 bytes and hold a pointer, so
+// instead of moving them through the sort it sorts (time, index) keys and
+// then moves each event once. Layers already in time order (one-qubit,
+// twirl and measure layers) skip the sort.
+func (dst *Lowered) sortEvents() {
+	evs := dst.Events
+	sorted := true
+	for i := 1; i < len(evs) && sorted; i++ {
+		sorted = cmp.Compare(evs[i-1].T, evs[i].T) <= 0
+	}
+	if sorted {
+		return
+	}
+	keys := dst.keys[:0]
+	for i := range evs {
+		keys = append(keys, eventKey{evs[i].T, int32(i)})
+	}
+	slices.SortFunc(keys, func(a, b eventKey) int {
+		return cmp.Or(cmp.Compare(a.t, b.t), cmp.Compare(a.i, b.i))
+	})
+	spare := append(dst.spare[:0], evs...)
+	for j, k := range keys {
+		evs[j] = spare[k.i]
+	}
+	dst.keys, dst.spare = keys, spare
 }
 
 // Integrate adds the always-on ZZ (with its spectator Z) and the Stark
