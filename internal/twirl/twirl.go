@@ -73,27 +73,29 @@ func pauliGate(p pauli.Pauli) gates.Kind {
 // AllQubits, per idle qubit. Every Pauli's operand lives in one backing
 // array.
 type twirlLayer struct {
-	l    circuit.Layer
-	qs   []int
-	busy []int // per qubit: the stamp of the last layer holding a Pauli on it
+	l     circuit.Layer
+	qs    []int
+	busy  []int // per qubit: the stamp of the last layer holding a Pauli on it
+	stamp int
 }
 
-func newTwirlLayer(size int, busy []int) *twirlLayer {
+func newTwirlLayer(size int, busy []int, stamp int) *twirlLayer {
 	return &twirlLayer{
-		l:    circuit.Layer{Kind: circuit.TwirlLayer, Instrs: make([]circuit.Instruction, 0, size)},
-		qs:   make([]int, 0, size),
-		busy: busy,
+		l:     circuit.Layer{Kind: circuit.TwirlLayer, Instrs: make([]circuit.Instruction, 0, size)},
+		qs:    make([]int, 0, size),
+		busy:  busy,
+		stamp: stamp,
 	}
 }
 
 // add appends Pauli p on qubit q, unless p is the identity. A second
 // Pauli on one qubit panics with Layer.Add's message: it means two of the
 // gates share an operand.
-func (t *twirlLayer) add(p pauli.Pauli, q, stamp int) {
+func (t *twirlLayer) add(p pauli.Pauli, q int) {
 	if p == pauli.I {
 		return
 	}
-	if mark(t.busy, q, stamp) {
+	if mark(t.busy, q, t.stamp) {
 		panic(fmt.Sprintf("circuit: qubit %d used twice in one layer", q))
 	}
 	t.qs = append(t.qs, q)
@@ -131,16 +133,14 @@ func Instance(c *circuit.Circuit, scope Scope, rng *rand.Rand) (*circuit.Circuit
 			continue
 		}
 		stamp := li + 1
-		gated, busy := 0, 0
+		gated := 0
 		for i := range l.Instrs {
 			in := &l.Instrs[i]
 			if in.Gate == gates.Delay {
 				continue
 			}
 			for _, q := range in.Qubits {
-				if q >= 0 && q < n && !mark(active, q, stamp) {
-					busy++
-				}
+				mark(active, q, stamp)
 			}
 			if gates.NumQubits(in.Gate) == 2 {
 				gated++
@@ -152,9 +152,13 @@ func Instance(c *circuit.Circuit, scope Scope, rng *rand.Rand) (*circuit.Circuit
 		}
 		size := 2 * gated
 		if scope == AllQubits {
-			size += n - busy
+			for _, s := range active {
+				if s != stamp {
+					size++
+				}
+			}
 		}
-		pre, post := newTwirlLayer(size, inPre), newTwirlLayer(size, inPost)
+		pre, post := newTwirlLayer(size, inPre, stamp), newTwirlLayer(size, inPost, stamp)
 		ok := true
 		for in := range l.TwoQubitGates() {
 			q0, q1 := in.Qubits[0], in.Qubits[1]
@@ -166,17 +170,17 @@ func Instance(c *circuit.Circuit, scope Scope, rng *rand.Rand) (*circuit.Circuit
 				}
 				p := pauli.Pair{P0: twoPauli[rng.Intn(4)], P1: twoPauli[rng.Intn(4)]}
 				q, _ := tab.InvertFor(p) // global sign is unobservable
-				pre.add(p.P0, q0, stamp)
-				pre.add(p.P1, q1, stamp)
-				post.add(q.P0, q0, stamp)
-				post.add(q.P1, q1, stamp)
+				pre.add(p.P0, q0)
+				pre.add(p.P1, q1)
+				post.add(q.P0, q0)
+				post.add(q.P1, q1)
 			case gates.RZZ, gates.Ucan:
 				// Twirl group restricted to the commutant {II, XX, YY, ZZ}.
 				p := twoPauli[rng.Intn(4)]
-				pre.add(p, q0, stamp)
-				pre.add(p, q1, stamp)
-				post.add(p, q0, stamp)
-				post.add(p, q1, stamp)
+				pre.add(p, q0)
+				pre.add(p, q1)
+				post.add(p, q0)
+				post.add(p, q1)
 			default:
 				ok = false
 			}
@@ -191,8 +195,8 @@ func Instance(c *circuit.Circuit, scope Scope, rng *rand.Rand) (*circuit.Circuit
 					continue
 				}
 				p := twoPauli[rng.Intn(4)]
-				pre.add(p, q, stamp)
-				post.add(p, q, stamp)
+				pre.add(p, q)
+				post.add(p, q)
 			}
 		}
 		out.Layers = append(out.Layers, pre.l, l.Clone(), post.l)
