@@ -309,7 +309,7 @@ func (l *Layer) CondRZ(q int, theta float64, bit, value int) *Layer {
 func (c *Circuit) Validate() error {
 	// last[q] is 1 + the index of the last layer whose instructions used
 	// q, so one slice serves the whole circuit.
-	last := make([]int, c.NQubits)
+	last := make([]int, max(c.NQubits, 0))
 	for li := range c.Layers {
 		l := &c.Layers[li]
 		for ii := range l.Instrs {

@@ -183,6 +183,12 @@ func TestValidateCatchesErrors(t *testing.T) {
 	if err := c3.Validate(); err == nil {
 		t.Error("untagged 1q gate in 2q layer not caught")
 	}
+
+	c4 := &Circuit{NQubits: -1}
+	c4.AddLayer(OneQubitLayer).Instrs = []Instruction{{Gate: gates.H, Qubits: []int{0}}}
+	if err := c4.Validate(); err == nil {
+		t.Error("qubit of a circuit with a negative qubit count not caught")
+	}
 }
 
 // TestValidateRule pins which circuits Validate accepts and the exact

@@ -124,8 +124,9 @@ func Instance(c *circuit.Circuit, scope Scope, rng *rand.Rand) (*circuit.Circuit
 	// Per-qubit stamps (1 + the layer index): which qubits the layer's own
 	// instructions act on, and which hold a Pauli in its pre and post
 	// twirl layers.
-	marks := make([]int, 3*n)
-	active, inPre, inPost := marks[:n], marks[n:2*n], marks[2*n:]
+	k := max(n, 0)
+	marks := make([]int, 3*k)
+	active, inPre, inPost := marks[:k], marks[k:2*k], marks[2*k:]
 	for li := range c.Layers {
 		l := &c.Layers[li]
 		if l.Kind != circuit.TwoQubitLayer {
