@@ -111,12 +111,15 @@ func (b *bern) draw(r *wordRNG) uint64 {
 	case b.invLog != 0:
 		// Geometric gaps: the index of each set bit advances by
 		// 1 + floor(ln(U)/ln(1-p)) — the exact Bernoulli process, visiting
-		// only the set bits.
+		// only the set bits. Each gap is compared as a float before it is
+		// truncated: at tiny p it can exceed any int (or be +Inf, or NaN
+		// when 1/ln(1-p) overflows), and every such gap ends the word.
 		var w uint64
-		i := int(math.Log(r.float64()) * b.invLog)
-		for i < 64 {
+		i := 0
+		for g := math.Log(r.float64()) * b.invLog; g < float64(64-i); g = math.Log(r.float64()) * b.invLog {
+			i += int(g)
 			w |= 1 << uint(i)
-			i += 1 + int(math.Log(r.float64())*b.invLog)
+			i++
 		}
 		return w
 	}

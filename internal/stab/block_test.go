@@ -42,6 +42,19 @@ func TestBernoulliMaskFrequencies(t *testing.T) {
 	}
 }
 
+// TestBernSparseTinyP draws masks at probabilities so small that a gap
+// between set bits overflows an int: 10^5 words must set no bit.
+func TestBernSparseTinyP(t *testing.T) {
+	for _, p := range []float64{5e-19, 1e-19, 1e-20, 1e-30, 1e-300, 5e-324} {
+		b := makeBern(p)
+		r := &wordRNG{}
+		r.seed(12345)
+		if ones := drawBits(&b, r, 100000); ones != 0 {
+			t.Errorf("p=%g: %d bits set in 100000 words", p, ones)
+		}
+	}
+}
+
 // drawEager is the dense draw combined from the bottom word up: all n
 // outputs of the binary expansion, each ORed or ANDed into the mask. The
 // lazy draw must return the same mask and leave the same RNG state.

@@ -130,6 +130,30 @@ func TestEngineReadoutError(t *testing.T) {
 	}
 }
 
+// TestEngineTinyReadoutError: a readout error far below one in a
+// trillion flips no recorded bit, on the per-shot frames (63 shots) and
+// on the bit-plane words (640 shots) alike.
+func TestEngineTinyReadoutError(t *testing.T) {
+	opts := device.DefaultOptions()
+	opts.ReadoutErr = 1e-30
+	dev := device.NewLine("ro2", 2, opts)
+	c := circuit.New(2, 2)
+	c.AddLayer(circuit.OneQubitLayer).X(0)
+	c.AddLayer(circuit.MeasureLayer).Measure(0, 0).Measure(1, 1)
+	sched.Schedule(c, dev)
+	for _, shots := range []int{63, 640} {
+		cfg := noiselessCfg(shots)
+		cfg.EnableReadoutErr = true
+		res, err := New(dev, cfg).Counts(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Counts) != 1 || res.Counts["10"] != shots {
+			t.Errorf("%d shots: counts %v, want only 10", shots, res.Counts)
+		}
+	}
+}
+
 // TestEngineZZDephasing: an idle |+> pair under always-on ZZ must lose
 // <X> coherence at the analytic twirl-averaged rate cos(phi).
 func TestEngineZZDephasing(t *testing.T) {
