@@ -56,10 +56,13 @@ func splitMix(z uint64) uint64 {
 	return z ^ z>>31
 }
 
-// float64 returns a uniform draw strictly inside (0, 1).
-func (r *wordRNG) float64() float64 {
-	return (float64(r.next()>>11) + 0.5) * (1.0 / (1 << 53))
-}
+// float64 returns a uniform draw in (0, 1]: unit53 of the next output's
+// top 53 bits.
+func (r *wordRNG) float64() float64 { return unit53(r.next() >> 11) }
+
+// unit53 maps a 53-bit draw d to (d + 0.5) / 2^53, the midpoint of its
+// cell. From 2^52 up the sum rounds to even, so the top draw maps to 1.
+func unit53(d uint64) float64 { return (float64(d) + 0.5) * (1.0 / (1 << 53)) }
 
 // intn returns a uniform draw in [0, n) via the multiply-shift reduction.
 func (r *wordRNG) intn(n int) int {
@@ -68,10 +71,14 @@ func (r *wordRNG) intn(n int) int {
 }
 
 // bernSparse is the probability below which a Bernoulli mask is cheaper to
-// sample by geometric gaps between set bits (expected 64p log draws) than
-// by combining words along the binary expansion of p (about 7 outputs, see
-// draw). Most calibration-derived channels sit far below it, but figC1's
-// idle channels reach p = 0.99, and a fifth of its masks on eagle127 are dense.
+// sample by geometric gaps between set bits than by combining words along
+// the binary expansion of p (about 7 outputs, see draw). A sparse word
+// costs one output and an integer compare when it is empty, which it is
+// with probability (1-p)^64, and otherwise a log draw for its first gap
+// and one per set bit: 64p + 1 - (1-p)^64 log draws on average, 4.2 at
+// bernSparse. Most calibration-derived channels sit far below it, but
+// figC1's idle channels reach p = 0.99, and a fifth of its masks on
+// eagle127 are dense.
 const bernSparse = 0.05
 
 // bern is one precomputed Bernoulli-mask table: everything needed to draw
@@ -79,11 +86,16 @@ const bernSparse = 0.05
 // tables are built once at compile time — this is the "threshold table"
 // half of the channel tables; chan1 ops pair one bern with conditional
 // X/Y/Z thresholds (see blockOp). A dense mask is decided lazily, from
-// the top word of p's binary expansion down (see draw).
+// the top word of p's binary expansion down, and a sparse one that is
+// empty by one compare on the 53-bit draw (see draw).
 type bern struct {
 	p      float64
 	invLog float64 // 1/ln(1-p): sparse path gap scale; 0 selects the dense path
-	p53    uint64  // p in 0.53 fixed point: dense path binary expansion
+	// fix53 is a 53-bit fixed-point threshold. Dense path: p itself,
+	// whose binary expansion draw walks. Sparse path: the largest draw
+	// that leaves the word empty (see emptyBelow53). One field serves
+	// both, keeping blockOp at 176 bytes.
+	fix53 uint64
 }
 
 func makeBern(p float64) bern {
@@ -91,14 +103,27 @@ func makeBern(p float64) bern {
 	switch {
 	case p <= 0 || p >= 1:
 	case p < bernSparse:
-		b.invLog = 1 / math.Log1p(-p)
+		l := math.Log1p(-p)
+		b.invLog = 1 / l
+		b.fix53 = emptyBelow53(l)
 	default:
-		b.p53 = uint64(math.Ldexp(p, 53))
-		if b.p53 == 0 {
-			b.p53 = 1
+		b.fix53 = uint64(math.Ldexp(p, 53))
+		if b.fix53 == 0 {
+			b.fix53 = 1
 		}
 	}
 	return b
+}
+
+// emptyBelow53 returns, for l = ln(1-p), the largest 53-bit draw d that
+// certainly starts a sparse word with a gap of at least 64, so that the
+// word is empty. The gap ln(u)/l is at least 64 exactly when u is at most
+// (1-p)^64 = exp(64l); the bound sits a relative 1e-9 below that, far
+// more than the rounding of Exp, Log and the gap product, and is rounded
+// down. unit53(d) then exceeds d/2^53 by 2^-54 at most, which the margin
+// covers, since (1-p)^64 > 0.03 on the sparse path.
+func emptyBelow53(l float64) uint64 {
+	return uint64(math.Exp(64*l) * (1 - 1e-9) * (1 << 53))
 }
 
 // draw samples one 64-shot Bernoulli(p) mask.
@@ -111,12 +136,18 @@ func (b *bern) draw(r *wordRNG) uint64 {
 	case b.invLog != 0:
 		// Geometric gaps: the index of each set bit advances by
 		// 1 + floor(ln(U)/ln(1-p)) — the exact Bernoulli process, visiting
-		// only the set bits. Each gap is compared as a float before it is
-		// truncated: at tiny p it can exceed any int (or be +Inf, or NaN
-		// when 1/ln(1-p) overflows), and every such gap ends the word.
+		// only the set bits. A draw at or below fix53 has a first gap of
+		// at least 64, so the word is empty without a logarithm. Each gap
+		// is compared as a float before it is truncated: at tiny p it can
+		// exceed any int (or be +Inf, or NaN when 1/ln(1-p) overflows),
+		// and every such gap ends the word.
+		d := r.next() >> 11
+		if d <= b.fix53 {
+			return 0
+		}
 		var w uint64
 		i := 0
-		for g := math.Log(r.float64()) * b.invLog; g < float64(64-i); g = math.Log(r.float64()) * b.invLog {
+		for g := math.Log(unit53(d)) * b.invLog; g < float64(64-i); g = math.Log(r.float64()) * b.invLog {
 			i += int(g)
 			w |= 1 << uint(i)
 			i++
@@ -124,14 +155,14 @@ func (b *bern) draw(r *wordRNG) uint64 {
 		return w
 	}
 	// Dense: w = r_{n-1} op ... op r_1 op r_0 over the next n outputs, with
-	// op_k OR where bit t+k of p53 is set and AND where it is clear (the
+	// op_k OR where bit t+k of fix53 is set and AND where it is clear (the
 	// binary expansion of p, exact for its 53-bit truncation). Evaluated top
 	// down, an OR word decides the open bits it sets and an AND word those
 	// it clears, so about 7 outputs decide all 64 bits; bit 0 of ops is set,
 	// so r_0 decides the rest. Output k is splitMix(s0 + (k+1)γ), and the
 	// state skips all n outputs, as the bottom-up combination would.
-	t := bits.TrailingZeros64(b.p53)
-	ops, n := b.p53>>uint(t), 53-t
+	t := bits.TrailingZeros64(b.fix53)
+	ops, n := b.fix53>>uint(t), 53-t
 	s0 := r.s
 	r.s += uint64(n) * splitMixGamma
 	var w uint64

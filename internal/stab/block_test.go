@@ -59,7 +59,7 @@ func TestBernSparseTinyP(t *testing.T) {
 // outputs of the binary expansion, each ORed or ANDed into the mask. The
 // lazy draw must return the same mask and leave the same RNG state.
 func (b *bern) drawEager(r *wordRNG) uint64 {
-	p53 := b.p53
+	p53 := b.fix53
 	t := bits.TrailingZeros64(p53)
 	w := r.next()
 	for j := t + 1; j < 53; j++ {
@@ -78,7 +78,7 @@ func (b *bern) drawEager(r *wordRNG) uint64 {
 func checkDenseDraws(t *testing.T, p float64, seed uint64, draws int) {
 	t.Helper()
 	b := makeBern(p)
-	if b.invLog != 0 || b.p53 == 0 {
+	if b.invLog != 0 || b.fix53 == 0 {
 		t.Fatalf("p=%v does not take the dense path", p)
 	}
 	lazy, eager := wordRNG{s: seed}, wordRNG{s: seed}
@@ -109,19 +109,142 @@ func TestBernDenseMatchesEager(t *testing.T) {
 	}
 }
 
-// FuzzBernDraw runs the lazy-versus-eager dense draw check on arbitrary
-// seeds and probabilities; p outside the dense range is skipped.
+// drawLoop is the sparse draw without the empty-word bound: every word
+// takes the logarithm of its first draw, and the loop alone finds that
+// its first gap is at least 64. The bounded draw must return the same
+// mask and leave the same RNG state.
+func (b *bern) drawLoop(r *wordRNG) uint64 {
+	var w uint64
+	i := 0
+	for g := math.Log(r.float64()) * b.invLog; g < float64(64-i); g = math.Log(r.float64()) * b.invLog {
+		i += int(g)
+		w |= 1 << uint(i)
+		i++
+	}
+	return w
+}
+
+// unxorshift inverts y = x ^ x>>s.
+func unxorshift(y uint64, s uint) uint64 {
+	x := y
+	for i := s; i < 64; i += s {
+		x = y ^ x>>s
+	}
+	return x
+}
+
+// inverse64 returns the inverse of an odd c modulo 2^64 by Newton's
+// iteration: c*c = 1 mod 8, and each step doubles the correct low bits.
+func inverse64(c uint64) uint64 {
+	x := c
+	for i := 0; i < 5; i++ {
+		x *= 2 - c*x
+	}
+	return x
+}
+
+// unsplitMix inverts splitMix, which is a bijection: it undoes each
+// xorshift and multiplies by the inverses of the two constants.
+func unsplitMix(z uint64) uint64 {
+	z = unxorshift(z, 31) * inverse64(0x94d049bb133111eb)
+	z = unxorshift(z, 27) * inverse64(0xbf58476d1ce4e5b9)
+	return unxorshift(z, 30)
+}
+
+// TestUnsplitMixInverts checks the inverse on both sides.
+func TestUnsplitMixInverts(t *testing.T) {
+	r := wordRNG{s: 77}
+	for i := 0; i < 1000; i++ {
+		z := r.next()
+		if splitMix(unsplitMix(z)) != z || unsplitMix(splitMix(z)) != z {
+			t.Fatalf("unsplitMix does not invert splitMix at %#x", z)
+		}
+	}
+}
+
+// checkSparseDraws draws masks from two copies of one block RNG, with the
+// empty-word bound and by the loop alone, and reports the first draw
+// where the masks or the states after it differ.
+func checkSparseDraws(t *testing.T, b *bern, seed uint64, draws int) {
+	t.Helper()
+	bounded, loop := wordRNG{s: seed}, wordRNG{s: seed}
+	for d := 0; d < draws; d++ {
+		got, want := b.draw(&bounded), b.drawLoop(&loop)
+		if got != want || bounded.s != loop.s {
+			t.Fatalf("p=%v seed=%#x draw %d: mask %#x state %#x, loop mask %#x state %#x",
+				b.p, seed, d, got, bounded.s, want, loop.s)
+		}
+	}
+}
+
+// checkBoundDraw puts the next output's top 53 bits at the empty-word
+// bound plus k, with low as its low 11 bits, and compares two draws from
+// there with the loop's. At or below the bound the loop's first gap must
+// be at least 64.
+func checkBoundDraw(t *testing.T, b *bern, k int64, low uint64) {
+	t.Helper()
+	d := uint64(int64(b.fix53) + k)
+	seed := unsplitMix(d<<11|low&0x7ff) - splitMixGamma
+	if r := (wordRNG{s: seed}); r.next()>>11 != d {
+		t.Fatalf("p=%v: state %#x does not draw %d", b.p, seed, d)
+	}
+	if g := math.Log(unit53(d)) * b.invLog; k <= 0 && !(g >= 64) {
+		t.Fatalf("p=%v: draw %d at bound%+d has first gap %v < 64", b.p, d, k, g)
+	}
+	checkSparseDraws(t, b, seed, 2)
+}
+
+// TestBernSparseMatchesLoop pins the bounded sparse Bernoulli draw to
+// the loop alone: the same mask and the same RNG state after each draw,
+// over both ends of the sparse range, log-uniform p, many seeds and
+// consecutive draws, and with draws pushed onto each side of the bound.
+func TestBernSparseMatchesLoop(t *testing.T) {
+	ps := []float64{5e-324, 1e-300, 1e-30, 1e-20, 1e-19, 5e-19, 4e-18, 1e-15,
+		1e-9, 1e-4, 0.01, math.Nextafter(bernSparse, 0)}
+	rng := wordRNG{s: 2025}
+	for i := 0; i < 64; i++ {
+		ps = append(ps, math.Exp(math.Log(1e-20)+math.Log(bernSparse/1e-20)*rng.float64()))
+	}
+	for _, p := range ps {
+		b := makeBern(p)
+		if b.invLog == 0 {
+			t.Fatalf("p=%v does not take the sparse path", p)
+		}
+		for seed := 0; seed < 64; seed++ {
+			checkSparseDraws(t, &b, splitMix(uint64(seed)), 256)
+		}
+		for k := int64(-3); k <= 3; k++ {
+			for _, low := range []uint64{0, 1, 0x400, 0x7ff} {
+				checkBoundDraw(t, &b, k, low)
+			}
+		}
+	}
+}
+
+// FuzzBernDraw runs the dense lazy-versus-eager check, or the sparse
+// bounded-versus-loop check plus one draw at the bound, on arbitrary
+// seeds and probabilities; only p outside (0, 1) is skipped.
 func FuzzBernDraw(f *testing.F) {
 	f.Add(uint64(1), math.Nextafter(bernSparse, 1))
 	f.Add(uint64(2), 0.0625)
 	f.Add(uint64(3), 0.5)
 	f.Add(uint64(4), 0.97)
 	f.Add(uint64(5), 1-0x1p-53)
+	f.Add(uint64(6), 5e-324)
+	f.Add(uint64(7), 1e-19)
+	f.Add(uint64(8), 0.001)
+	f.Add(uint64(9), math.Nextafter(bernSparse, 0))
 	f.Fuzz(func(t *testing.T, seed uint64, p float64) {
-		if !(p >= bernSparse && p < 1) {
-			t.Skip("not a dense probability")
+		if !(p > 0 && p < 1) {
+			t.Skip("not a probability strictly between 0 and 1")
 		}
-		checkDenseDraws(t, p, seed, 8)
+		if p >= bernSparse {
+			checkDenseDraws(t, p, seed, 8)
+			return
+		}
+		b := makeBern(p)
+		checkSparseDraws(t, &b, seed, 8)
+		checkBoundDraw(t, &b, 0, seed>>53)
 	})
 }
 
