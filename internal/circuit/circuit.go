@@ -303,8 +303,9 @@ func (l *Layer) CondRZ(q int, theta float64, bit, value int) *Layer {
 
 // Validate checks structural invariants: qubit indices in range, operand
 // counts matching each gate (Add's rule, plus exactly one qubit for a
-// measure or reset), classical bits in range, layer contents matching
-// their kinds. Within a layer no qubit may carry two instructions, except
+// measure or reset), parameter counts matching what each gate's matrix
+// reads (gates.NumParams), classical bits in range, layer contents
+// matching their kinds. Within a layer no qubit may carry two instructions, except
 // delays, barriers and dd pulses.
 func (c *Circuit) Validate() error {
 	// last[q] is 1 + the index of the last layer whose instructions used
@@ -332,6 +333,9 @@ func (c *Circuit) Validate() error {
 			}
 			if arity > 0 && len(in.Qubits) != arity {
 				return fmt.Errorf("circuit: layer %d: %s expects %d qubits, got %d", li, in.Gate, arity, len(in.Qubits))
+			}
+			if n := gates.NumParams(in.Gate); n > 0 && len(in.Params) != n {
+				return fmt.Errorf("circuit: layer %d: %s expects %d params, got %d", li, in.Gate, n, len(in.Params))
 			}
 			if in.Gate == gates.Measure && (in.CBit < 0 || in.CBit >= c.NCBits) {
 				return fmt.Errorf("circuit: layer %d: cbit %d out of range", li, in.CBit)

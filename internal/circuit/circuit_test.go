@@ -194,8 +194,9 @@ func TestValidateCatchesErrors(t *testing.T) {
 // TestValidateRule pins which circuits Validate accepts and the exact
 // error of each one it rejects. Unlike Layer.Add, Validate lets delays,
 // barriers and dd pulses share a qubit with anything in the layer, it
-// reports a qubit out of range on every instruction, those included, and
-// it requires exactly one qubit for a measure or reset.
+// reports a qubit out of range on every instruction, those included, it
+// requires exactly one qubit for a measure or reset, and it requires the
+// parameters a gate's matrix reads.
 func TestValidateRule(t *testing.T) {
 	on := func(g gates.Kind, qs ...int) Instruction { return Instruction{Gate: g, Qubits: qs} }
 	dd := func(g gates.Kind, q int, at float64) Instruction {
@@ -206,6 +207,7 @@ func TestValidateRule(t *testing.T) {
 		return Instruction{Gate: gates.Delay, Qubits: []int{q}, Params: []float64{100}}
 	}
 	measure := func(q, cbit int) Instruction { return Instruction{Gate: gates.Measure, Qubits: []int{q}, CBit: cbit} }
+	withParams := func(in Instruction, ps ...float64) Instruction { in.Params = ps; return in }
 	layer := func(kind LayerKind, instrs ...Instruction) Layer { return Layer{Kind: kind, Instrs: instrs} }
 	cases := []struct {
 		name   string
@@ -254,6 +256,14 @@ func TestValidateRule(t *testing.T) {
 			"circuit: layer 0: measure expects 1 qubits, got 0"},
 		{"reset on two qubits", []Layer{layer(MeasureLayer, on(gates.Reset, 0, 1))},
 			"circuit: layer 0: reset expects 1 qubits, got 2"},
+		{"rz without its angle", []Layer{layer(OneQubitLayer, on(gates.H, 0), on(gates.RZ, 1))},
+			"circuit: layer 0: rz expects 1 params, got 0"},
+		{"u3 with one angle", []Layer{layer(OneQubitLayer, withParams(on(gates.U3, 2), 0.5))},
+			"circuit: layer 0: u expects 3 params, got 1"},
+		{"rzz with two angles", []Layer{layer(TwoQubitLayer, withParams(on(gates.RZZ, 0, 1), 0.1, 0.2))},
+			"circuit: layer 0: rzz expects 1 params, got 2"},
+		{"ucan without its angles", []Layer{layer(OneQubitLayer, on(gates.H, 0)), layer(TwoQubitLayer, on(gates.Ucan, 2, 3))},
+			"circuit: layer 1: ucan expects 3 params, got 0"},
 
 		{"delays repeat", []Layer{layer(OneQubitLayer, on(gates.H, 0), delay(0), delay(0), delay(1))}, ""},
 		{"barriers repeat", []Layer{layer(OneQubitLayer, on(gates.Barrier, 0, 1, 2, 3), on(gates.H, 0), on(gates.Barrier, 0, 1))}, ""},
@@ -271,6 +281,13 @@ func TestValidateRule(t *testing.T) {
 		{"delay and barrier on any number of qubits", []Layer{layer(OneQubitLayer,
 			Instruction{Gate: gates.Delay, Params: []float64{100}}, on(gates.Barrier), on(gates.Barrier, 0, 1, 2))}, ""},
 		{"reset", []Layer{layer(MeasureLayer, on(gates.Reset, 0), measure(1, 0))}, ""},
+		{"parameterized gates", []Layer{
+			layer(OneQubitLayer, withParams(on(gates.RZ, 0), 0.1), withParams(on(gates.RX, 1), 0.2),
+				withParams(on(gates.RY, 2), 0.3), withParams(on(gates.U3, 3), 0.1, 0.2, 0.3)),
+			layer(TwoQubitLayer, withParams(on(gates.RZZ, 0, 1), 0.4), withParams(on(gates.ZX, 2, 3), 0.5)),
+			layer(TwoQubitLayer, withParams(on(gates.Ucan, 1, 2), 0.1, 0.2, 0.3)),
+		}, ""},
+		{"delay without a duration", []Layer{layer(OneQubitLayer, on(gates.H, 0), on(gates.Delay, 1))}, ""},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -58,6 +58,19 @@ func NumQubits(k Kind) int {
 	}
 }
 
+// NumParams returns how many parameters a gate kind's matrix reads: one
+// angle for RZ, RX, RY, RZZ and ZX, three for U3 and Ucan, none for the
+// rest. A delay's duration is optional, so it counts none.
+func NumParams(k Kind) int {
+	switch k {
+	case RZ, RX, RY, RZZ, ZX:
+		return 1
+	case U3, Ucan:
+		return 3
+	}
+	return 0
+}
+
 // IsUnitaryGate reports whether k denotes a unitary gate (not a pseudo-op).
 func IsUnitaryGate(k Kind) bool {
 	switch k {

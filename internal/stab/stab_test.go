@@ -260,9 +260,9 @@ func TestEngineInfo(t *testing.T) {
 }
 
 // TestEnginesRejectWrongArity hands both engines instructions with the
-// wrong operand count, built without Layer.Add as a library user can.
-// Validate rejects them, so each engine returns an error instead of
-// panicking when it lowers the layer.
+// wrong operand or parameter count, built without Layer.Add as a library
+// user can. Validate rejects them, so each engine returns an error
+// instead of panicking when it lowers the layer.
 func TestEnginesRejectWrongArity(t *testing.T) {
 	dev := device.NewLine("arity4", 4, device.DefaultOptions())
 	cases := []struct {
@@ -276,6 +276,10 @@ func TestEnginesRejectWrongArity(t *testing.T) {
 			"circuit: layer 1: h expects 1 qubits, got 0"},
 		{circuit.MeasureLayer, circuit.Instruction{Gate: gates.Measure},
 			"circuit: layer 1: measure expects 1 qubits, got 0"},
+		{circuit.OneQubitLayer, circuit.Instruction{Gate: gates.RZ, Qubits: []int{1}},
+			"circuit: layer 1: rz expects 1 params, got 0"},
+		{circuit.TwoQubitLayer, circuit.Instruction{Gate: gates.Ucan, Qubits: []int{2, 3}, Params: []float64{0.5}},
+			"circuit: layer 1: ucan expects 3 params, got 1"},
 	}
 	for _, tc := range cases {
 		c := circuit.New(4, 1)
