@@ -29,31 +29,37 @@ const (
 	AllQubits
 )
 
+var twoPauli = []pauli.Pauli{pauli.I, pauli.X, pauli.Y, pauli.Z}
+
+// The conjugation table of each supported Clifford kind, built on first
+// use and then shared.
 var (
-	tableMu  sync.Mutex
-	tables   = map[gates.Kind]*pauli.CliffordTable{}
-	twoPauli = []pauli.Pauli{pauli.I, pauli.X, pauli.Y, pauli.Z}
+	ecrTable  = sync.OnceValues(func() (*pauli.CliffordTable, error) { return newTable(gates.ECR) })
+	cxTable   = sync.OnceValues(func() (*pauli.CliffordTable, error) { return newTable(gates.CX) })
+	swapTable = sync.OnceValues(func() (*pauli.CliffordTable, error) { return newTable(gates.SWAP) })
 )
 
-// TableFor returns (building on first use) the Pauli conjugation table of a
-// Clifford two-qubit gate kind.
-func TableFor(k gates.Kind) (*pauli.CliffordTable, error) {
-	tableMu.Lock()
-	defer tableMu.Unlock()
-	if t, ok := tables[k]; ok {
-		return t, nil
-	}
-	switch k {
-	case gates.ECR, gates.CX, gates.SWAP:
-	default:
-		return nil, fmt.Errorf("twirl: %s is not a supported Clifford gate", k)
-	}
+func newTable(k gates.Kind) (*pauli.CliffordTable, error) {
 	t, err := pauli.NewCliffordTable(gates.Matrix2Q(k))
 	if err != nil {
 		return nil, fmt.Errorf("twirl: %s: %w", k, err)
 	}
-	tables[k] = t
 	return t, nil
+}
+
+// TableFor returns (building on first use) the Pauli conjugation table of a
+// Clifford two-qubit gate kind. Every call for one kind returns the same
+// table, so callers may memoize on the pointer.
+func TableFor(k gates.Kind) (*pauli.CliffordTable, error) {
+	switch k {
+	case gates.ECR:
+		return ecrTable()
+	case gates.CX:
+		return cxTable()
+	case gates.SWAP:
+		return swapTable()
+	}
+	return nil, fmt.Errorf("twirl: %s is not a supported Clifford gate", k)
 }
 
 func pauliGate(p pauli.Pauli) gates.Kind {

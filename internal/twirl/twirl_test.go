@@ -3,6 +3,7 @@ package twirl
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"casq/internal/circuit"
@@ -23,14 +24,35 @@ func quietDev(n int) *device.Device {
 	return device.NewLine("quiet", n, o)
 }
 
+// TestTableForECRAndCX: every supported kind has one table, the same
+// pointer from any goroutine (stab memoizes its masks on it), and any
+// other kind is an error.
 func TestTableForECRAndCX(t *testing.T) {
-	for _, k := range []gates.Kind{gates.ECR, gates.CX} {
-		if _, err := TableFor(k); err != nil {
-			t.Errorf("TableFor(%s): %v", k, err)
+	kinds := []gates.Kind{gates.ECR, gates.CX, gates.SWAP}
+	first := map[gates.Kind]*pauli.CliffordTable{}
+	for _, k := range kinds {
+		tab, err := TableFor(k)
+		if err != nil || tab == nil {
+			t.Fatalf("TableFor(%s): %v, %v", k, tab, err)
 		}
+		first[k] = tab
 	}
-	if _, err := TableFor(gates.H); err == nil {
-		t.Error("1q gates must be rejected")
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, k := range kinds {
+				if tab, err := TableFor(k); err != nil || tab != first[k] {
+					t.Errorf("TableFor(%s) gave another table: %p, %v", k, tab, err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	_, err := TableFor(gates.H)
+	if want := "twirl: h is not a supported Clifford gate"; err == nil || err.Error() != want {
+		t.Errorf("TableFor(h): error %v, want %q", err, want)
 	}
 }
 
