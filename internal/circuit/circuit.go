@@ -305,8 +305,8 @@ func (l *Layer) CondRZ(q int, theta float64, bit, value int) *Layer {
 // counts matching each gate (Add's rule, plus exactly one qubit for a
 // measure or reset), parameter counts matching what each gate's matrix
 // reads (gates.NumParams), classical bits in range, layer contents
-// matching their kinds. Within a layer no qubit may carry two instructions, except
-// delays, barriers and dd pulses.
+// matching their kinds. Within a layer no qubit may carry two
+// instructions, except delays, barriers and dd pulses.
 func (c *Circuit) Validate() error {
 	// last[q] is 1 + the index of the last layer whose instructions used
 	// q, so one slice serves the whole circuit.

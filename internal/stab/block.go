@@ -120,7 +120,7 @@ func makeBern(p float64) bern {
 // word is empty. The gap ln(u)/l is at least 64 exactly when u is at most
 // (1-p)^64 = exp(64l); the bound sits a relative 1e-9 below that, far
 // more than the rounding of Exp, Log and the gap product, and is rounded
-// down. unit53(d) then exceeds d/2^53 by 2^-54 at most, which the margin
+// down. unit53(d) exceeds d/2^53 by at most 2^-53, which the margin also
 // covers, since (1-p)^64 > 0.03 on the sparse path.
 func emptyBelow53(l float64) uint64 {
 	return uint64(math.Exp(64*l) * (1 - 1e-9) * (1 << 53))

@@ -151,17 +151,6 @@ func unsplitMix(z uint64) uint64 {
 	return unxorshift(z, 30)
 }
 
-// TestUnsplitMixInverts checks the inverse on both sides.
-func TestUnsplitMixInverts(t *testing.T) {
-	r := wordRNG{s: 77}
-	for i := 0; i < 1000; i++ {
-		z := r.next()
-		if splitMix(unsplitMix(z)) != z || unsplitMix(splitMix(z)) != z {
-			t.Fatalf("unsplitMix does not invert splitMix at %#x", z)
-		}
-	}
-}
-
 // checkSparseDraws draws masks from two copies of one block RNG, with the
 // empty-word bound and by the loop alone, and reports the first draw
 // where the masks or the states after it differ.
