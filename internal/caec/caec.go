@@ -19,8 +19,10 @@
 package caec
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"casq/internal/circuit"
 	"casq/internal/device"
@@ -260,10 +262,16 @@ func (p *pass) processTwoQubitLayer(l *circuit.Layer) error {
 	// short window and may have produced new (small) pending terms that also
 	// sit before this gate layer. Give them the same treatment, but drop
 	// blocked ones instead of recursing into further correction layers.
-	for e, theta := range p.comp2q {
-		if processed[e] {
-			continue
+	// Edges go in ascending order, so DroppedAngles sums in a fixed order.
+	var late []device.Edge
+	for e := range p.comp2q {
+		if !processed[e] {
+			late = append(late, e)
 		}
+	}
+	sortEdges(late)
+	for _, e := range late {
+		theta := p.comp2q[e]
 		if math.Abs(theta) < p.opts.MinAngle {
 			delete(p.comp2q, e)
 			continue
@@ -374,8 +382,10 @@ func (p *pass) materializeAll() {
 }
 
 // materializePending inserts pulse-stretched native RZZ corrections for the
-// listed edges, packing disjoint edges into shared layers.
+// listed edges, packing disjoint edges into shared layers. It sorts edges
+// in place first, so DroppedAngles sums in ascending edge order.
 func (p *pass) materializePending(edges []device.Edge) {
+	sortEdges(edges)
 	var work []device.Edge
 	for _, e := range edges {
 		theta := p.comp2q[e]
@@ -422,16 +432,14 @@ func (p *pass) materializePending(edges []device.Edge) {
 	}
 }
 
+// sortEdges sorts edges by (A, B).
 func sortEdges(es []device.Edge) {
-	for i := 1; i < len(es); i++ {
-		for j := i; j > 0; j-- {
-			a, b := es[j-1], es[j]
-			if a.A < b.A || (a.A == b.A && a.B <= b.B) {
-				break
-			}
-			es[j-1], es[j] = b, a
+	slices.SortFunc(es, func(a, b device.Edge) int {
+		if c := cmp.Compare(a.A, b.A); c != 0 {
+			return c
 		}
-	}
+		return cmp.Compare(a.B, b.B)
+	})
 }
 
 // processMeasureLayer handles mid-circuit measurement: pending ZZ touching

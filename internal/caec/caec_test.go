@@ -9,6 +9,7 @@ import (
 	"casq/internal/circuit"
 	"casq/internal/device"
 	"casq/internal/gates"
+	"casq/internal/layerfid"
 	"casq/internal/linalg"
 	"casq/internal/sched"
 	"casq/internal/sim"
@@ -294,5 +295,48 @@ func TestCAECMinAngleSkipsNoise(t *testing.T) {
 	}
 	if compiled.Depth() != c.Depth() {
 		t.Errorf("no layers should have been inserted")
+	}
+}
+
+// TestDroppedAnglesDeterministic compiles one full-device circuit again and
+// again: Stats.DroppedAngles sums hundreds of dropped pending angles, and
+// the sum must run in one fixed order, not in map iteration order, so that
+// every compile reports the same bits.
+func TestDroppedAnglesDeterministic(t *testing.T) {
+	dev, err := device.NewBackend("eagle127")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := circuit.New(dev.NQubits, 0)
+	prep := c.AddLayer(circuit.OneQubitLayer)
+	for q := 0; q < dev.NQubits; q++ {
+		prep.H(q)
+	}
+	tiled := layerfid.TiledLayer(dev)
+	for i := 0; i < 4; i++ {
+		c.Layers = append(c.Layers, tiled.Clone())
+	}
+	compile := func() caec.Stats {
+		inst, err := twirl.Instance(c, twirl.AllQubits, rand.New(rand.NewSource(3)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sched.Schedule(inst, dev)
+		_, stats, err := caec.Apply(inst, dev, caec.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return stats
+	}
+	first := compile()
+	if first.Dropped == 0 {
+		t.Fatal("fixture drops no angles; it cannot test the sum order")
+	}
+	for i := 1; i < 40; i++ {
+		if got := compile(); math.Float64bits(got.DroppedAngles) != math.Float64bits(first.DroppedAngles) ||
+			got.Dropped != first.Dropped {
+			t.Fatalf("compile %d: dropped %d angles summing to %.17g, first compile %d summing to %.17g",
+				i, got.Dropped, got.DroppedAngles, first.Dropped, first.DroppedAngles)
+		}
 	}
 }
