@@ -264,10 +264,15 @@ func (p Pipeline) ApplyForEngine(dev *device.Device, rng *rand.Rand, c *circuit.
 
 // ApplyContext is the fully general entry point: the caller assembles
 // the Context (device, RNG, engine, tracer/lane), and the pipeline
-// initializes the Report and runs. Each pass records a "pass:<name>"
-// span on ctx.Tracer, so a traced compilation renders its pass timeline.
+// initializes the Report and runs. It validates the input first, so no
+// pass reads a gate parameter that is missing. Each pass records a
+// "pass:<name>" span on ctx.Tracer, so a traced compilation renders its
+// pass timeline.
 func (p Pipeline) ApplyContext(ctx *Context, c *circuit.Circuit) (*circuit.Circuit, Report, error) {
 	ctx.Report = &Report{Pipeline: p.Name}
+	if err := c.Validate(); err != nil {
+		return nil, *ctx.Report, fmt.Errorf("pass %s: input circuit invalid: %w", p.Name, err)
+	}
 	out := c.Clone()
 	for _, ps := range p.Passes {
 		var sp obs.Span

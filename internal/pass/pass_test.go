@@ -397,6 +397,39 @@ func TestUnscheduledDDOrECErrors(t *testing.T) {
 	}
 }
 
+// TestPipelineRejectsGateWithoutParams pins that every pipeline returns
+// Validate's error for a two-qubit rotation appended without its
+// parameters, before a pass reads them: sched sizes an RZZ by its angle,
+// and CA-EC absorbs pending ZZ into RZZ and Ucan angles.
+func TestPipelineRejectsGateWithoutParams(t *testing.T) {
+	dev := testDevice()
+	for _, tc := range []struct {
+		gate gates.Kind
+		want string
+	}{
+		{gates.RZZ, "expects 1 params, got 0"},
+		{gates.Ucan, "expects 3 params, got 0"},
+	} {
+		c := circuit.New(4, 0)
+		prep := c.AddLayer(circuit.OneQubitLayer)
+		for q := 0; q < 4; q++ {
+			prep.H(q)
+		}
+		idle := c.AddLayer(circuit.TwoQubitLayer)
+		for q := 0; q < 4; q++ {
+			idle.Add(circuit.Instruction{Gate: gates.Delay, Qubits: []int{q}, Params: []float64{800}})
+		}
+		l := c.AddLayer(circuit.TwoQubitLayer)
+		l.Instrs = append(l.Instrs, circuit.Instruction{Gate: tc.gate, Qubits: []int{0, 1}})
+		for _, pl := range pinPipelines() {
+			_, _, err := pl.Apply(dev, rand.New(rand.NewSource(1)), c)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s on %s without params: error %v, want one containing %q", pl.Name, tc.gate, err, tc.want)
+			}
+		}
+	}
+}
+
 func TestApplyErrorNamesPass(t *testing.T) {
 	dev := testDevice()
 	c := circuit.New(4, 0)

@@ -66,13 +66,18 @@ func LayerDuration(l *circuit.Layer, d *device.Device) float64 {
 			case in.Gate == gates.RZZ:
 				// Pulse-stretched native RZZ (paper Sec. IV B): duration
 				// scales with the rotation angle, never exceeding an ECR.
-				frac := math.Abs(in.Params[0]) / (math.Pi / 2)
-				if frac > 1 {
-					frac = 1
-				}
-				g = d.DurECR * frac
-				if g < d.Dur1Q {
-					g = d.Dur1Q
+				// An RZZ without its angle, which Validate rejects, takes
+				// a full ECR.
+				g = d.DurECR
+				if len(in.Params) > 0 {
+					frac := math.Abs(in.Params[0]) / (math.Pi / 2)
+					if frac > 1 {
+						frac = 1
+					}
+					g = d.DurECR * frac
+					if g < d.Dur1Q {
+						g = d.Dur1Q
+					}
 				}
 			case gates.NumQubits(in.Gate) == 2:
 				g = d.DurECR

@@ -71,6 +71,19 @@ func TestRZZStretchDuration(t *testing.T) {
 	}
 }
 
+// TestRZZWithoutAngleSchedules pins that an RZZ appended without its
+// angle, which Validate rejects, schedules as a full ECR instead of
+// panicking before Validate can report it.
+func TestRZZWithoutAngleSchedules(t *testing.T) {
+	d := dev4()
+	c := circuit.New(4, 0)
+	l := c.AddLayer(circuit.TwoQubitLayer)
+	l.Instrs = append(l.Instrs, circuit.Instruction{Gate: gates.RZZ, Qubits: []int{0, 1}})
+	if got := Schedule(c, d); got != d.DurECR {
+		t.Errorf("RZZ without an angle lasts %v, want one ECR (%v)", got, d.DurECR)
+	}
+}
+
 func TestUcanDuration(t *testing.T) {
 	d := dev4()
 	c := circuit.New(4, 0)
