@@ -77,11 +77,21 @@ func Apply(c *circuit.Circuit, dev *device.Device, opts Options) (*circuit.Circu
 	if opts.MinAngle <= 0 {
 		opts.MinAngle = 1e-9
 	}
+	n := max(c.NQubits, dev.NQubits)
 	p := &pass{
-		dev:    dev,
-		opts:   opts,
-		out:    circuit.New(c.NQubits, c.NCBits),
-		comp2q: map[device.Edge]float64{},
+		dev:       dev,
+		opts:      opts,
+		out:       circuit.New(c.NQubits, c.NCBits),
+		integ:     toggling.NewIntegrator(dev),
+		comp2q:    map[device.Edge]float64{},
+		collapsed: make([]bool, n),
+		mark:      make([]bool, n),
+		gateAt:    make([]int, n),
+		cbit:      make([]int, n),
+		zSum:      make([]float64, n),
+	}
+	for q := range n {
+		p.gateAt[q], p.cbit[q] = -1, -1
 	}
 	for li := range c.Layers {
 		if err := p.processLayer(&c.Layers[li]); err != nil {
@@ -98,16 +108,27 @@ func Apply(c *circuit.Circuit, dev *device.Device, opts Options) (*circuit.Circu
 	return p.out, p.stats, nil
 }
 
+// pass is one Apply's state. Its per-qubit slices cover the wider of the
+// circuit and the device; every scratch slice is reset after use.
 type pass struct {
 	dev       *device.Device
 	opts      Options
 	out       *circuit.Circuit
+	integ     *toggling.Integrator
 	comp2q    map[device.Edge]float64 // pending ZZ *error* angle per edge
-	collapsed map[int]bool            // qubits already measured mid-circuit
+	collapsed []bool                  // qubits already measured mid-circuit
 	stats     Stats
-}
 
-func (p *pass) isCollapsed(q int) bool { return p.collapsed != nil && p.collapsed[q] }
+	mark    []bool        // a twirl Pauli, or a packed RZZ correction, on the qubit
+	gateAt  []int         // index of the two-qubit gate on the qubit, -1 if none
+	cbit    []int         // classical bit a measure layer writes from the qubit, -1 if none
+	zSum    []float64     // Z error angle per qubit, summed by addZ
+	zQubits []int         // qubits with an addZ entry
+	keys    []device.Edge // pending edges before a layer's correction layers
+	must    []device.Edge // pending edges to materialize before a layer
+	late    []device.Edge // pending edges a layer's correction layers left
+	afterZ  []zCorr       // Z corrections converted through CX gates
+}
 
 func (p *pass) processLayer(l *circuit.Layer) error {
 	switch l.Kind {
@@ -120,9 +141,11 @@ func (p *pass) processLayer(l *circuit.Layer) error {
 		p.emitLayerErrors(l)
 		return nil
 	case circuit.TwoQubitLayer:
-		return p.processTwoQubitLayer(l)
+		p.processTwoQubitLayer(l)
+		return nil
 	case circuit.MeasureLayer:
-		return p.processMeasureLayer(l)
+		p.processMeasureLayer(l)
+		return nil
 	}
 	p.out.Layers = append(p.out.Layers, l.Clone())
 	return nil
@@ -132,19 +155,24 @@ func (p *pass) processLayer(l *circuit.Layer) error {
 // layer: the sign flips iff exactly one endpoint's Pauli anticommutes with
 // Z (paper Fig. 1d).
 func (p *pass) commuteThroughTwirl(l *circuit.Layer) {
-	flips := map[int]bool{}
-	for _, in := range l.Instrs {
-		if in.Gate == gates.XGate || in.Gate == gates.YGate {
-			flips[in.Qubits[0]] = true
-		}
-	}
+	p.markPaulis(l, true)
 	for e, v := range p.comp2q {
 		if v == 0 {
 			continue
 		}
-		if flips[e.A] != flips[e.B] {
+		if p.mark[e.A] != p.mark[e.B] {
 			p.comp2q[e] = -v
 			p.stats.SignFlips++
+		}
+	}
+	p.markPaulis(l, false)
+}
+
+// markPaulis sets mark to on for every qubit carrying an X or Y of l.
+func (p *pass) markPaulis(l *circuit.Layer, on bool) {
+	for i := range l.Instrs {
+		if in := &l.Instrs[i]; in.Gate == gates.XGate || in.Gate == gates.YGate {
+			p.mark[in.Qubits[0]] = on
 		}
 	}
 }
@@ -152,50 +180,33 @@ func (p *pass) commuteThroughTwirl(l *circuit.Layer) {
 // processTwoQubitLayer first resolves pending ZZ compensations against the
 // layer's gates (absorb, convert, or materialize), then appends the layer
 // and accounts for the new errors it generates.
-func (p *pass) processTwoQubitLayer(l *circuit.Layer) error {
+func (p *pass) processTwoQubitLayer(l *circuit.Layer) {
 	nl := l.Clone()
-	gatesByEdge := map[device.Edge]*circuit.Instruction{}
-	for i := range nl.Instrs {
-		in := &nl.Instrs[i]
-		if gates.NumQubits(in.Gate) == 2 {
-			gatesByEdge[device.NewEdge(in.Qubits[0], in.Qubits[1])] = in
-		}
-	}
+	p.setGates(&nl, true)
+	defer p.setGates(&nl, false)
+	p.afterZ = p.afterZ[:0]
 
-	// Operand roles: qubit -> (gate kind, operand index).
-	type role struct {
-		kind  gates.Kind
-		first bool
-	}
-	roles := map[int]role{}
-	for _, in := range nl.Instrs {
-		if gates.NumQubits(in.Gate) == 2 {
-			roles[in.Qubits[0]] = role{in.Gate, true}
-			roles[in.Qubits[1]] = role{in.Gate, false}
-		}
-	}
-
-	var afterZ []zCorr
 	// classify decides what happens to a pending Rzz on edge e as it meets
 	// this layer: absorbed into a gate on the same edge; carried through
 	// (sign-conjugated by the ideal gates: ECR flips Z on its control,
 	// CX/RZZ preserve it); or blocked (gate targets and Ucan operands turn
 	// ZZ into non-diagonal operators) and hence materialized before the
 	// layer.
-	classify := func(e device.Edge, theta float64) (carrySign float64, blocked bool) {
+	classify := func(e device.Edge) (carrySign float64, blocked bool) {
 		carrySign = 1
-		for _, q := range []int{e.A, e.B} {
-			r, ok := roles[q]
-			if !ok {
+		for _, q := range [2]int{e.A, e.B} {
+			i := p.gateAt[q]
+			if i < 0 {
 				continue
 			}
+			in := &nl.Instrs[i]
 			switch {
-			case r.kind == gates.RZZ:
+			case in.Gate == gates.RZZ:
 				// diagonal: commutes on either operand
-			case r.kind == gates.Ucan:
+			case in.Gate == gates.Ucan:
 				blocked = true
-			case r.first: // control of ECR/CX/ZX/SWAP
-				switch r.kind {
+			case in.Qubits[0] == q: // control of ECR/CX/ZX/SWAP
+				switch in.Gate {
 				case gates.ECR:
 					carrySign = -carrySign // ECR Z_c ECR^dag = -Z_c
 				case gates.CX:
@@ -211,35 +222,42 @@ func (p *pass) processTwoQubitLayer(l *circuit.Layer) error {
 	}
 
 	resolve := func(e device.Edge, theta float64) (done bool) {
-		if in, ok := gatesByEdge[e]; ok {
-			switch in.Gate {
-			case gates.Ucan:
-				_, _, g := gates.AbsorbRzzIntoUcan(in.Params[0], in.Params[1], in.Params[2], theta)
-				in.Params[2] = g
-				p.stats.AbsorbedUcan++
-				delete(p.comp2q, e)
-				return true
-			case gates.RZZ:
-				in.Params[0] = gates.AbsorbRzzIntoRzz(in.Params[0], theta)
-				p.stats.AbsorbedUcan++
-				delete(p.comp2q, e)
-				return true
-			case gates.CX:
-				// CX . Rzz(theta) = (I x Rz(theta)) . CX: the pending ZZ
-				// becomes a free virtual Rz on the target after the gate.
-				afterZ = append(afterZ, zCorr{q: in.Qubits[1], errAngle: theta})
-				p.stats.AbsorbedCX++
-				delete(p.comp2q, e)
-				return true
-			}
+		i := p.gateAt[e.A]
+		if i < 0 {
+			return false
+		}
+		in := &nl.Instrs[i]
+		if device.NewEdge(in.Qubits[0], in.Qubits[1]) != e {
+			return false
+		}
+		switch in.Gate {
+		case gates.Ucan:
+			_, _, g := gates.AbsorbRzzIntoUcan(in.Params[0], in.Params[1], in.Params[2], theta)
+			in.Params[2] = g
+			p.stats.AbsorbedUcan++
+			delete(p.comp2q, e)
+			return true
+		case gates.RZZ:
+			in.Params[0] = gates.AbsorbRzzIntoRzz(in.Params[0], theta)
+			p.stats.AbsorbedUcan++
+			delete(p.comp2q, e)
+			return true
+		case gates.CX:
+			// CX . Rzz(theta) = (I x Rz(theta)) . CX: the pending ZZ
+			// becomes a free virtual Rz on the target after the gate.
+			p.afterZ = append(p.afterZ, zCorr{q: in.Qubits[1], errAngle: theta})
+			p.stats.AbsorbedCX++
+			delete(p.comp2q, e)
+			return true
 		}
 		return false
 	}
 
-	var mustMaterialize []device.Edge
-	processed := map[device.Edge]bool{}
+	// Each edge's decision is independent of the others', so the map's
+	// order reaches only the order of must, which materializePending sorts.
+	p.keys, p.must = p.keys[:0], p.must[:0]
 	for e, theta := range p.comp2q {
-		processed[e] = true
+		p.keys = append(p.keys, e)
 		if math.Abs(theta) < p.opts.MinAngle {
 			delete(p.comp2q, e)
 			continue
@@ -247,9 +265,9 @@ func (p *pass) processTwoQubitLayer(l *circuit.Layer) error {
 		if resolve(e, theta) {
 			continue
 		}
-		sign, blocked := classify(e, theta)
+		sign, blocked := classify(e)
 		if blocked {
-			mustMaterialize = append(mustMaterialize, e)
+			p.must = append(p.must, e)
 			continue
 		}
 		if sign < 0 {
@@ -257,45 +275,67 @@ func (p *pass) processTwoQubitLayer(l *circuit.Layer) error {
 			p.stats.SignFlips++
 		}
 	}
-	p.materializePending(mustMaterialize)
+	depth := len(p.out.Layers)
+	p.materializePending(p.must)
 	// The correction layers just inserted idle the rest of the device for a
 	// short window and may have produced new (small) pending terms that also
 	// sit before this gate layer. Give them the same treatment, but drop
 	// blocked ones instead of recursing into further correction layers.
 	// Edges go in ascending order, so DroppedAngles sums in a fixed order.
-	var late []device.Edge
-	for e := range p.comp2q {
-		if !processed[e] {
-			late = append(late, e)
+	// Without a correction layer no edge became pending.
+	if len(p.out.Layers) > depth {
+		sortEdges(p.keys)
+		p.late = p.late[:0]
+		for e := range p.comp2q {
+			if _, seen := slices.BinarySearchFunc(p.keys, e, compareEdges); !seen {
+				p.late = append(p.late, e)
+			}
 		}
-	}
-	sortEdges(late)
-	for _, e := range late {
-		theta := p.comp2q[e]
-		if math.Abs(theta) < p.opts.MinAngle {
-			delete(p.comp2q, e)
-			continue
-		}
-		if resolve(e, theta) {
-			continue
-		}
-		sign, blocked := classify(e, theta)
-		if blocked {
-			p.stats.Dropped++
-			p.stats.DroppedAngles += math.Abs(theta)
-			delete(p.comp2q, e)
-			continue
-		}
-		if sign < 0 {
-			p.comp2q[e] = -theta
-			p.stats.SignFlips++
+		sortEdges(p.late)
+		for _, e := range p.late {
+			theta := p.comp2q[e]
+			if math.Abs(theta) < p.opts.MinAngle {
+				delete(p.comp2q, e)
+				continue
+			}
+			if resolve(e, theta) {
+				continue
+			}
+			sign, blocked := classify(e)
+			if blocked {
+				p.stats.Dropped++
+				p.stats.DroppedAngles += math.Abs(theta)
+				delete(p.comp2q, e)
+				continue
+			}
+			if sign < 0 {
+				p.comp2q[e] = -theta
+				p.stats.SignFlips++
+			}
 		}
 	}
 
 	p.out.Layers = append(p.out.Layers, nl)
 	p.emitLayerErrors(l)
-	p.emitZCorrections(afterZ)
-	return nil
+	for _, z := range p.afterZ {
+		p.addZ(z.q, z.errAngle)
+	}
+	p.emitZCorrections()
+}
+
+// setGates records (on) or clears each two-qubit gate of l in gateAt.
+func (p *pass) setGates(l *circuit.Layer, on bool) {
+	for i := range l.Instrs {
+		in := &l.Instrs[i]
+		if gates.NumQubits(in.Gate) != 2 {
+			continue
+		}
+		at := -1
+		if on {
+			at = i
+		}
+		p.gateAt[in.Qubits[0]], p.gateAt[in.Qubits[1]] = at, at
+	}
 }
 
 type zCorr struct {
@@ -305,76 +345,80 @@ type zCorr struct {
 
 // emitLayerErrors computes the surviving coherent error of the layer via
 // the toggling integrals, immediately compensates the Z part with a virtual
-// Rz layer, and adds the ZZ part to the pending dictionary.
+// Rz layer, and adds the ZZ part to the pending dictionary. Edges touching
+// a collapsed (measured) qubit are handled once, by the
+// measurement-conditioned corrections, so the integrator leaves them out.
 func (p *pass) emitLayerErrors(l *circuit.Layer) {
 	if l.Duration <= 0 {
 		return
 	}
-	m := toggling.BuildLayerModel(l, p.dev)
-	// Edges touching a collapsed (measured) qubit are handled once, by the
-	// measurement-conditioned corrections; exclude them here.
-	res := toggling.IntegrateFiltered(m, p.dev, p.opts.IncludeStark, func(e device.Edge) bool {
-		return p.isCollapsed(e.A) || p.isCollapsed(e.B)
-	})
-	var zs []zCorr
-	for q, phi := range res.PhiZ {
-		if p.isCollapsed(q) {
-			continue
+	in := p.integ
+	in.Integrate(l, p.opts.IncludeStark, p.collapsed)
+	for q, phi := range in.PhiZ {
+		if phi != 0 && !p.collapsed[q] {
+			p.addZ(q, phi)
 		}
-		zs = append(zs, zCorr{q: q, errAngle: phi})
 	}
-	p.emitZCorrections(zs)
-	for e, phi := range res.PhiZZ {
-		if p.isCollapsed(e.A) || p.isCollapsed(e.B) {
-			continue
+	p.emitZCorrections()
+	for i, phi := range in.PhiZZ {
+		if phi != 0 {
+			p.comp2q[in.Edges[i]] += phi
 		}
-		p.comp2q[e] += phi
 	}
+}
+
+// addZ adds an error angle on qubit q for the next emitZCorrections.
+func (p *pass) addZ(q int, errAngle float64) {
+	if !p.mark[q] {
+		p.mark[q] = true
+		p.zQubits = append(p.zQubits, q)
+	}
+	p.zSum[q] += errAngle
 }
 
 // emitZCorrections appends a zero-duration virtual-Rz layer undoing the
-// given error angles, merging entries that target the same qubit.
-func (p *pass) emitZCorrections(zs []zCorr) {
-	byQubit := map[int]float64{}
-	var order []int
-	for _, z := range zs {
-		if _, seen := byQubit[z.q]; !seen {
-			order = append(order, z.q)
-		}
-		byQubit[z.q] += z.errAngle
-	}
-	sortInts(order)
-	var corr *circuit.Layer
-	for _, q := range order {
-		angle := byQubit[q]
-		if math.Abs(angle) < p.opts.MinAngle {
-			continue
-		}
-		if corr == nil {
-			p.out.Layers = append(p.out.Layers, circuit.Layer{Kind: circuit.OneQubitLayer})
-			corr = &p.out.Layers[len(p.out.Layers)-1]
-		}
-		corr.Add(circuit.Instruction{
-			Gate:   gates.RZ,
-			Qubits: []int{q},
-			Params: []float64{-angle},
-			Tag:    "ec",
-		})
-		p.stats.VirtualRZ++
-	}
-}
-
-func sortInts(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j-1] > xs[j]; j-- {
-			xs[j-1], xs[j] = xs[j], xs[j-1]
+// error angles addZ summed per qubit, in ascending qubit order, and clears
+// them. The layer is allocated at its final size, its operands and angles
+// in one backing array each.
+func (p *pass) emitZCorrections() {
+	slices.Sort(p.zQubits)
+	keep := func(angle float64) bool { return !(math.Abs(angle) < p.opts.MinAngle) }
+	n := 0
+	for _, q := range p.zQubits {
+		if keep(p.zSum[q]) {
+			n++
 		}
 	}
+	if n > 0 {
+		instrs := make([]circuit.Instruction, 0, n)
+		operands := make([]int, n)
+		angles := make([]float64, n)
+		for _, q := range p.zQubits {
+			angle := p.zSum[q]
+			if !keep(angle) {
+				continue
+			}
+			k := len(instrs)
+			operands[k], angles[k] = q, -angle
+			instrs = append(instrs, circuit.Instruction{
+				Gate:   gates.RZ,
+				Qubits: operands[k : k+1 : k+1],
+				Params: angles[k : k+1 : k+1],
+				Tag:    "ec",
+			})
+		}
+		p.out.Layers = append(p.out.Layers, circuit.Layer{Kind: circuit.OneQubitLayer, Instrs: instrs})
+		p.stats.VirtualRZ += n
+	}
+	for _, q := range p.zQubits {
+		p.zSum[q], p.mark[q] = 0, false
+	}
+	p.zQubits = p.zQubits[:0]
 }
 
 // materializeAll flushes every pending ZZ compensation as explicit gates.
 func (p *pass) materializeAll() {
-	var edges []device.Edge
+	edges := make([]device.Edge, 0, len(p.comp2q))
 	for e := range p.comp2q {
 		edges = append(edges, e)
 	}
@@ -401,19 +445,18 @@ func (p *pass) materializePending(edges []device.Edge) {
 		}
 		work = append(work, e)
 	}
-	// Greedy pack into layers of disjoint edges, deterministically ordered.
+	// Greedy pack into layers of disjoint edges in ascending edge order;
+	// work is sorted and rest keeps its order.
 	for len(work) > 0 {
 		layer := circuit.Layer{Kind: circuit.TwoQubitLayer}
-		used := map[int]bool{}
 		var rest []device.Edge
-		sortEdges(work)
 		for _, e := range work {
-			if used[e.A] || used[e.B] {
+			if p.mark[e.A] || p.mark[e.B] {
 				rest = append(rest, e)
 				continue
 			}
-			used[e.A], used[e.B] = true, true
-			layer.Add(circuit.Instruction{
+			p.mark[e.A], p.mark[e.B] = true, true
+			layer.Instrs = append(layer.Instrs, circuit.Instruction{
 				Gate:   gates.RZZ,
 				Qubits: []int{e.A, e.B},
 				Params: []float64{-p.comp2q[e]},
@@ -421,6 +464,10 @@ func (p *pass) materializePending(edges []device.Edge) {
 			})
 			p.stats.InsertedRZZ++
 			delete(p.comp2q, e)
+		}
+		for i := range layer.Instrs {
+			q := layer.Instrs[i].Qubits
+			p.mark[q[0]], p.mark[q[1]] = false, false
 		}
 		// The correction layer has nonzero duration itself, so the rest of
 		// the device idles (and accumulates error) while it runs; account
@@ -432,31 +479,32 @@ func (p *pass) materializePending(edges []device.Edge) {
 	}
 }
 
-// sortEdges sorts edges by (A, B).
-func sortEdges(es []device.Edge) {
-	slices.SortFunc(es, func(a, b device.Edge) int {
-		if c := cmp.Compare(a.A, b.A); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.B, b.B)
-	})
+// compareEdges orders edges by (A, B).
+func compareEdges(a, b device.Edge) int {
+	if c := cmp.Compare(a.A, b.A); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.B, b.B)
 }
+
+// sortEdges sorts edges by (A, B).
+func sortEdges(es []device.Edge) { slices.SortFunc(es, compareEdges) }
 
 // processMeasureLayer handles mid-circuit measurement: pending ZZ touching
 // measured qubits is materialized first; errors accumulated during the
 // measurement + feed-forward window on edges adjacent to a measured qubit
 // become measurement-conditioned virtual Rz corrections (paper Fig. 9);
 // edges between unmeasured qubits accumulate normally.
-func (p *pass) processMeasureLayer(l *circuit.Layer) error {
-	measured := map[int]int{} // qubit -> classical bit
-	for _, in := range l.Instrs {
-		if in.Gate == gates.Measure {
-			measured[in.Qubits[0]] = in.CBit
+func (p *pass) processMeasureLayer(l *circuit.Layer) {
+	for i := range l.Instrs {
+		if in := &l.Instrs[i]; in.Gate == gates.Measure {
+			p.cbit[in.Qubits[0]] = in.CBit
 		}
 	}
+	measured := func(q int) bool { return p.cbit[q] >= 0 }
 	var toMat []device.Edge
 	for e, v := range p.comp2q {
-		if v != 0 && (hasKey(measured, e.A) || hasKey(measured, e.B)) {
+		if v != 0 && (measured(e.A) || measured(e.B)) {
 			toMat = append(toMat, e)
 		}
 	}
@@ -470,26 +518,20 @@ func (p *pass) processMeasureLayer(l *circuit.Layer) error {
 	tau := l.Duration + ff // measurement + feed-forward idle window
 	const nsToS = 1e-9
 	var condLayer *circuit.Layer
-	var zs []zCorr
-	for _, e := range p.dev.AllCrosstalkEdges() {
+	for _, e := range p.integ.Edges {
 		w := 2 * math.Pi * p.dev.ZZ[e] * nsToS
-		if w == 0 {
-			continue
-		}
-		ma, aOK := measured[e.A]
-		mb, bOK := measured[e.B]
 		switch {
-		case aOK && bOK:
+		case measured(e.A) && measured(e.B):
 			// Both collapsed: pure phase, nothing to correct.
-		case aOK || bOK:
+		case measured(e.A) || measured(e.B):
 			// One endpoint measured: the surviving error on the spectator is
 			// Rz(w*tau*(z_m - 1)): zero for outcome 0, -2*w*tau for outcome
 			// 1. Compensate with a conditional virtual Rz on the spectator.
-			spec, cbit := e.B, ma
-			if bOK {
-				spec, cbit = e.A, mb
+			spec, cbit := e.B, p.cbit[e.A]
+			if measured(e.B) {
+				spec, cbit = e.A, p.cbit[e.B]
 			}
-			if p.isCollapsed(spec) {
+			if p.collapsed[spec] {
 				continue
 			}
 			if condLayer == nil {
@@ -509,27 +551,22 @@ func (p *pass) processMeasureLayer(l *circuit.Layer) error {
 			})
 			p.stats.Conditional++
 		default:
-			if p.isCollapsed(e.A) || p.isCollapsed(e.B) {
+			if p.collapsed[e.A] || p.collapsed[e.B] {
 				continue
 			}
 			// Both idle and unmeasured: the usual U11 accumulation over the
 			// measurement window (the feed-forward window is accounted by
 			// the following conditional layer's own toggling pass).
 			p.comp2q[e] += w * l.Duration
-			zs = append(zs, zCorr{q: e.A, errAngle: -w * l.Duration}, zCorr{q: e.B, errAngle: -w * l.Duration})
+			p.addZ(e.A, -w*l.Duration)
+			p.addZ(e.B, -w*l.Duration)
 		}
 	}
-	p.emitZCorrections(zs)
-	if p.collapsed == nil {
-		p.collapsed = map[int]bool{}
+	p.emitZCorrections()
+	for i := range l.Instrs {
+		if in := &l.Instrs[i]; in.Gate == gates.Measure {
+			q := in.Qubits[0]
+			p.collapsed[q], p.cbit[q] = true, -1
+		}
 	}
-	for q := range measured {
-		p.collapsed[q] = true
-	}
-	return nil
-}
-
-func hasKey(m map[int]int, k int) bool {
-	_, ok := m[k]
-	return ok
 }

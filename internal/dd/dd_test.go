@@ -93,20 +93,20 @@ func TestContextAwareSuppressesAllPairs(t *testing.T) {
 	if _, err := Insert(c, dev, DefaultOptions()); err != nil {
 		t.Fatal(err)
 	}
+	in := toggling.NewIntegrator(dev)
 	for li := range c.Layers {
 		l := &c.Layers[li]
 		if l.Kind != circuit.TwoQubitLayer {
 			continue
 		}
-		m := toggling.BuildLayerModel(l, dev)
-		res := toggling.Integrate(m, dev, true)
-		for q, phi := range res.PhiZ {
+		in.Integrate(l, true, nil)
+		for q, phi := range in.PhiZ {
 			if phi > 1e-9 || phi < -1e-9 {
 				t.Errorf("surviving Z on q%d: %v", q, phi)
 			}
 		}
-		for e, phi := range res.PhiZZ {
-			if phi > 1e-9 || phi < -1e-9 {
+		for i, phi := range in.PhiZZ {
+			if e := in.Edges[i]; phi > 1e-9 || phi < -1e-9 {
 				t.Errorf("surviving ZZ on %v: %v", e, phi)
 			}
 		}

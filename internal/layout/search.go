@@ -453,7 +453,7 @@ func place(dev *device.Device, c *circuit.Circuit, phys []int, boundaryZZ float6
 		return nil, err
 	}
 	dur := sched.Schedule(routed, sub)
-	score := toggling.NewScorer(sub).ScoreCircuit(routed) + 2*math.Pi*boundaryZZ*1e-9*dur
+	score := toggling.NewIntegrator(sub).ScoreCircuit(routed) + 2*math.Pi*boundaryZZ*1e-9*dur
 	return &Placement{
 		Backend: dev.Name,
 		Phys:    append([]int(nil), phys...),

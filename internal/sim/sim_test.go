@@ -175,14 +175,18 @@ func TestTogglingPredictsSimulator(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Apply the predicted error for each layer (prep layer + gate layer).
+	in := toggling.NewIntegrator(dev)
 	for li := range ideal.Layers {
-		m := toggling.BuildLayerModel(&ideal.Layers[li], dev)
-		res := toggling.Integrate(m, dev, true)
-		for q, phi := range res.PhiZ {
-			want.Apply1Q(gates.Matrix1Q(gates.RZ, phi), q)
+		in.Integrate(&ideal.Layers[li], true, nil)
+		for q, phi := range in.PhiZ {
+			if phi != 0 {
+				want.Apply1Q(gates.Matrix1Q(gates.RZ, phi), q)
+			}
 		}
-		for e, phi := range res.PhiZZ {
-			want.Apply2Q(gates.Matrix2Q(gates.RZZ, phi), e.A, e.B)
+		for i, phi := range in.PhiZZ {
+			if e := in.Edges[i]; phi != 0 {
+				want.Apply2Q(gates.Matrix2Q(gates.RZZ, phi), e.A, e.B)
+			}
 		}
 	}
 	if f := linalg.FidelityPure(got, want); f < 1-1e-9 {

@@ -42,9 +42,9 @@ func scheduleFixture(t *testing.T) (*device.Device, *circuit.Circuit) {
 	return dev, c
 }
 
-// referenceScore is the pre-scorer exact score: BuildLayerModel + Integrate
-// per layer, magnitudes summed in sorted key order — the map-based path the
-// compensation passes still use.
+// referenceScore is the exact score through the map reference:
+// BuildLayerModel + Integrate per layer, magnitudes summed in sorted key
+// order.
 func referenceScore(dev *device.Device, c *circuit.Circuit) float64 {
 	tot := 0.0
 	for i := range c.Layers {
@@ -75,13 +75,13 @@ func referenceScore(dev *device.Device, c *circuit.Circuit) float64 {
 	return tot
 }
 
-// TestScorerMatchesIntegrate pins the scorer against the map-based
-// Integrate path on the full fixture: identical angles, only the float
-// summation order may differ (tolerance scales with the total).
+// TestScorerMatchesIntegrate pins ScoreCircuit against the map reference
+// on the full fixture: identical angles, only the float summation order may
+// differ (tolerance scales with the total).
 func TestScorerMatchesIntegrate(t *testing.T) {
 	dev, c := scheduleFixture(t)
 	want := referenceScore(dev, c)
-	s := NewScorer(dev)
+	s := NewIntegrator(dev)
 	got := s.ScoreCircuit(c)
 	if want == 0 {
 		t.Fatal("fixture produces a zero score; broken fixture")
@@ -95,30 +95,39 @@ func TestScorerMatchesIntegrate(t *testing.T) {
 // scratch is bit-identical — the layout argmin depends on it.
 func TestScorerRepeatBitIdentical(t *testing.T) {
 	dev, c := scheduleFixture(t)
-	s := NewScorer(dev)
+	s := NewIntegrator(dev)
 	first := s.ScoreCircuit(c)
 	for i := 0; i < 10; i++ {
 		if got := s.ScoreCircuit(c); got != first {
 			t.Fatalf("iteration %d: %v != %v", i, got, first)
 		}
 	}
-	if fresh := NewScorer(dev).ScoreCircuit(c); fresh != first {
+	if fresh := NewIntegrator(dev).ScoreCircuit(c); fresh != first {
 		t.Fatalf("fresh scorer %v != reused %v", fresh, first)
 	}
 }
 
-// TestScorerZeroAlloc pins the scoring inner loop at zero steady-state
-// allocations: Choose exact-scores dozens of candidates per call on a
-// worker pool and the per-layer map churn was the compile-time hot path.
+// TestScorerZeroAlloc pins the scoring inner loop and one layer's
+// integration at zero steady-state allocations: Choose exact-scores dozens
+// of candidates per call on a worker pool, CA-EC integrates every layer of
+// every twirl instance, and per-layer map churn was the hot path of both.
 func TestScorerZeroAlloc(t *testing.T) {
 	dev, c := scheduleFixture(t)
-	s := NewScorer(dev)
+	s := NewIntegrator(dev)
 	s.ScoreCircuit(c) // warm the scratch buffers
 	avg := testing.AllocsPerRun(100, func() {
 		s.ScoreCircuit(c)
 	})
 	if avg != 0 {
 		t.Fatalf("scoring inner loop allocates %.1f times per circuit, want 0", avg)
+	}
+	collapsed := make([]bool, dev.NQubits)
+	collapsed[0] = true
+	for i := range c.Layers {
+		l := &c.Layers[i]
+		if avg := testing.AllocsPerRun(100, func() { s.Integrate(l, false, collapsed) }); avg != 0 {
+			t.Fatalf("integrating layer %d allocates %.1f times, want 0", i, avg)
+		}
 	}
 }
 
@@ -128,7 +137,7 @@ func TestScorerZeroDurationLayer(t *testing.T) {
 	c := circuit.New(6, 0)
 	l := c.AddLayer(circuit.TwoQubitLayer)
 	l.ECR(0, 1) // never scheduled: Duration stays 0
-	if got := NewScorer(dev).ScoreCircuit(c); got != 0 {
+	if got := NewIntegrator(dev).ScoreCircuit(c); got != 0 {
 		t.Fatalf("unscheduled layer scored %v, want 0", got)
 	}
 }

@@ -21,6 +21,14 @@ func scheduled(c *circuit.Circuit, d *device.Device) *circuit.Circuit {
 	return c
 }
 
+// integrate runs a fresh Integrator over one layer and returns its nonzero
+// angles in map form.
+func integrate(l *circuit.Layer, d *device.Device, includeStark bool, collapsed []bool) Result {
+	in := NewIntegrator(d)
+	in.Integrate(l, includeStark, collapsed)
+	return in.result()
+}
+
 func TestIdlePairFullAccumulation(t *testing.T) {
 	d := quietDev(2)
 	c := circuit.New(2, 0)
@@ -29,8 +37,7 @@ func TestIdlePairFullAccumulation(t *testing.T) {
 	l.Add(circuit.Instruction{Gate: gates.Delay, Qubits: []int{1}, Params: []float64{500}})
 	scheduled(c, d)
 
-	m := BuildLayerModel(&c.Layers[0], d)
-	res := Integrate(m, d, false)
+	res := integrate(&c.Layers[0], d, false, nil)
 	w := 2 * math.Pi * d.ZZRate(0, 1) * 500e-9
 	e := device.NewEdge(0, 1)
 	if math.Abs(res.PhiZZ[e]-w) > 1e-12 {
@@ -47,8 +54,7 @@ func TestECREchoCancelsControlTerms(t *testing.T) {
 	c.AddLayer(circuit.TwoQubitLayer).ECR(1, 2) // control 1, spectator 0
 	scheduled(c, d)
 
-	m := BuildLayerModel(&c.Layers[0], d)
-	res := Integrate(m, d, false)
+	res := integrate(&c.Layers[0], d, false, nil)
 	// ZZ(0,1) echoed away; spectator keeps its Z; control's Z echoed.
 	if v := res.PhiZZ[device.NewEdge(0, 1)]; math.Abs(v) > 1e-12 {
 		t.Errorf("ctrl-spectator ZZ should be echoed: %v", v)
@@ -67,8 +73,7 @@ func TestRotarySuppressesTargetTerms(t *testing.T) {
 	c := circuit.New(3, 0)
 	c.AddLayer(circuit.TwoQubitLayer).ECR(2, 1) // target 1, spectator 0
 	scheduled(c, d)
-	m := BuildLayerModel(&c.Layers[0], d)
-	res := Integrate(m, d, false)
+	res := integrate(&c.Layers[0], d, false, nil)
 	if v := res.PhiZZ[device.NewEdge(0, 1)]; math.Abs(v) > 1e-12 {
 		t.Errorf("target-spectator ZZ should be rotary-suppressed: %v", v)
 	}
@@ -88,8 +93,7 @@ func TestControlControlZZSurvives(t *testing.T) {
 	l.ECR(1, 0)
 	l.ECR(2, 3)
 	scheduled(c, d)
-	m := BuildLayerModel(&c.Layers[0], d)
-	res := Integrate(m, d, false)
+	res := integrate(&c.Layers[0], d, false, nil)
 	w := 2 * math.Pi * d.ZZRate(1, 2) * d.DurECR * 1e-9
 	if v := res.PhiZZ[device.NewEdge(1, 2)]; math.Abs(v-w) > 1e-12 {
 		t.Errorf("ctrl-ctrl ZZ should survive in full: %v, want %v", v, w)
@@ -109,8 +113,7 @@ func TestStaggeredPulsesCancelEverything(t *testing.T) {
 	l.Add(circuit.Instruction{Gate: gates.XDD, Qubits: []int{1}, Tag: "dd", Time: T / 4})
 	l.Add(circuit.Instruction{Gate: gates.XDD, Qubits: []int{1}, Tag: "dd", Time: 3 * T / 4})
 	scheduled(c, d)
-	m := BuildLayerModel(&c.Layers[0], d)
-	res := Integrate(m, d, true)
+	res := integrate(&c.Layers[0], d, true, nil)
 	if len(res.PhiZ) != 0 || len(res.PhiZZ) != 0 {
 		t.Errorf("staggered X2 should cancel everything: %+v", res)
 	}
@@ -127,7 +130,7 @@ func TestAlignedPulsesLeaveZZ(t *testing.T) {
 		l.Add(circuit.Instruction{Gate: gates.XDD, Qubits: []int{q}, Tag: "dd", Time: T})
 	}
 	scheduled(c, d)
-	res := Integrate(BuildLayerModel(&c.Layers[0], d), d, false)
+	res := integrate(&c.Layers[0], d, false, nil)
 	if len(res.PhiZ) != 0 {
 		t.Errorf("aligned X2 should cancel single-qubit Z: %+v", res.PhiZ)
 	}
@@ -142,9 +145,8 @@ func TestStarkOnSpectator(t *testing.T) {
 	c := circuit.New(3, 0)
 	c.AddLayer(circuit.TwoQubitLayer).ECR(1, 2)
 	scheduled(c, d)
-	m := BuildLayerModel(&c.Layers[0], d)
-	withStark := Integrate(m, d, true)
-	noStark := Integrate(m, d, false)
+	withStark := integrate(&c.Layers[0], d, true, nil)
+	noStark := integrate(&c.Layers[0], d, false, nil)
 	ws := 2 * math.Pi * d.Stark[device.Directed{Src: 1, Dst: 0}] * d.DurECR * 1e-9
 	diff := withStark.PhiZ[0] - noStark.PhiZ[0]
 	if math.Abs(diff-ws) > 1e-12 {
@@ -162,10 +164,12 @@ func TestStarkSumOrderFixed(t *testing.T) {
 	c := circuit.New(5, 0)
 	c.AddLayer(circuit.TwoQubitLayer).ECR(0, 1).ECR(3, 4)
 	scheduled(c, d)
-	m := BuildLayerModel(&c.Layers[0], d)
-	want := IntegrateFiltered(m, d, true, nil).PhiZ[2]
+	in := NewIntegrator(d)
+	in.Integrate(&c.Layers[0], true, nil)
+	want := in.PhiZ[2]
 	for i := 0; i < 100; i++ {
-		if got := IntegrateFiltered(m, d, true, nil).PhiZ[2]; math.Float64bits(got) != math.Float64bits(want) {
+		in.Integrate(&c.Layers[0], true, nil)
+		if got := in.PhiZ[2]; math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("call %d: qubit 2 angle %v, first call gave %v", i, got, want)
 		}
 	}
@@ -176,12 +180,13 @@ func TestRZZFrameRestoringEcho(t *testing.T) {
 	c := circuit.New(3, 0)
 	c.AddLayer(circuit.TwoQubitLayer).RZZ(1, 2, 0.4)
 	scheduled(c, d)
-	m := BuildLayerModel(&c.Layers[0], d)
+	in := NewIntegrator(d)
+	in.Integrate(&c.Layers[0], false, nil)
 	// The RZZ control (qubit 1) carries a frame-restoring X2 echo.
-	if n := len(m.Sched[1].Pulses); n != 2 {
+	if n := len(in.sched[1].pulses); n != 2 {
 		t.Errorf("RZZ control should have 2 echo pulses, got %d", n)
 	}
-	res := Integrate(m, d, false)
+	res := in.result()
 	// Spectator 0's ZZ with the echoed control cancels.
 	if v := res.PhiZZ[device.NewEdge(0, 1)]; math.Abs(v) > 1e-12 {
 		t.Errorf("spectator ZZ should cancel under X2 echo: %v", v)
@@ -195,8 +200,7 @@ func TestIntegrateFiltered(t *testing.T) {
 	l.Add(circuit.Instruction{Gate: gates.Delay, Qubits: []int{0}, Params: []float64{500}})
 	l.Add(circuit.Instruction{Gate: gates.Delay, Qubits: []int{1}, Params: []float64{500}})
 	scheduled(c, d)
-	m := BuildLayerModel(&c.Layers[0], d)
-	res := IntegrateFiltered(m, d, false, func(e device.Edge) bool { return true })
+	res := integrate(&c.Layers[0], d, false, []bool{true, true})
 	if len(res.PhiZ) != 0 || len(res.PhiZZ) != 0 {
 		t.Errorf("filter should remove all edges: %+v", res)
 	}
@@ -206,8 +210,7 @@ func TestZeroDurationLayer(t *testing.T) {
 	d := quietDev(2)
 	l := &circuit.Layer{Kind: circuit.TwirlLayer}
 	l.X(0)
-	m := BuildLayerModel(l, d)
-	res := Integrate(m, d, true)
+	res := integrate(l, d, true, nil)
 	if len(res.PhiZ) != 0 || len(res.PhiZZ) != 0 {
 		t.Error("zero-duration layers must contribute nothing")
 	}
