@@ -100,13 +100,17 @@ func Insert(c *circuit.Circuit, dev *device.Device, opts Options) (Report, error
 		}
 	}
 
+	var cw *colorer
+	if opts.Strategy == ContextAware {
+		cw = newColorer(max(c.NQubits, dev.NQubits))
+	}
 	rep := Report{}
 	for _, w := range windows {
-		colors, err := colorWindow(c, dev, g, w, opts)
+		colors, err := colorWindow(c, g, cw, w, opts)
 		if err != nil {
 			return rep, err
 		}
-		wr := WindowReport{Window: w, Colors: colors, Rows: map[int]int{}}
+		wr := WindowReport{Window: w, Colors: colors, Rows: make(map[int]int, len(colors))}
 		for _, q := range w.Qubits {
 			col, ok := colors[q]
 			if !ok || col <= 0 {
@@ -131,64 +135,88 @@ func Insert(c *circuit.Circuit, dev *device.Device, opts Options) (Report, error
 	return rep, nil
 }
 
+// colorer is CA-DD's per-qubit scratch, owned by one Insert call and reset
+// after each window.
+type colorer struct {
+	colors  []int  // palette color, -1 while uncolored
+	rotary  []bool // target of a gate overlapping the window
+	touched []int  // qubits to reset
+}
+
+func newColorer(n int) *colorer {
+	cw := &colorer{colors: make([]int, n), rotary: make([]bool, n)}
+	for q := range cw.colors {
+		cw.colors[q] = -1
+	}
+	return cw
+}
+
+func (cw *colorer) reset() {
+	for _, q := range cw.touched {
+		cw.colors[q], cw.rotary[q] = -1, false
+	}
+	cw.touched = cw.touched[:0]
+}
+
 // colorWindow assigns a palette color to every window qubit.
-func colorWindow(c *circuit.Circuit, dev *device.Device, g *qgraph.Graph, w sched.Window, opts Options) (map[int]int, error) {
-	colors := map[int]int{}
+func colorWindow(c *circuit.Circuit, g *qgraph.Graph, cw *colorer, w sched.Window, opts Options) (map[int]int, error) {
 	switch opts.Strategy {
 	case Aligned:
+		colors := make(map[int]int, len(w.Qubits))
 		for _, q := range w.Qubits {
 			colors[q] = 1
 		}
 		return colors, nil
 	case Staggered:
+		colors := make(map[int]int, len(w.Qubits))
 		for _, q := range w.Qubits {
 			colors[q] = 1 + q%2
 		}
 		return colors, nil
 	}
+	defer cw.reset()
 	// Context-aware: pin concurrent ECR controls to the echo color (1) and
 	// leave rotary targets unconstrained, exactly as Algorithm 1's
 	// ColorGraph seeds the greedy coloring.
-	fixed := qgraph.Coloring{}
-	rotary := map[int]bool{}
 	for li := range c.Layers {
 		l := &c.Layers[li]
 		if l.Start >= w.End || l.Start+l.Duration <= w.Start {
 			continue // the layer does not overlap the window
 		}
 		for gate := range l.TwoQubitGates() {
-			fixed[gate.Qubits[0]] = 1
-			rotary[gate.Qubits[1]] = true
+			ctl, tgt := gate.Qubits[0], gate.Qubits[1]
+			cw.colors[ctl] = 1
+			cw.rotary[tgt] = true
+			cw.touched = append(cw.touched, ctl, tgt)
 		}
 	}
-	forbidden := map[int][]int{}
+	cw.touched = append(cw.touched, w.Qubits...)
+	// Idle qubits need Z suppression: color 0 (no pulses) is reserved for
+	// rotary-protected qubits only ("blue" in the paper).
+	qgraph.GreedyColor(g, qgraph.DegreeOrder(g, w.Qubits), cw.colors, 1)
+	n := 0
 	for _, q := range w.Qubits {
-		// Idle qubits need Z suppression: color 0 (no pulses) is reserved
-		// for rotary-protected qubits only ("blue" in the paper).
-		forbidden[q] = []int{0}
-	}
-	order := qgraph.DegreeOrder(g, w.Qubits)
-	coloring := qgraph.GreedyColor(g, order, fixed, forbidden)
-	for _, q := range w.Qubits {
-		if rotary[q] {
-			continue
+		if !cw.rotary[q] {
+			n++
 		}
-		colors[q] = coloring[q]
+	}
+	colors := make(map[int]int, n)
+	for _, q := range w.Qubits {
+		if !cw.rotary[q] {
+			colors[q] = cw.colors[q]
+		}
 	}
 	// Validate only constraints the pass controls: every idle window qubit
 	// must differ from all its colored neighbors. Two adjacent *gate
 	// controls* share the echo color by physical necessity — that is
 	// case IV, which DD cannot fix (the pass leaves it for CA-EC).
 	for _, q := range w.Qubits {
-		if rotary[q] {
+		if cw.rotary[q] {
 			continue
 		}
-		cq, ok := coloring[q]
-		if !ok {
-			continue
-		}
+		cq := cw.colors[q]
 		for _, nb := range g.Neighbors(q) {
-			if cn, ok := coloring[nb]; ok && cn == cq {
+			if cw.colors[nb] == cq {
 				return nil, fmt.Errorf("dd: idle qubit %d shares color %d with neighbor %d", q, cq, nb)
 			}
 		}

@@ -206,37 +206,30 @@ func (g *Graph) bfs(src int, dist, queue []int) {
 // uncolored.
 type Coloring map[int]int
 
-// GreedyColor colors the nodes in `order` subject to: (a) pre-assigned
-// colors in `fixed` must be respected and are never changed; (b) adjacent
-// nodes (in g) never share a color; (c) colors listed in forbidden[node]
-// must not be used for that node. It prefers the smallest admissible color
-// (minimizing the Walsh hierarchy level, per the paper's heuristic) and
-// returns the resulting coloring over order plus all fixed nodes.
-func GreedyColor(g *Graph, order []int, fixed Coloring, forbidden map[int][]int) Coloring {
-	c := Coloring{}
-	for n, col := range fixed {
-		c[n] = col
-	}
+// GreedyColor colors the nodes of order, in order, into colors, which
+// holds one entry per node of g: -1 means uncolored, and entries already
+// set are pinned and never change. Each uncolored node of order takes the
+// smallest color, at least lowest, that none of its neighbors holds —
+// the smallest Walsh hierarchy level, per the paper's heuristic. It
+// allocates nothing and sets no limit on the number of colors.
+func GreedyColor(g *Graph, order []int, colors []int, lowest int) {
 	for _, n := range order {
-		if _, done := c[n]; done {
+		if colors[n] >= 0 {
 			continue
 		}
-		used := map[int]bool{}
-		for _, b := range g.adj[n] {
-			if col, ok := c[b]; ok {
-				used[col] = true
+		col := lowest
+		for taken := true; taken; {
+			taken = false
+			for _, b := range g.adj[n] {
+				if colors[b] == col {
+					col++
+					taken = true
+					break
+				}
 			}
 		}
-		for _, col := range forbidden[n] {
-			used[col] = true
-		}
-		col := 0
-		for used[col] {
-			col++
-		}
-		c[n] = col
+		colors[n] = col
 	}
-	return c
 }
 
 // ValidateColoring checks that no edge of g connects same-colored nodes

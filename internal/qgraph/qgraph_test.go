@@ -76,11 +76,33 @@ func TestSubgraph(t *testing.T) {
 	}
 }
 
+// uncolored returns a coloring slice of n nodes, all uncolored.
+func uncolored(n int) []int {
+	c := make([]int, n)
+	for i := range c {
+		c[i] = -1
+	}
+	return c
+}
+
+// asColoring returns the colored nodes of a coloring slice as a Coloring.
+func asColoring(colors []int) Coloring {
+	c := Coloring{}
+	for n, col := range colors {
+		if col >= 0 {
+			c[n] = col
+		}
+	}
+	return c
+}
+
 func TestGreedyColorRespectsConstraints(t *testing.T) {
 	g := line(6)
-	fixed := Coloring{2: 1} // pin node 2 to color 1
-	forbidden := map[int][]int{0: {0}, 1: {0}, 3: {0}, 4: {0}, 5: {0}}
-	c := GreedyColor(g, []int{0, 1, 3, 4, 5}, fixed, forbidden)
+	colors := uncolored(6)
+	colors[2] = 1 // pin node 2 to color 1
+	// Color 0 is forbidden for every colored node.
+	GreedyColor(g, []int{0, 1, 3, 4, 5}, colors, 1)
+	c := asColoring(colors)
 	if c[2] != 1 {
 		t.Error("fixed color changed")
 	}
@@ -95,8 +117,8 @@ func TestGreedyColorRespectsConstraints(t *testing.T) {
 }
 
 func TestGreedyColorProperty(t *testing.T) {
-	// On random graphs, greedy coloring (no fixed, no forbidden) is always
-	// valid and uses at most maxDegree+1 colors.
+	// On random graphs, greedy coloring (nothing pinned, lowest color 0)
+	// is always valid and uses at most maxDegree+1 colors.
 	f := func(seed int64) bool {
 		n := 8
 		g := New(n)
@@ -113,7 +135,9 @@ func TestGreedyColorProperty(t *testing.T) {
 		for i := range order {
 			order[i] = i
 		}
-		c := GreedyColor(g, order, nil, nil)
+		colors := uncolored(n)
+		GreedyColor(g, order, colors, 0)
+		c := asColoring(colors)
 		if ok, _ := ValidateColoring(g, c); !ok {
 			return false
 		}

@@ -219,7 +219,7 @@ func refDegreeOrder(g *refGraph, subset []int) []int {
 // count and each following pair of bytes adds one edge (self-loops are
 // skipped, repeats kept), so inputs reach repeated edges, isolated nodes
 // and several components. The remaining choices — the Subgraph node set,
-// fixed and forbidden colors — are read from the same bytes.
+// pinned colors and the lowest color — are read from the same bytes.
 func FuzzGraphMatchesReference(f *testing.F) {
 	f.Add([]byte{6, 0, 1, 1, 2, 2, 0, 1, 0, 3, 4})
 	f.Add([]byte{12, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 0, 6, 7, 7, 8, 9, 10, 10, 11, 11, 9})
@@ -307,21 +307,43 @@ func FuzzGraphMatchesReference(f *testing.F) {
 		}
 
 		byDegree := DegreeOrder(g, all)
+		colors := make([]int, n)
+		greedy := func(fixed Coloring, lowest int) Coloring {
+			for a := range colors {
+				colors[a] = -1
+			}
+			for a, col := range fixed {
+				colors[a] = col
+			}
+			GreedyColor(g, byDegree, colors, lowest)
+			got := Coloring{}
+			for a, col := range colors {
+				if col >= 0 {
+					got[a] = col
+				}
+			}
+			return got
+		}
+		if got, want := greedy(nil, 0), refGreedyColor(ref, byDegree, nil, nil); !maps.Equal(got, want) {
+			t.Fatalf("GreedyColor = %v, reference %v", got, want)
+		}
+		// Pinned colors on some nodes and a lowest color for the rest:
+		// the reference forbids every color below it on every node.
 		fixed := Coloring{}
-		forbidden := map[int][]int{}
 		for a := 0; a < n; a++ {
 			if pick(2*a+3)%5 == 0 {
 				fixed[a] = pick(a) % 3
 			}
-			if pick(3*a+1)%4 == 0 {
-				forbidden[a] = []int{pick(a+2) % 3, 0}
+		}
+		lowest := pick(n+1) % 3
+		forbidden := map[int][]int{}
+		for a := 0; a < n; a++ {
+			for col := 0; col < lowest; col++ {
+				forbidden[a] = append(forbidden[a], col)
 			}
 		}
-		if got, want := GreedyColor(g, byDegree, nil, nil), refGreedyColor(ref, byDegree, nil, nil); !maps.Equal(got, want) {
-			t.Fatalf("GreedyColor = %v, reference %v", got, want)
-		}
-		if got, want := GreedyColor(g, byDegree, fixed, forbidden), refGreedyColor(ref, byDegree, fixed, forbidden); !maps.Equal(got, want) {
-			t.Fatalf("GreedyColor(fixed %v, forbidden %v) = %v, reference %v", fixed, forbidden, got, want)
+		if got, want := greedy(fixed, lowest), refGreedyColor(ref, byDegree, fixed, forbidden); !maps.Equal(got, want) {
+			t.Fatalf("GreedyColor(fixed %v, lowest %d) = %v, reference %v", fixed, lowest, got, want)
 		}
 	})
 }

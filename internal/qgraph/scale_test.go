@@ -68,7 +68,17 @@ func TestEagleGreedyColoringValid(t *testing.T) {
 	if len(order) != dev.NQubits {
 		t.Fatalf("degree order lost nodes: %d", len(order))
 	}
-	c := qgraph.GreedyColor(xt, order, nil, nil)
+	colors := make([]int, dev.NQubits)
+	for i := range colors {
+		colors[i] = -1
+	}
+	qgraph.GreedyColor(xt, order, colors, 0)
+	c := qgraph.Coloring{}
+	for n, col := range colors {
+		if col >= 0 {
+			c[n] = col
+		}
+	}
 	if len(c) != dev.NQubits {
 		t.Fatalf("coloring covers %d nodes, want %d", len(c), dev.NQubits)
 	}
@@ -82,19 +92,22 @@ func TestEagleGreedyColoringValid(t *testing.T) {
 	}
 
 	// Constrained variant: pre-assigned colors on the first plaquette and
-	// forbidden colors on its neighbors must be honored at scale.
-	fixed := qgraph.Coloring{0: 2, 1: 3}
-	forbidden := map[int][]int{2: {0}, 14: {0, 1}}
-	c2 := qgraph.GreedyColor(xt, order, fixed, forbidden)
-	if c2[0] != 2 || c2[1] != 3 {
+	// a lowest color for the rest must be honored at scale, as CA-DD pins
+	// gate controls and keeps color 0 off idle qubits.
+	for i := range colors {
+		colors[i] = -1
+	}
+	colors[0], colors[1] = 2, 3
+	qgraph.GreedyColor(xt, order, colors, 1)
+	if colors[0] != 2 || colors[1] != 3 {
 		t.Error("fixed colors overridden")
 	}
-	for n, cols := range forbidden {
-		for _, col := range cols {
-			if c2[n] == col {
-				t.Errorf("node %d got forbidden color %d", n, col)
-			}
+	c2 := qgraph.Coloring{}
+	for n, col := range colors {
+		if col == 0 {
+			t.Errorf("node %d got color 0, below the lowest allowed", n)
 		}
+		c2[n] = col
 	}
 	if ok, bad := qgraph.ValidateColoring(xt, c2); !ok {
 		t.Fatalf("constrained coloring invalid at %v", bad)

@@ -127,6 +127,9 @@ func IdleRuns(c *circuit.Circuit, minDur float64) []IdleRun {
 		start float64
 	}
 	st := make([]state, c.NQubits)
+	// active[q] is 1 + the index of the last layer where a non-delay
+	// instruction touched q, so one slice serves every layer.
+	active := make([]int, c.NQubits)
 	var runs []IdleRun
 	closeRun := func(q int, end float64) {
 		if st[q].open && end-st[q].start >= minDur && end > st[q].start {
@@ -136,9 +139,19 @@ func IdleRuns(c *circuit.Circuit, minDur float64) []IdleRun {
 	}
 	for li := range c.Layers {
 		l := &c.Layers[li]
-		active := l.ActiveQubits()
+		for i := range l.Instrs {
+			in := &l.Instrs[i]
+			if in.Gate == gates.Delay {
+				continue
+			}
+			for _, q := range in.Qubits {
+				if uint(q) < uint(len(active)) {
+					active[q] = li + 1
+				}
+			}
+		}
 		for q := 0; q < c.NQubits; q++ {
-			if active[q] {
+			if active[q] == li+1 {
 				closeRun(q, l.Start)
 				continue
 			}
