@@ -6,7 +6,9 @@
 package sched
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 
 	"casq/internal/circuit"
@@ -165,11 +167,12 @@ func IdleRuns(c *circuit.Circuit, minDur float64) []IdleRun {
 	for q := 0; q < c.NQubits; q++ {
 		closeRun(q, end)
 	}
-	sort.Slice(runs, func(i, j int) bool {
-		if runs[i].Qubit != runs[j].Qubit {
-			return runs[i].Qubit < runs[j].Qubit
+	// A qubit's runs are disjoint, so (qubit, start) orders them totally.
+	slices.SortFunc(runs, func(a, b IdleRun) int {
+		if c := cmp.Compare(a.Qubit, b.Qubit); c != 0 {
+			return c
 		}
-		return runs[i].Start < runs[j].Start
+		return cmp.Compare(a.Start, b.Start)
 	})
 	return runs
 }
