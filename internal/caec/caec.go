@@ -20,7 +20,6 @@ package caec
 
 import (
 	"cmp"
-	"fmt"
 	"math"
 	"slices"
 
@@ -94,9 +93,7 @@ func Apply(c *circuit.Circuit, dev *device.Device, opts Options) (*circuit.Circu
 		p.gateAt[q], p.cbit[q] = -1, -1
 	}
 	for li := range c.Layers {
-		if err := p.processLayer(&c.Layers[li]); err != nil {
-			return nil, p.stats, fmt.Errorf("caec: layer %d: %w", li, err)
-		}
+		p.processLayer(&c.Layers[li])
 	}
 	// Materialize anything still pending at the end of the circuit. Each
 	// correction layer idles the rest of the device briefly and can leave
@@ -130,25 +127,21 @@ type pass struct {
 	afterZ  []zCorr       // Z corrections converted through CX gates
 }
 
-func (p *pass) processLayer(l *circuit.Layer) error {
+func (p *pass) processLayer(l *circuit.Layer) {
 	switch l.Kind {
 	case circuit.TwirlLayer:
 		p.commuteThroughTwirl(l)
 		p.out.Layers = append(p.out.Layers, l.Clone())
-		return nil
 	case circuit.OneQubitLayer:
 		p.out.Layers = append(p.out.Layers, l.Clone())
 		p.emitLayerErrors(l)
-		return nil
 	case circuit.TwoQubitLayer:
 		p.processTwoQubitLayer(l)
-		return nil
 	case circuit.MeasureLayer:
 		p.processMeasureLayer(l)
-		return nil
+	default:
+		p.out.Layers = append(p.out.Layers, l.Clone())
 	}
-	p.out.Layers = append(p.out.Layers, l.Clone())
-	return nil
 }
 
 // commuteThroughTwirl moves the pending ZZ compensations past a twirl

@@ -194,22 +194,11 @@ func colorWindow(c *circuit.Circuit, g *qgraph.Graph, cw *colorer, w sched.Windo
 	// Idle qubits need Z suppression: color 0 (no pulses) is reserved for
 	// rotary-protected qubits only ("blue" in the paper).
 	qgraph.GreedyColor(g, qgraph.DegreeOrder(g, w.Qubits), cw.colors, 1)
-	n := 0
-	for _, q := range w.Qubits {
-		if !cw.rotary[q] {
-			n++
-		}
-	}
-	colors := make(map[int]int, n)
-	for _, q := range w.Qubits {
-		if !cw.rotary[q] {
-			colors[q] = cw.colors[q]
-		}
-	}
 	// Validate only constraints the pass controls: every idle window qubit
 	// must differ from all its colored neighbors. Two adjacent *gate
 	// controls* share the echo color by physical necessity — that is
 	// case IV, which DD cannot fix (the pass leaves it for CA-EC).
+	colors := make(map[int]int, len(w.Qubits))
 	for _, q := range w.Qubits {
 		if cw.rotary[q] {
 			continue
@@ -220,6 +209,7 @@ func colorWindow(c *circuit.Circuit, g *qgraph.Graph, cw *colorer, w sched.Windo
 				return nil, fmt.Errorf("dd: idle qubit %d shares color %d with neighbor %d", q, cq, nb)
 			}
 		}
+		colors[q] = cq
 	}
 	return colors, nil
 }

@@ -147,9 +147,9 @@ func byQubit[T any](n int, edges []device.Edge, mk func(i, other int) T) [][]T {
 // into PhiZ and PhiZZ: the device's ZZ couplings and, when includeStark is
 // set, the Stark shifts that driven qubits put on idle neighbours. Rates
 // are read in Hz and durations in ns. An edge with an endpoint marked in
-// collapsed (nil marks none) contributes nothing, so CA-EC can leave edges
-// of measured qubits to its measurement-conditioned corrections; Stark
-// terms are not filtered.
+// collapsed, a per-qubit mask covering the device (nil marks none),
+// contributes nothing, so CA-EC can leave edges of measured qubits to its
+// measurement-conditioned corrections; Stark terms are not filtered.
 //
 // Two-qubit gates contribute an internal echo pulse on their first operand
 // (the control) at mid-layer and a rotary flag on their second operand
