@@ -116,7 +116,10 @@ type pass struct {
 	collapsed []bool                  // qubits already measured mid-circuit
 	stats     Stats
 
-	mark    []bool        // a twirl Pauli, or a packed RZZ correction, on the qubit
+	// mark is one step's per-qubit flag (a twirl Pauli, a packed RZZ
+	// correction or an addZ entry on the qubit); it is all false between
+	// steps.
+	mark    []bool
 	gateAt  []int         // index of the two-qubit gate on the qubit, -1 if none
 	cbit    []int         // classical bit a measure layer writes from the qubit, -1 if none
 	zSum    []float64     // Z error angle per qubit, summed by addZ
