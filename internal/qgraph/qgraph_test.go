@@ -154,6 +154,36 @@ func TestGreedyColorProperty(t *testing.T) {
 	}
 }
 
+// TestGreedyColorUnbounded colours a 70-node clique, which needs 70
+// colours above the lowest: GreedyColor sets no colour limit and
+// allocates nothing.
+func TestGreedyColorUnbounded(t *testing.T) {
+	const n = 70
+	g := New(n)
+	order := make([]int, n)
+	for a := range order {
+		order[a] = a
+		for b := a + 1; b < n; b++ {
+			g.AddEdge(a, b)
+		}
+	}
+	colors := uncolored(n)
+	allocs := testing.AllocsPerRun(10, func() {
+		for a := range colors {
+			colors[a] = -1
+		}
+		GreedyColor(g, order, colors, 1)
+	})
+	if allocs != 0 {
+		t.Errorf("GreedyColor allocates %.1f times per call, want 0", allocs)
+	}
+	for a, col := range colors {
+		if col != a+1 {
+			t.Fatalf("node %d of the clique got colour %d, want %d", a, col, a+1)
+		}
+	}
+}
+
 func TestDegreeOrder(t *testing.T) {
 	g := New(4)
 	g.AddEdge(0, 1)
