@@ -198,6 +198,19 @@ func (d *Device) Validate() error {
 			return fmt.Errorf("device: ECR direction %v does not match edge %v", dir, e)
 		}
 	}
+	// Calibration keys index per-qubit tables in the engines.
+	for _, m := range []map[Edge]float64{d.ZZ, d.Err2Q} {
+		for e := range m {
+			if !inRange(e.A) || !inRange(e.B) {
+				return fmt.Errorf("device: calibration edge %v outside %d qubits", e, d.NQubits)
+			}
+		}
+	}
+	for s := range d.Stark {
+		if !inRange(s.Src) || !inRange(s.Dst) {
+			return fmt.Errorf("device: Stark pair %v outside %d qubits", s, d.NQubits)
+		}
+	}
 	for _, s := range []int{len(d.Delta), len(d.Quasistatic), len(d.T1), len(d.T2), len(d.Err1Q), len(d.ReadoutErr)} {
 		if s != d.NQubits {
 			return fmt.Errorf("device: calibration array length %d != %d qubits", s, d.NQubits)

@@ -250,3 +250,26 @@ func TestTopologyFamilies(t *testing.T) {
 		}
 	}
 }
+
+// TestFromSnapshotRejectsOutOfRangeCalibration requires FromSnapshot to
+// reject a ZZ, Stark or two-qubit-error entry naming a qubit outside the
+// register. The engines index per-qubit tables by these keys, so such a
+// device used to pass validation and panic in its first run.
+func TestFromSnapshotRejectsOutOfRangeCalibration(t *testing.T) {
+	cases := map[string]func(*Snapshot){
+		"stark source": func(s *Snapshot) { s.Stark = append(s.Stark, DirectedRate{Src: 9, Dst: 1, Hz: 2e4}) },
+		"stark target": func(s *Snapshot) { s.Stark = append(s.Stark, DirectedRate{Src: 1, Dst: 4, Hz: 2e4}) },
+		"zz":           func(s *Snapshot) { s.ZZ = append(s.ZZ, EdgeRate{A: 2, B: 7, Hz: 5e4}) },
+		"err2q":        func(s *Snapshot) { s.Err2Q = append(s.Err2Q, EdgeRate{A: -1, B: 0, Hz: 1e-2}) },
+	}
+	for name, corrupt := range cases {
+		s := NewLine("line4", 4, DefaultOptions()).Snapshot()
+		corrupt(&s)
+		if _, err := FromSnapshot(s); err == nil {
+			t.Errorf("%s: FromSnapshot accepted a key outside 4 qubits", name)
+		}
+	}
+	if _, err := FromSnapshot(NewLine("line4", 4, DefaultOptions()).Snapshot()); err != nil {
+		t.Fatalf("clean snapshot: %v", err)
+	}
+}
