@@ -21,12 +21,17 @@ import (
 // nonzero Stark terms sorted by source, then target.
 type Crosstalk struct {
 	Edges  []device.Edge
-	QEdges [][]int // per qubit: indices of the edges that touch it
+	QEdges [][]int // per qubit: indices of the edges that touch it, in edge order
 
-	dev     *device.Device
-	omega   []float64 // ZZ rate per edge, rad/ns
-	edgeIdx map[device.Edge]int
-	starks  []starkTerm
+	dev    *device.Device
+	omega  []float64 // ZZ rate per edge, rad/ns
+	starks []starkTerm
+
+	// Rebuild scratch: the backing array of QEdges, per-qubit counts and
+	// the circuit's RZZ pairs.
+	inc   []int
+	count []int
+	rzz   []device.Edge
 }
 
 type starkTerm struct {
@@ -38,40 +43,111 @@ const hzToRadPerNs = 2 * math.Pi * 1e-9
 
 // NewCrosstalk builds the crosstalk table of circuit c on dev.
 func NewCrosstalk(dev *device.Device, c *circuit.Circuit) *Crosstalk {
-	x := &Crosstalk{dev: dev, edgeIdx: map[device.Edge]int{}}
-	add := func(e device.Edge, hz float64) {
-		if _, ok := x.edgeIdx[e]; ok {
-			return
+	x := new(Crosstalk)
+	x.Rebuild(dev, c)
+	return x
+}
+
+// Rebuild makes x the crosstalk table of circuit c on dev, in x's own
+// storage. Edge ids follow NN edges, then NNN edges, then the circuit's
+// RZZ pairs in circuit order, the first occurrence of an edge taking its
+// id. Every per-qubit incident list sits in one backing array, and an
+// edge's id is found through its first endpoint's list.
+func (x *Crosstalk) Rebuild(dev *device.Device, c *circuit.Circuit) {
+	n := c.NQubits
+	x.dev = dev
+	// Each candidate edge counts toward both endpoints, duplicates
+	// included, so every list's share of the backing array holds the
+	// edges that survive.
+	count := zeroed(x.count, n+1)
+	x.rzz = x.rzz[:0]
+	for _, edges := range [2][]device.Edge{dev.Edges, dev.NNNEdges} {
+		for _, e := range edges {
+			count[e.A+1]++
+			count[e.B+1]++
 		}
-		x.edgeIdx[e] = len(x.Edges)
-		x.Edges = append(x.Edges, e)
-		x.omega = append(x.omega, hz*hzToRadPerNs)
-	}
-	for _, e := range dev.AllCrosstalkEdges() {
-		add(e, dev.ZZ[e])
 	}
 	for li := range c.Layers {
-		for _, in := range c.Layers[li].Instrs {
-			if in.Gate == gates.RZZ {
-				add(device.NewEdge(in.Qubits[0], in.Qubits[1]), 0)
+		for ii := range c.Layers[li].Instrs {
+			if in := &c.Layers[li].Instrs[ii]; in.Gate == gates.RZZ {
+				e := device.NewEdge(in.Qubits[0], in.Qubits[1])
+				x.rzz = append(x.rzz, e)
+				count[e.A+1]++
+				count[e.B+1]++
 			}
 		}
 	}
-	x.QEdges = make([][]int, c.NQubits)
-	for i, e := range x.Edges {
-		x.QEdges[e.A] = append(x.QEdges[e.A], i)
-		x.QEdges[e.B] = append(x.QEdges[e.B], i)
+	for q := 0; q < n; q++ {
+		count[q+1] += count[q]
 	}
-	for d, hz := range dev.Stark {
-		if hz != 0 {
-			x.starks = append(x.starks, starkTerm{d.Src, d.Dst, hz * hzToRadPerNs})
+	x.inc = slices.Grow(x.inc[:0], count[n])[:count[n]]
+	x.QEdges = slices.Grow(x.QEdges[:0], n)[:n]
+	for q := range x.QEdges {
+		x.QEdges[q] = x.inc[count[q]:count[q]:count[q+1]]
+	}
+	x.Edges, x.omega = x.Edges[:0], x.omega[:0]
+	for _, edges := range [2][]device.Edge{dev.Edges, dev.NNNEdges} {
+		for _, e := range edges {
+			x.add(e, dev.ZZ[e])
 		}
 	}
-	slices.SortFunc(x.starks, func(a, b starkTerm) int {
-		return cmp.Or(cmp.Compare(a.src, b.src), cmp.Compare(a.dst, b.dst))
-	})
-	return x
+	for _, e := range x.rzz {
+		x.add(e, 0)
+	}
+
+	// Stark terms by a counting pass over sources, then each source's
+	// targets in ascending order: keys are unique, so this is the order of
+	// a sort by (source, target).
+	count = zeroed(count, dev.NQubits+1)
+	for d, hz := range dev.Stark {
+		if hz != 0 {
+			count[d.Src+1]++
+		}
+	}
+	for q := 0; q < dev.NQubits; q++ {
+		count[q+1] += count[q]
+	}
+	x.starks = slices.Grow(x.starks[:0], count[dev.NQubits])[:count[dev.NQubits]]
+	for d, hz := range dev.Stark {
+		if hz != 0 {
+			x.starks[count[d.Src]] = starkTerm{d.Src, d.Dst, hz * hzToRadPerNs}
+			count[d.Src]++
+		}
+	}
+	// count[q] now ends source q's terms.
+	lo := 0
+	for q := 0; q < dev.NQubits; q++ {
+		slices.SortFunc(x.starks[lo:count[q]], func(a, b starkTerm) int { return cmp.Compare(a.dst, b.dst) })
+		lo = count[q]
+	}
+	x.count = count
 }
+
+// add appends edge e with ZZ rate hz unless x already has it.
+func (x *Crosstalk) add(e device.Edge, hz float64) {
+	if _, ok := x.edgeID(e); ok {
+		return
+	}
+	i := len(x.Edges)
+	x.Edges = append(x.Edges, e)
+	x.omega = append(x.omega, hz*hzToRadPerNs)
+	x.QEdges[e.A] = append(x.QEdges[e.A], i)
+	x.QEdges[e.B] = append(x.QEdges[e.B], i)
+}
+
+// edgeID returns the id of edge e, if x has it.
+func (x *Crosstalk) edgeID(e device.Edge) (int, bool) {
+	for _, i := range x.QEdges[e.A] {
+		if x.Edges[i] == e {
+			return i, true
+		}
+	}
+	return 0, false
+}
+
+// Release drops x's device, so that storage kept for a later Rebuild does
+// not keep the device alive. x must be rebuilt before its next use.
+func (x *Crosstalk) Release() { x.dev = nil }
 
 // EventKind is what a lowered event does.
 type EventKind uint8
@@ -130,15 +206,12 @@ type eventKey struct {
 	i int32
 }
 
-// resetMask returns m resized to n entries, all false, reusing its
-// storage when it is large enough.
-func resetMask(m []bool, n int) []bool {
-	if cap(m) < n {
-		return make([]bool, n)
-	}
-	m = m[:n]
-	clear(m)
-	return m
+// zeroed returns s resized to n zero entries, reusing its storage when it
+// is large enough.
+func zeroed[T any](s []T, n int) []T {
+	s = slices.Grow(s[:0], n)[:n]
+	clear(s)
+	return s
 }
 
 // Lower fills dst with layer l's context masks and its events sorted by
@@ -154,10 +227,10 @@ func (x *Crosstalk) Lower(dst *Lowered, l *circuit.Layer) {
 func (x *Crosstalk) emit(dst *Lowered, l *circuit.Layer) {
 	nq := len(x.QEdges)
 	dst.Start, dst.Dur = l.Start, l.Duration
-	dst.Active = resetMask(dst.Active, nq)
-	dst.Driven = resetMask(dst.Driven, nq)
-	dst.Rotary = resetMask(dst.Rotary, nq)
-	dst.GatePair = resetMask(dst.GatePair, len(x.Edges))
+	dst.Active = zeroed(dst.Active, nq)
+	dst.Driven = zeroed(dst.Driven, nq)
+	dst.Rotary = zeroed(dst.Rotary, nq)
+	dst.GatePair = zeroed(dst.GatePair, len(x.Edges))
 	// Worst case is four events per instruction (RZZ).
 	if n := 4 * len(l.Instrs); cap(dst.Events) < n {
 		dst.Events = make([]Event, 0, n)
@@ -176,8 +249,9 @@ func (x *Crosstalk) emit(dst *Lowered, l *circuit.Layer) {
 			dst.Driven[q0], dst.Driven[q1] = true, true
 			dst.Rotary[q1] = true
 			pair := device.NewEdge(q0, q1)
-			if i, ok := x.edgeIdx[pair]; ok {
-				dst.GatePair[i] = true
+			id, ok := x.edgeID(pair)
+			if ok {
+				dst.GatePair[id] = true
 			}
 			errP, ok := x.dev.Err2Q[pair]
 			if !ok {
@@ -193,7 +267,7 @@ func (x *Crosstalk) emit(dst *Lowered, l *circuit.Layer) {
 				// calibrated ZZ angle takes effect at completion, and its
 				// error scales with the stretch fraction of a full ECR.
 				rzz := ev.at(end, EvRZZ)
-				rzz.Angle, rzz.Edge = in.Params[0], x.edgeIdx[pair]
+				rzz.Angle, rzz.Edge = in.Params[0], id
 				evs = append(evs, ev.at(mid, EvEcho), ev.at(end, EvEcho), rzz)
 				frac := math.Abs(in.Params[0]) / (math.Pi / 2)
 				if frac > 1 {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 
 	"casq/internal/circuit"
@@ -285,7 +286,7 @@ func HasTwirl(c *circuit.Circuit) bool {
 // accumulator.
 type compiler struct {
 	e  *Engine
-	x  *sim.Crosstalk
+	x  sim.Crosstalk
 	lw sim.Lowered // the layer being walked; storage reused across layers
 
 	phi   []float64 // pending deterministic Z angle per qubit
@@ -296,6 +297,28 @@ type compiler struct {
 	nMeas int
 }
 
+// compilerPool recycles compilers: each compile rebuilds the crosstalk
+// table, lowered layer and phase accumulators in storage that earlier
+// compiles grew, where a fresh compiler would regrow all of it (a cold
+// fig8 request compiles 144 programs).
+var compilerPool = sync.Pool{New: func() any { return new(compiler) }}
+
+// release drops the compiler's engine, device and op stream, which the
+// program now owns, and returns it to compilerPool.
+func (cp *compiler) release() {
+	cp.e, cp.ops = nil, nil
+	cp.x.Release()
+	compilerPool.Put(cp)
+}
+
+// zeroed returns s resized to n zeros, reusing its storage when it is
+// large enough.
+func zeroed(s []float64, n int) []float64 {
+	s = slices.Grow(s[:0], n)[:n]
+	clear(s)
+	return s
+}
+
 func (e *Engine) compile(c *circuit.Circuit) (*program, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
@@ -304,17 +327,17 @@ func (e *Engine) compile(c *circuit.Circuit) (*program, error) {
 		return nil, err
 	}
 	nq := c.NQubits
-	x := sim.NewCrosstalk(e.Dev, c)
-	cp := &compiler{
-		e:     e,
-		x:     x,
-		phi:   make([]float64, nq),
-		tau:   make([]float64, nq),
-		phiZZ: make([]float64, len(x.Edges)),
-		ops:   (*opPool.Get().(*[]op))[:0],
-	}
+	cp := compilerPool.Get().(*compiler)
+	defer cp.release()
+	cp.e = e
+	cp.x.Rebuild(e.Dev, c)
+	cp.phi = zeroed(cp.phi, nq)
+	cp.tau = zeroed(cp.tau, nq)
+	cp.phiZZ = zeroed(cp.phiZZ, len(cp.x.Edges))
+	cp.ops = (*opPool.Get().(*[]op))[:0]
+	cp.nMeas = 0
 	for li := range c.Layers {
-		x.Lower(&cp.lw, &c.Layers[li])
+		cp.x.Lower(&cp.lw, &c.Layers[li])
 		cp.layer()
 	}
 	for q := 0; q < nq; q++ {
