@@ -482,10 +482,11 @@ func TestBlockShotLoopZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	bp := p.blockPlan()
-	pl, err := e.planObs(p, sim.ObsSpec{0: 'X', 1: 'X'})
+	plans, err := p.planObs([]sim.ObsSpec{{0: 'X', 1: 'X'}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	pl := plans[0]
 	f := newBlockFrame(p)
 	f.reset(sim.BlockSeed(e.Cfg.Seed, 0))
 	f.run(bp)

@@ -46,11 +46,9 @@ func ScalarExpectations(e *Engine, c *circuit.Circuit, obs []sim.ObsSpec) ([]flo
 	if err != nil {
 		return nil, err
 	}
-	plans := make([]obsPlan, len(obs))
-	for j, o := range obs {
-		if plans[j], err = e.planObs(p, o); err != nil {
-			return nil, err
-		}
+	plans, err := p.planObs(obs)
+	if err != nil {
+		return nil, err
 	}
 	shots, nobs := e.numShots(), len(obs)
 	sums := make([]float64, shots*nobs)

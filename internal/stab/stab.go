@@ -126,37 +126,46 @@ type obsPlan struct {
 	ref    float64
 }
 
-func (e *Engine) planObs(p *program, o sim.ObsSpec) (obsPlan, error) {
-	pl := obsPlan{px: make([]uint64, p.words), pz: make([]uint64, p.words)}
-	qs := make([]int, 0, len(o))
-	for q := range o {
-		qs = append(qs, q)
-	}
-	sort.Ints(qs)
-	for _, q := range qs {
-		if q < 0 || q >= p.nq {
-			return obsPlan{}, fmt.Errorf("stab: observable qubit %d out of range for %d qubits", q, p.nq)
+// planObs compiles each observable against the program's reference
+// tableau. Their reference expectations come from one row-major copy of
+// its stabilizers.
+func (p *program) planObs(obs []sim.ObsSpec) ([]obsPlan, error) {
+	plans := make([]obsPlan, len(obs))
+	rows := newStabRows(p.tab)
+	var qs []int
+	for j, o := range obs {
+		pl := obsPlan{px: make([]uint64, p.words), pz: make([]uint64, p.words)}
+		qs = qs[:0]
+		for q := range o {
+			qs = append(qs, q)
 		}
-		w, b := q/64, uint(q%64)
-		switch o[q] {
-		case 'X':
-			pl.px[w] |= 1 << b
-			pl.xQ = append(pl.xQ, int32(q))
-		case 'Y':
-			pl.px[w] |= 1 << b
-			pl.pz[w] |= 1 << b
-			pl.xQ = append(pl.xQ, int32(q))
-			pl.zQ = append(pl.zQ, int32(q))
-		case 'Z':
-			pl.pz[w] |= 1 << b
-			pl.zQ = append(pl.zQ, int32(q))
-		case 'I':
-		default:
-			return obsPlan{}, fmt.Errorf("stab: invalid observable label %q", o[q])
+		sort.Ints(qs)
+		for _, q := range qs {
+			if q < 0 || q >= p.nq {
+				return nil, fmt.Errorf("stab: observable qubit %d out of range for %d qubits", q, p.nq)
+			}
+			w, b := q/64, uint(q%64)
+			switch o[q] {
+			case 'X':
+				pl.px[w] |= 1 << b
+				pl.xQ = append(pl.xQ, int32(q))
+			case 'Y':
+				pl.px[w] |= 1 << b
+				pl.pz[w] |= 1 << b
+				pl.xQ = append(pl.xQ, int32(q))
+				pl.zQ = append(pl.zQ, int32(q))
+			case 'Z':
+				pl.pz[w] |= 1 << b
+				pl.zQ = append(pl.zQ, int32(q))
+			case 'I':
+			default:
+				return nil, fmt.Errorf("stab: invalid observable label %q", o[q])
+			}
 		}
+		pl.ref = rows.expect(pl.px, pl.pz, false)
+		plans[j] = pl
 	}
-	pl.ref = p.tab.ExpectPacked(pl.px, pl.pz, false)
-	return pl, nil
+	return plans, nil
 }
 
 // Expectations runs the circuit and returns the mean over frame
@@ -174,11 +183,9 @@ func (e *Engine) Expectations(c *circuit.Circuit, obs []sim.ObsSpec) ([]float64,
 		return nil, err
 	}
 	defer p.release()
-	plans := make([]obsPlan, len(obs))
-	for j, o := range obs {
-		if plans[j], err = e.planObs(p, o); err != nil {
-			return nil, err
-		}
+	plans, err := p.planObs(obs)
+	if err != nil {
+		return nil, err
 	}
 	shots := e.numShots()
 	nobs := len(obs)

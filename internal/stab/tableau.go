@@ -17,8 +17,9 @@ import (
 // (Z) bit at q, and one sign plane holds every row's sign. A gate on k
 // qubits therefore rewrites 2k planes of rw words — four words per plane
 // at 127 qubits — as mask arithmetic over all rows at once, never
-// visiting rows one by one. Row products (measurement and expectation
-// reconstruction) walk one bit per qubit.
+// visiting rows one by one. A measurement's row products walk one bit per
+// qubit; expectations multiply a row-major copy of the stabilizers
+// (stabRows) a word at a time.
 type Tableau struct {
 	n, words int      // qubits; qubit-axis words of a packed Pauli
 	rw       int      // row words per plane
@@ -287,17 +288,61 @@ func (t *Tableau) MeasureZ(q int, rng *rand.Rand) (bit int, deterministic bool, 
 	return bit, true, nil, nil
 }
 
-// ExpectPacked returns <psi| P |psi> for the packed Pauli (px, pz) with
-// the given sign (true = -P): exactly +1, -1, or 0 on a stabilizer state.
-func (t *Tableau) ExpectPacked(px, pz []uint64, neg bool) float64 {
+// stabRows is a row-major copy of a tableau's stabilizer generators:
+// generator i's X and Z bits over the qubit axis are words
+// [i*words, (i+1)*words) of x and z, and bit i of neg is its sign. Row
+// products then run a word at a time instead of a bit per qubit. It also
+// holds the scratch of expect, so one stabRows serves one goroutine.
+type stabRows struct {
+	t            *Tableau
+	x, z, neg    []uint64
+	anti         []uint64 // row words: each tableau row's anticommutation with P
+	prodX, prodZ []uint64
+}
+
+// newStabRows copies t's stabilizer rows row-major in one pass over its
+// qubit planes.
+func newStabRows(t *Tableau) *stabRows {
+	n, words := t.n, t.words
+	s := &stabRows{
+		t:     t,
+		x:     make([]uint64, n*words),
+		z:     make([]uint64, n*words),
+		neg:   make([]uint64, words),
+		anti:  make([]uint64, t.rw),
+		prodX: make([]uint64, words),
+		prodZ: make([]uint64, words),
+	}
+	for q := 0; q < n; q++ {
+		w, bit := q/64, uint64(1)<<(q%64)
+		xq, zq := t.planes(q)
+		for r := nextRow(xq, n, 2*n); r < 2*n; r = nextRow(xq, r+1, 2*n) {
+			s.x[(r-n)*words+w] |= bit
+		}
+		for r := nextRow(zq, n, 2*n); r < 2*n; r = nextRow(zq, r+1, 2*n) {
+			s.z[(r-n)*words+w] |= bit
+		}
+	}
+	for r := nextRow(t.sign, n, 2*n); r < 2*n; r = nextRow(t.sign, r+1, 2*n) {
+		s.neg[(r-n)/64] |= 1 << ((r - n) % 64)
+	}
+	return s
+}
+
+// expect returns <psi| P |psi> for the packed Pauli (px, pz) with the
+// given sign (true = -P): exactly +1, -1, or 0 on a stabilizer state.
+func (s *stabRows) expect(px, pz []uint64, neg bool) float64 {
+	t := s.t
+	n := t.n
 	// Bit r of anti is the symplectic product of row r with P, summed over
 	// P's support: every row's anticommutation at once.
-	anti := make([]uint64, t.rw)
+	anti := s.anti
+	clear(anti)
 	for w := range px {
-		for s := px[w] | pz[w]; s != 0; s &= s - 1 {
-			b := bits.TrailingZeros64(s)
+		for sup := px[w] | pz[w]; sup != 0; sup &= sup - 1 {
+			b := bits.TrailingZeros64(sup)
 			q := w*64 + b
-			if q >= t.n {
+			if q >= n {
 				break
 			}
 			xq, zq := t.planes(q)
@@ -313,29 +358,58 @@ func (t *Tableau) ExpectPacked(px, pz []uint64, neg bool) float64 {
 			}
 		}
 	}
-	n := t.n
 	if nextRow(anti, n, 2*n) < 2*n {
 		return 0
 	}
 	// P commutes with the whole group, so it is +/- a product of
 	// stabilizer generators: generator i participates iff destabilizer i
 	// anticommutes with P.
-	sc := 2 * n
-	t.clearRow(sc)
-	for r := nextRow(anti, 0, n); r < n; r = nextRow(anti, r+1, n) {
-		t.mulRowFrom(sc, r+n)
+	prodX, prodZ := s.prodX, s.prodZ
+	clear(prodX)
+	clear(prodZ)
+	prodNeg := false
+	for i := nextRow(anti, 0, n); i < n; i = nextRow(anti, i+1, n) {
+		rowNeg := s.neg[i/64]>>(i%64)&1 == 1
+		prodNeg = mulRow(prodX, prodZ, s.x[i*t.words:(i+1)*t.words], s.z[i*t.words:(i+1)*t.words], prodNeg, rowNeg)
 	}
-	rx, rz := t.row(sc)
-	for w := range rx {
-		if rx[w] != px[w] || rz[w] != pz[w] {
+	for w := range prodX {
+		if prodX[w] != px[w] || prodZ[w] != pz[w] {
 			panic("stab: stabilizer-product reconstruction mismatch")
 		}
 	}
-	val := 1.0
-	if t.negated(sc) != neg {
-		val = -1
+	if prodNeg != neg {
+		return -1
 	}
-	return val
+	return 1
+}
+
+// mulRow sets (x1, z1) := (x1, z1) * (x2, z2) for two packed Paulis with
+// signs neg1 and neg2 and returns the product's sign. The phase is
+// stim's bit-parallel log-i count (Gidney 2021): per qubit, a two-bit
+// counter (c2, c1) adds +1 or -1 wherever the factors anticommute. Tableau
+// row products always land on a Hermitian result, which is asserted.
+func mulRow(x1, z1, x2, z2 []uint64, neg1, neg2 bool) bool {
+	var c1, c2 uint64
+	for w := range x1 {
+		ox, oz := x1[w], z1[w]
+		nx, nz := ox^x2[w], oz^z2[w]
+		xz := ox & z2[w]
+		anti := x2[w]&oz ^ xz
+		c2 ^= (c1 ^ nx ^ nz ^ xz) & anti
+		c1 ^= anti
+		x1[w], z1[w] = nx, nz
+	}
+	k := bits.OnesCount64(c1) + 2*bits.OnesCount64(c2)
+	if neg1 {
+		k += 2
+	}
+	if neg2 {
+		k += 2
+	}
+	if k%2 != 0 {
+		panic(fmt.Sprintf("stab: non-Hermitian row product (phase i^%d)", k%4))
+	}
+	return k%4 == 2
 }
 
 // Expect returns the expectation of a pauli.String (phase must be real,
@@ -355,5 +429,5 @@ func (t *Tableau) Expect(s pauli.String) (float64, error) {
 		px[q/64] |= xb << (q % 64)
 		pz[q/64] |= zb << (q % 64)
 	}
-	return t.ExpectPacked(px, pz, ph == 2), nil
+	return newStabRows(t).expect(px, pz, ph == 2), nil
 }

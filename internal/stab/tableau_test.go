@@ -210,10 +210,50 @@ func propStep(k, a, b, n int) (tabStep, bool) {
 	return s, true
 }
 
+// expectQubitMajor is the reference for stabRows.expect: it multiplies
+// the selected stabilizer rows into the tableau's scratch row in place,
+// one bit per qubit per row (mulRowFrom), and reads the product back with
+// row.
+func expectQubitMajor(t *Tableau, px, pz []uint64, neg bool) float64 {
+	anti := make([]uint64, t.rw)
+	for q := 0; q < t.n; q++ {
+		xq, zq := t.planes(q)
+		for i := range anti {
+			if pz[q/64]>>(q%64)&1 == 1 {
+				anti[i] ^= xq[i]
+			}
+			if px[q/64]>>(q%64)&1 == 1 {
+				anti[i] ^= zq[i]
+			}
+		}
+	}
+	n := t.n
+	if nextRow(anti, n, 2*n) < 2*n {
+		return 0
+	}
+	sc := 2 * n
+	t.clearRow(sc)
+	for r := nextRow(anti, 0, n); r < n; r = nextRow(anti, r+1, n) {
+		t.mulRowFrom(sc, r+n)
+	}
+	rx, rz := t.row(sc)
+	for w := range rx {
+		if rx[w] != px[w] || rz[w] != pz[w] {
+			panic("stab: stabilizer-product reconstruction mismatch")
+		}
+	}
+	if t.negated(sc) != neg {
+		return -1
+	}
+	return 1
+}
+
 // checkPropagation applies steps to NewTableau(n) and, for each subset S,
 // conjugates +Z_S forward through the same steps with the pauli tables,
 // tracking the sign. Z_S stabilizes |0...0>, so its image stabilizes the
-// final state and the tableau must give it expectation exactly +1.
+// final state: the tableau must give it expectation exactly +1 and its
+// negation exactly -1, and the qubit-major reference product must agree
+// on both.
 func checkPropagation(t testing.TB, n int, steps []tabStep, subsets [][]bool) {
 	t.Helper()
 	tab := NewTableau(n)
@@ -250,12 +290,27 @@ func checkPropagation(t testing.TB, n int, steps []tabStep, subsets [][]bool) {
 				img.Phase = (img.Phase + 2) % 4
 			}
 		}
-		got, err := tab.Expect(img)
-		if err != nil {
-			t.Fatal(err)
+		px, pz := make([]uint64, tab.words), make([]uint64, tab.words)
+		for q, p := range img.Ops {
+			xb, zb := xzFromPauli(p)
+			px[q/64] |= xb << (q % 64)
+			pz[q/64] |= zb << (q % 64)
 		}
-		if got != 1 {
-			t.Fatalf("n=%d, %d gates: <%v> = %v, want exactly +1", n, len(steps), img, got)
+		negImg := pauli.String{Ops: img.Ops, Phase: (img.Phase + 2) % 4}
+		for _, c := range []struct {
+			s    pauli.String
+			want float64
+		}{{img, 1}, {negImg, -1}} {
+			got, err := tab.Expect(c.s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != c.want {
+				t.Fatalf("n=%d, %d gates: <%v> = %v, want exactly %v", n, len(steps), c.s, got, c.want)
+			}
+			if ref := expectQubitMajor(tab, px, pz, c.s.Phase == 2); ref != got {
+				t.Fatalf("n=%d, %d gates: <%v> = %v, qubit-major product %v", n, len(steps), c.s, got, ref)
+			}
 		}
 	}
 }
