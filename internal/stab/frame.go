@@ -14,25 +14,28 @@ import (
 type frame struct {
 	x, z  []uint64
 	cbits []int
-	src   rand.Source
+	src   rand.Source // built at the first reset
 	rng   *rand.Rand
 }
 
 func newFrame(p *program) *frame {
-	src := rand.NewSource(0)
 	return &frame{
 		x:     make([]uint64, p.words),
 		z:     make([]uint64, p.words),
 		cbits: make([]int, p.ncb),
-		src:   src,
-		rng:   rand.New(src),
 	}
 }
 
 // reset clears the frame and classical bits and reseeds the RNG for a new
-// trajectory.
+// trajectory. The first reset builds the source already seeded, which
+// draws what a source reseeded in place draws.
 func (f *frame) reset(seed int64) {
-	f.src.Seed(seed)
+	if f.src == nil {
+		f.src = rand.NewSource(seed)
+		f.rng = rand.New(f.src)
+	} else {
+		f.src.Seed(seed)
+	}
 	for i := range f.x {
 		f.x[i] = 0
 		f.z[i] = 0
