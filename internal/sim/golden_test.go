@@ -129,9 +129,9 @@ func TestExpectationsBitIdenticalAcrossSimWorkers(t *testing.T) {
 }
 
 // TestCompileCacheDetectsDeviceMutation pins the cache-key contract: a
-// Runner re-running the same circuit must notice in-place device
-// recalibration (the Fig. 8 sweep retunes dev.ZZ per point) and recompile
-// instead of serving stale crosstalk physics.
+// caller may write the device's exported calibration maps between runs,
+// so a Runner re-running the same circuit must notice the in-place
+// recalibration and recompile instead of serving stale crosstalk physics.
 func TestCompileCacheDetectsDeviceMutation(t *testing.T) {
 	dev := goldenDevice()
 	c := models.BuildFloquetIsing(4, 2)

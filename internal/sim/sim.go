@@ -150,10 +150,10 @@ const (
 
 // deviceFingerprint hashes the device calibration that compile bakes into
 // the compiled form (topology, ZZ rates, Stark terms, gate-error
-// probabilities, and the rotary residual its crosstalk table reads), so
-// in-place device mutation between runs — the Fig. 8 sweep retunes dev.ZZ
-// per point — invalidates the Runner's cache. Map entries are combined
-// commutatively so iteration order cannot matter.
+// probabilities, and the rotary residual its crosstalk table reads). A
+// caller may write the device's exported calibration maps between runs,
+// and such an in-place change must invalidate the Runner's cache. Map
+// entries are combined commutatively so iteration order cannot matter.
 func deviceFingerprint(d *device.Device) uint64 {
 	h := uint64(fnvOffset)
 	mix := func(v uint64) {
