@@ -2,7 +2,6 @@ package device
 
 import (
 	"encoding/json"
-	"fmt"
 	"math/rand"
 	"sort"
 )
@@ -154,16 +153,6 @@ func FromSnapshot(s Snapshot) (*Device, error) {
 // Encode marshals the snapshot as indented JSON.
 func (s Snapshot) Encode() ([]byte, error) {
 	return json.MarshalIndent(s, "", "  ")
-}
-
-// DecodeSnapshot parses a snapshot previously produced by Encode (or any
-// JSON matching the Snapshot schema).
-func DecodeSnapshot(b []byte) (Snapshot, error) {
-	var s Snapshot
-	if err := json.Unmarshal(b, &s); err != nil {
-		return s, fmt.Errorf("device: decode snapshot: %w", err)
-	}
-	return s, nil
 }
 
 // Perturb returns a copy of the device whose calibration has drifted: every

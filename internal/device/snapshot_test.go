@@ -2,6 +2,8 @@ package device
 
 import (
 	"encoding/json"
+	"maps"
+	"slices"
 	"testing"
 
 	"casq/internal/store"
@@ -26,8 +28,8 @@ func TestSnapshotFingerprintRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		s2, err := DecodeSnapshot(raw)
-		if err != nil {
+		var s2 Snapshot
+		if err := json.Unmarshal(raw, &s2); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		d2, err := FromSnapshot(s2)
@@ -251,25 +253,86 @@ func TestTopologyFamilies(t *testing.T) {
 	}
 }
 
+// line4Corruptions edit a line4 snapshot into one FromSnapshot must
+// reject. The first four name a qubit outside the register in a ZZ, Stark
+// or two-qubit-error key: the engines index per-qubit tables by these
+// keys, so such a device used to pass validation and panic in its first
+// run. The last lists an NNN edge twice, which CA-EC's toggling-frame sum
+// counted twice while both engines apply it once.
+var line4Corruptions = map[string]func(*Snapshot){
+	"stark source": func(s *Snapshot) { s.Stark = append(s.Stark, DirectedRate{Src: 9, Dst: 1, Hz: 2e4}) },
+	"stark target": func(s *Snapshot) { s.Stark = append(s.Stark, DirectedRate{Src: 1, Dst: 4, Hz: 2e4}) },
+	"zz":           func(s *Snapshot) { s.ZZ = append(s.ZZ, EdgeRate{A: 2, B: 7, Hz: 5e4}) },
+	"err2q":        func(s *Snapshot) { s.Err2Q = append(s.Err2Q, EdgeRate{A: -1, B: 0, Hz: 1e-2}) },
+	"nnn repeated": func(s *Snapshot) { s.Topology.NNN = append(s.Topology.NNN, Edge{0, 2}, Edge{0, 2}) },
+}
+
 // TestFromSnapshotRejectsOutOfRangeCalibration requires FromSnapshot to
-// reject a ZZ, Stark or two-qubit-error entry naming a qubit outside the
-// register. The engines index per-qubit tables by these keys, so such a
-// device used to pass validation and panic in its first run.
+// reject every line4Corruptions entry and to accept the clean snapshot.
 func TestFromSnapshotRejectsOutOfRangeCalibration(t *testing.T) {
-	cases := map[string]func(*Snapshot){
-		"stark source": func(s *Snapshot) { s.Stark = append(s.Stark, DirectedRate{Src: 9, Dst: 1, Hz: 2e4}) },
-		"stark target": func(s *Snapshot) { s.Stark = append(s.Stark, DirectedRate{Src: 1, Dst: 4, Hz: 2e4}) },
-		"zz":           func(s *Snapshot) { s.ZZ = append(s.ZZ, EdgeRate{A: 2, B: 7, Hz: 5e4}) },
-		"err2q":        func(s *Snapshot) { s.Err2Q = append(s.Err2Q, EdgeRate{A: -1, B: 0, Hz: 1e-2}) },
-	}
-	for name, corrupt := range cases {
+	for name, corrupt := range line4Corruptions {
 		s := NewLine("line4", 4, DefaultOptions()).Snapshot()
 		corrupt(&s)
 		if _, err := FromSnapshot(s); err == nil {
-			t.Errorf("%s: FromSnapshot accepted a key outside 4 qubits", name)
+			t.Errorf("%s: FromSnapshot accepted a corrupt line4 snapshot", name)
 		}
 	}
 	if _, err := FromSnapshot(NewLine("line4", 4, DefaultOptions()).Snapshot()); err != nil {
 		t.Fatalf("clean snapshot: %v", err)
 	}
+}
+
+// FuzzSnapshotJSON decodes arbitrary bytes as a snapshot, as a caller of
+// the facade's DeviceFromSnapshot would, and requires FromSnapshot never
+// to panic. A device it accepts lists each NN and NNN edge once, and the
+// device's own snapshot is accepted again and fingerprints the same after
+// the round trip. The seeds are the clean line4 snapshot and its
+// line4Corruptions; a 127-qubit seed would make each input slow.
+func FuzzSnapshotJSON(f *testing.F) {
+	seed := func(edit func(*Snapshot)) {
+		s := NewLine("line4", 4, DefaultOptions()).Snapshot()
+		edit(&s)
+		raw, err := json.Marshal(s)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
+	seed(func(*Snapshot) {})
+	for _, name := range slices.Sorted(maps.Keys(line4Corruptions)) {
+		seed(line4Corruptions[name])
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var s Snapshot
+		if json.Unmarshal(data, &s) != nil {
+			return
+		}
+		d, err := FromSnapshot(s)
+		if err != nil {
+			return
+		}
+		seen := map[Edge]bool{}
+		for _, e := range slices.Concat(d.Edges, d.NNNEdges) {
+			if seen[e] {
+				t.Fatalf("edge %v listed twice", e)
+			}
+			seen[e] = true
+		}
+		s1 := d.Snapshot()
+		d2, err := FromSnapshot(s1)
+		if err != nil {
+			t.Fatalf("re-import of an accepted snapshot: %v", err)
+		}
+		k1, err := store.Fingerprint(s1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k2, err := store.Fingerprint(d2.Snapshot())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k1 != k2 {
+			t.Fatalf("fingerprint changed across the round trip: %s vs %s", k1, k2)
+		}
+	})
 }

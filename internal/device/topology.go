@@ -28,7 +28,8 @@ type Topology struct {
 	NNN []Edge `json:"nnn,omitempty"`
 }
 
-// Validate checks qubit ranges, self-couplings, and duplicate couplers.
+// Validate checks qubit ranges, self-couplings, and that no coupler or NNN
+// edge is listed twice or names a coupler's edge.
 func (t Topology) Validate() error {
 	if t.NQubits <= 0 {
 		return fmt.Errorf("device: topology %q has %d qubits", t.Name, t.NQubits)
@@ -50,8 +51,9 @@ func (t Topology) Validate() error {
 			return fmt.Errorf("device: topology %q: bad NNN edge %v", t.Name, e)
 		}
 		if seen[e] {
-			return fmt.Errorf("device: topology %q: NNN edge %v duplicates a coupler", t.Name, e)
+			return fmt.Errorf("device: topology %q: NNN edge %v repeats a coupler or NNN edge", t.Name, e)
 		}
+		seen[e] = true
 	}
 	return nil
 }
