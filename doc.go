@@ -64,12 +64,11 @@
 //
 // Beneath the API sit, from scratch and stdlib-only: a layered
 // quantum-circuit IR with scheduling and a gate library (ECR, CX, RZZ, the
-// canonical gate Ucan, ZXZXZ Euler decomposition); a device model with the
-// calibration data the paper's passes consume (always-on ZZ, Stark shifts,
-// charge parity, NNN collision edges, coherence times, gate
-// errors/durations); a trajectory statevector simulator substituting for
-// the paper's IBM hardware, with the echoed-CR pulse context modeled so DD
-// alignment effects emerge from the dynamics; and experiment harnesses
-// regenerating every figure and table of the paper's evaluation
-// (internal/experiments, cmd/experiments).
+// canonical gate Ucan); a device model with the calibration data the
+// paper's passes consume (always-on ZZ, Stark shifts, charge parity, NNN
+// collision edges, coherence times, gate errors/durations); a trajectory
+// statevector simulator substituting for the paper's IBM hardware, with
+// the echoed-CR pulse context modeled so DD alignment effects emerge from
+// the dynamics; and experiment harnesses regenerating every figure and
+// table of the paper's evaluation (internal/experiments, cmd/experiments).
 package casq

@@ -2,7 +2,7 @@
 // chain at the Clifford point, where the boundary correlator <X0 X5>
 // ideally oscillates between +1 and -1. Compares twirling-only against the
 // context-aware strategies, each lowered to a pass pipeline and run on the
-// concurrent executor.
+// concurrent executor. The full harness is fig6 in cmd/experiments.
 package main
 
 import (
@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"log"
 
-	"casq"
 	"casq/internal/device"
 	"casq/internal/exec"
 	"casq/internal/models"
@@ -53,5 +52,4 @@ func main() {
 		}
 		fmt.Printf("%4d %+8.3f %+10.3f %+10.3f %+10.3f\n", d, row[0], row[1], row[2], row[3])
 	}
-	_ = casq.ExperimentIDs // the full harness lives in cmd/experiments (fig6)
 }

@@ -206,35 +206,6 @@ func DecayByDistance(m Matrix, dist [][]int, maxDist int) []DecayBin {
 	return out
 }
 
-// ChiSquare2x2 returns the chi-square goodness-of-fit statistic of an
-// observed 2x2 contingency table (JointCounts order) against model joint
-// probabilities p summing to 1 over `shots` trials. Cells with zero
-// expected count contribute +Inf unless also observed zero — a model that
-// forbids an observed outcome is rejected outright. Three degrees of
-// freedom; the test-harness convention bounds the statistic at the
-// 5-sigma-equivalent quantile.
-func ChiSquare2x2(n [4]int, p [4]float64, shots int) float64 {
-	chi := 0.0
-	for k := 0; k < 4; k++ {
-		exp := p[k] * float64(shots)
-		if exp == 0 {
-			if n[k] != 0 {
-				return math.Inf(1)
-			}
-			continue
-		}
-		d := float64(n[k]) - exp
-		chi += d * d / exp
-	}
-	return chi
-}
-
-// ChiSquare3DF5Sigma is the df=3 chi-square quantile at the two-sided
-// 5-sigma tail probability (~5.7e-7): the harness-wide acceptance bound
-// for ChiSquare2x2 statistics. A correct model exceeds it about once per
-// 1.7 million tables.
-const ChiSquare3DF5Sigma = 33.0
-
 // blockWords returns the word count of a shot record.
 func blockWords(shots int) int {
 	return (shots + sim.ShotBlockSize - 1) / sim.ShotBlockSize

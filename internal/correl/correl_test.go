@@ -128,6 +128,35 @@ func genZZ(rng *rand.Rand, pairs, S int, mo zzModel) sim.PackedBits {
 	return pb
 }
 
+// chiSquare2x2 returns the chi-square goodness-of-fit statistic of an
+// observed 2x2 contingency table (JointCounts order) against model joint
+// probabilities p summing to 1 over `shots` trials. Cells with zero
+// expected count contribute +Inf unless also observed zero — a model that
+// forbids an observed outcome is rejected outright. Three degrees of
+// freedom; the test-harness convention bounds the statistic at the
+// 5-sigma-equivalent quantile.
+func chiSquare2x2(n [4]int, p [4]float64, shots int) float64 {
+	chi := 0.0
+	for k := 0; k < 4; k++ {
+		exp := p[k] * float64(shots)
+		if exp == 0 {
+			if n[k] != 0 {
+				return math.Inf(1)
+			}
+			continue
+		}
+		d := float64(n[k]) - exp
+		chi += d * d / exp
+	}
+	return chi
+}
+
+// chiSquare3DF5Sigma is the df=3 chi-square quantile at the two-sided
+// 5-sigma tail probability (~5.7e-7): the harness-wide acceptance bound
+// for chiSquare2x2 statistics. A correct model exceeds it about once per
+// 1.7 million tables.
+const chiSquare3DF5Sigma = 33.0
+
 // TestCorrelatedZZClosedForm pins the estimator against the analytically
 // solvable shared-event model: within-pair covariance and correlation
 // must match the closed form within 5 jackknife SEs, across-pair
@@ -155,14 +184,14 @@ func TestCorrelatedZZClosedForm(t *testing.T) {
 			t.Errorf("pair (%d,%d): corr %v vs closed form %v (> 5 SE = %v)",
 				a, b, m.CorrAt(a, b), wantCorr, 5*m.SECorrAt(a, b))
 		}
-		chi := ChiSquare2x2(m.JointCounts(a, b), mo.joint(), S)
-		if chi > ChiSquare3DF5Sigma {
-			t.Errorf("pair (%d,%d): chi-square %v vs model exceeds %v", a, b, chi, ChiSquare3DF5Sigma)
+		chi := chiSquare2x2(m.JointCounts(a, b), mo.joint(), S)
+		if chi > chiSquare3DF5Sigma {
+			t.Errorf("pair (%d,%d): chi-square %v vs model exceeds %v", a, b, chi, chiSquare3DF5Sigma)
 		}
 		// Power check: the independence model must be rejected.
 		pi, pj := m.P[a], m.P[b]
 		indep := [4]float64{(1 - pi) * (1 - pj), (1 - pi) * pj, pi * (1 - pj), pi * pj}
-		if chi := ChiSquare2x2(m.JointCounts(a, b), indep, S); chi < ChiSquare3DF5Sigma {
+		if chi := chiSquare2x2(m.JointCounts(a, b), indep, S); chi < chiSquare3DF5Sigma {
 			t.Errorf("pair (%d,%d): chi-square %v failed to reject independence", a, b, chi)
 		}
 	}

@@ -9,7 +9,6 @@ import (
 	"casq/internal/dd"
 	"casq/internal/device"
 	"casq/internal/exec"
-	"casq/internal/fitting"
 	"casq/internal/gates"
 	"casq/internal/pass"
 	"casq/internal/sched"
@@ -81,7 +80,6 @@ func Fig4aStark(sp Spec, opts Options) (Figure, error) {
 			peak = f * 1e3
 		}
 	}
-	_ = fitting.Mean // fitting is used elsewhere in this file
 	fig.Notef("always-on nu(2,3) = %.1f kHz (paper: dashed line)", alwaysOn/1e3)
 	fig.Notef("observed peak = %.1f kHz; displacement = %.1f kHz; calibrated Stark = %.1f kHz (paper: ~20 kHz)",
 		peak/1e3, (alwaysOn-peak)/1e3, stark/1e3)

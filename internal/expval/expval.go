@@ -1,72 +1,23 @@
-// Package expval provides observable estimation utilities on top of raw
-// measurement counts: marginal probabilities, Pauli-Z expectation values,
-// and tensor-product readout-error inversion (the "readout correction" the
-// paper applies before comparing suppression strategies).
+// Package expval provides tensor-product readout-error inversion on top of
+// raw measurement counts: the "readout correction" the paper applies before
+// comparing suppression strategies.
 package expval
 
 import (
 	"errors"
-	"math"
 
 	"casq/internal/sim"
 )
 
-// MarginalProbability returns the probability that classical bit `bit`
-// reads v.
-func MarginalProbability(res sim.Result, bit, v int) float64 {
-	if res.Shots == 0 {
-		return 0
-	}
-	hits := 0
-	for key, n := range res.Counts {
-		if bit < len(key) && int(key[bit]-'0') == v {
-			hits += n
-		}
-	}
-	return float64(hits) / float64(res.Shots)
-}
-
-// ZExpectation returns <Z> of the given classical bit: P(0) - P(1).
-func ZExpectation(res sim.Result, bit int) float64 {
-	return MarginalProbability(res, bit, 0) - MarginalProbability(res, bit, 1)
-}
-
-// ZZExpectation returns <Z_a Z_b> over two classical bits.
-func ZZExpectation(res sim.Result, a, b int) float64 {
-	if res.Shots == 0 {
-		return 0
-	}
-	s := 0
-	for key, n := range res.Counts {
-		za, zb := 1, 1
-		if a < len(key) && key[a] == '1' {
-			za = -1
-		}
-		if b < len(key) && key[b] == '1' {
-			zb = -1
-		}
-		s += za * zb * n
-	}
-	return float64(s) / float64(res.Shots)
-}
-
 // CorrectReadout inverts independent symmetric per-bit assignment errors on
 // a joint probability over the listed classical bits: for each bit with
 // flip probability e, <Z> scales by 1/(1-2e), so the joint probability of a
-// specific pattern is reconstructed from the corrected Z-moments.
-// probs maps bit index -> assignment error. Returns the corrected
+// specific pattern is reconstructed from the corrected Z-moments,
+// P(pattern) = 2^-k * sum over subsets S of prod_{i in S} z_i(pattern)
+// * <prod_{i in S} Z_i>_corrected.
+// errs[i] is the assignment error of bits[i]. Returns the corrected
 // probability of the given pattern over `bits` ('0'/'1' per entry).
 func CorrectReadout(res sim.Result, bits []int, pattern string, errs []float64) (float64, error) {
-	return invertMoments(func(mask int) float64 { return momentOf(res, bits, mask) },
-		bits, pattern, errs)
-}
-
-// invertMoments is the estimator-independent core of readout correction:
-// P(pattern) = 2^-k * sum over subsets S of prod_{i in S} z_i(pattern)
-// * <prod_{i in S} Z_i>_corrected, where moment(mask) supplies the raw
-// Z-moment of subset `mask` of the listed bits. Both the counts-map and the
-// packed-word estimators share it, so the two paths invert identically.
-func invertMoments(moment func(mask int) float64, bits []int, pattern string, errs []float64) (float64, error) {
 	if len(bits) != len(pattern) || len(bits) != len(errs) {
 		return 0, errors.New("expval: bits/pattern/errs length mismatch")
 	}
@@ -77,7 +28,7 @@ func invertMoments(moment func(mask int) float64, bits []int, pattern string, er
 	total := 0.0
 	for mask := 0; mask < 1<<k; mask++ {
 		// Corrected moment of subset `mask`.
-		m := moment(mask)
+		m := momentOf(res, bits, mask)
 		scale := 1.0
 		signTarget := 1.0
 		valid := true
@@ -110,6 +61,8 @@ func invertMoments(moment func(mask int) float64, bits []int, pattern string, er
 	return p, nil
 }
 
+// momentOf returns the raw Z-moment <prod_{i in mask} Z_bits[i]> of the
+// counts.
 func momentOf(res sim.Result, bits []int, mask int) float64 {
 	if res.Shots == 0 {
 		return 0
@@ -128,16 +81,4 @@ func momentOf(res sim.Result, bits []int, mask int) float64 {
 		s += z * n
 	}
 	return float64(s) / float64(res.Shots)
-}
-
-// BinomialStdErr returns the standard error of an empirical probability.
-func BinomialStdErr(p float64, shots int) float64 {
-	if shots <= 0 {
-		return 0
-	}
-	v := p * (1 - p)
-	if v < 0 {
-		v = 0
-	}
-	return math.Sqrt(v / float64(shots))
 }

@@ -16,23 +16,6 @@ func res(counts map[string]int) sim.Result {
 	return sim.Result{Counts: counts, Shots: shots}
 }
 
-func TestMarginalAndZ(t *testing.T) {
-	r := res(map[string]int{"00": 50, "11": 30, "01": 20})
-	if p := MarginalProbability(r, 0, 0); math.Abs(p-0.7) > 1e-12 {
-		t.Errorf("P(bit0=0) = %v", p)
-	}
-	if z := ZExpectation(r, 1); math.Abs(z-0.0) > 1e-12 {
-		t.Errorf("<Z1> = %v", z) // P(0)=0.5, P(1)=0.5
-	}
-}
-
-func TestZZExpectation(t *testing.T) {
-	r := res(map[string]int{"00": 40, "11": 40, "01": 10, "10": 10})
-	if zz := ZZExpectation(r, 0, 1); math.Abs(zz-0.6) > 1e-12 {
-		t.Errorf("<ZZ> = %v", zz)
-	}
-}
-
 func TestCorrectReadoutIdentity(t *testing.T) {
 	r := res(map[string]int{"00": 75, "11": 25})
 	p, err := CorrectReadout(r, []int{0, 1}, "00", []float64{0, 0})
@@ -89,15 +72,5 @@ func TestCorrectReadoutRejectsBadInput(t *testing.T) {
 	}
 	if _, err := CorrectReadout(r, []int{0}, "0", []float64{0.5}); err == nil {
 		t.Error("uninvertible error rate not rejected")
-	}
-}
-
-func TestBinomialStdErr(t *testing.T) {
-	se := BinomialStdErr(0.5, 100)
-	if math.Abs(se-0.05) > 1e-12 {
-		t.Errorf("stderr %v", se)
-	}
-	if BinomialStdErr(0.5, 0) != 0 {
-		t.Error("zero shots should give zero stderr")
 	}
 }

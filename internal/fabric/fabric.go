@@ -109,9 +109,6 @@ func NewCoordinator(st *store.Store, opts Options) *Coordinator {
 	return c
 }
 
-// Store returns the shared content-addressed store the coordinator serves.
-func (c *Coordinator) Store() *store.Store { return c.st }
-
 // Close stops the lease janitor. Outstanding sweeps stop making progress
 // once their workers disconnect; their checkpointed cells remain in the
 // store for a later coordinator to resume from.

@@ -1,9 +1,8 @@
 // Package fitting provides the estimation routines the experiment harnesses
 // need: exponential decay fits A*lambda^d for layer-fidelity and
 // error-mitigation-overhead analysis, scaled-ideal fits meas ~ A*lambda^d *
-// ideal for the global depolarizing model of paper Sec. V B, linear least
-// squares, and a Ramsey frequency scan used in the Stark characterization
-// (Fig. 4a).
+// ideal for the global depolarizing model of paper Sec. V B, and linear
+// least squares.
 package fitting
 
 import (
@@ -102,59 +101,4 @@ func SamplingOverhead(amp, lambda float64, d int) float64 {
 		return math.Inf(1)
 	}
 	return 1 / (f * f)
-}
-
-// FreqScan estimates the dominant oscillation frequency of a signal sampled
-// at times ts by scanning a frequency grid [fMin, fMax] with nGrid points
-// and maximizing the periodogram power. Used to locate Ramsey peaks
-// (paper Fig. 4a).
-func FreqScan(ts, ys []float64, fMin, fMax float64, nGrid int) (fBest float64, power float64) {
-	if nGrid < 2 {
-		nGrid = 256
-	}
-	mean := 0.0
-	for _, y := range ys {
-		mean += y
-	}
-	mean /= float64(len(ys))
-	for k := 0; k < nGrid; k++ {
-		f := fMin + (fMax-fMin)*float64(k)/float64(nGrid-1)
-		var c, s float64
-		for i := range ts {
-			ph := 2 * math.Pi * f * ts[i]
-			c += (ys[i] - mean) * math.Cos(ph)
-			s += (ys[i] - mean) * math.Sin(ph)
-		}
-		if p := c*c + s*s; p > power {
-			power = p
-			fBest = f
-		}
-	}
-	return fBest, power
-}
-
-// Mean returns the arithmetic mean.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-// StdErr returns the standard error of the mean.
-func StdErr(xs []float64) float64 {
-	n := len(xs)
-	if n < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var ss float64
-	for _, x := range xs {
-		ss += (x - m) * (x - m)
-	}
-	return math.Sqrt(ss / float64(n-1) / float64(n))
 }

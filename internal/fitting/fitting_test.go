@@ -105,35 +105,3 @@ func TestSamplingOverhead(t *testing.T) {
 		t.Errorf("gamma(0.648) = %v", g)
 	}
 }
-
-func TestFreqScan(t *testing.T) {
-	f0 := 55e3
-	var ts, ys []float64
-	for i := 0; i < 60; i++ {
-		tm := float64(i) * 1e-6
-		ts = append(ts, tm)
-		ys = append(ys, math.Cos(2*math.Pi*f0*tm))
-	}
-	got, power := FreqScan(ts, ys, 10e3, 100e3, 2001)
-	if math.Abs(got-f0) > 1e3 {
-		t.Errorf("peak at %v, want %v", got, f0)
-	}
-	if power <= 0 {
-		t.Error("zero peak power")
-	}
-}
-
-func TestMeanStdErr(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	if Mean(xs) != 2.5 {
-		t.Error("mean wrong")
-	}
-	se := StdErr(xs)
-	want := math.Sqrt((2.25+0.25+0.25+2.25)/3) / 2
-	if math.Abs(se-want) > 1e-12 {
-		t.Errorf("stderr %v, want %v", se, want)
-	}
-	if Mean(nil) != 0 || StdErr([]float64{1}) != 0 {
-		t.Error("edge cases wrong")
-	}
-}

@@ -1,8 +1,8 @@
 // Package gates defines the gate set of the casq compiler: matrices for the
 // hardware-native basis (RZ, SX, X, ECR) and for the logical gates used by
 // the paper's applications (CNOT, RZZ, the canonical gate Ucan of Eq. 5),
-// plus the Euler ZXZXZ decomposition and the angle-absorption rules that
-// CA-EC uses to compensate coherent errors at zero cost (paper Fig. 1c,d).
+// plus the angle-absorption rules that CA-EC uses to compensate coherent
+// errors at zero cost (paper Fig. 1c,d).
 package gates
 
 import (
@@ -69,15 +69,6 @@ func NumParams(k Kind) int {
 		return 3
 	}
 	return 0
-}
-
-// IsUnitaryGate reports whether k denotes a unitary gate (not a pseudo-op).
-func IsUnitaryGate(k Kind) bool {
-	switch k {
-	case Delay, Barrier, Measure, Reset:
-		return false
-	}
-	return true
 }
 
 // Matrix1Q returns the 2x2 matrix for a one-qubit gate kind.
@@ -234,80 +225,6 @@ func UcanMatrix(alpha, beta, gamma float64) linalg.Matrix {
 		return linalg.Add(m, linalg.Scale(complex(0, math.Sin(a)), p))
 	}
 	return linalg.MulChain(expP(alpha, xx), expP(beta, yy), expP(gamma, zz))
-}
-
-// EulerZXZXZ holds the three Rz angles of the hardware-native decomposition
-// U = e^{i phase} Rz(phi+pi) SX Rz(theta+pi) SX Rz(lambda)  (paper Eq. 4;
-// the rightmost factor acts first).
-type EulerZXZXZ struct {
-	Theta, Phi, Lambda float64
-	Phase              float64
-}
-
-// Decompose1Q extracts U3 angles (and global phase) from an arbitrary 2x2
-// unitary. The result satisfies U = e^{i phase} U3(theta, phi, lambda).
-func Decompose1Q(u linalg.Matrix) EulerZXZXZ {
-	if u.N != 2 {
-		panic("gates: Decompose1Q needs a 2x2 matrix")
-	}
-	u00, u01 := u.At(0, 0), u.At(0, 1)
-	u10, u11 := u.At(1, 0), u.At(1, 1)
-	a00, a10 := cmplx.Abs(u00), cmplx.Abs(u10)
-	theta := 2 * math.Atan2(a10, a00)
-	var phi, lambda, phase float64
-	const eps = 1e-12
-	switch {
-	case a10 < eps: // diagonal: theta = 0
-		theta = 0
-		phi = 0
-		phase = cmplx.Phase(u00)
-		lambda = cmplx.Phase(u11) - phase
-	case a00 < eps: // anti-diagonal: theta = pi
-		theta = math.Pi
-		lambda = 0
-		phase = cmplx.Phase(-u01)
-		phi = cmplx.Phase(u10) - phase
-	default:
-		phase = cmplx.Phase(u00)
-		phi = cmplx.Phase(u10) - phase
-		lambda = cmplx.Phase(-u01) - phase
-	}
-	return EulerZXZXZ{Theta: theta, Phi: phi, Lambda: lambda, Phase: phase}
-}
-
-// Matrix reconstructs the unitary including global phase.
-func (e EulerZXZXZ) Matrix() linalg.Matrix {
-	m := U3Matrix(e.Theta, e.Phi, e.Lambda)
-	return linalg.Scale(cmplx.Exp(complex(0, e.Phase)), m)
-}
-
-// ZXZXZMatrix reconstructs the unitary from the native-gate sequence
-// Rz(phi+pi) SX Rz(theta+pi) SX Rz(lambda), up to global phase. It is used
-// in tests to validate the hardware decomposition identity.
-func (e EulerZXZXZ) ZXZXZMatrix() linalg.Matrix {
-	return linalg.MulChain(
-		Matrix1Q(RZ, e.Phi+math.Pi),
-		Matrix1Q(SX),
-		Matrix1Q(RZ, e.Theta+math.Pi),
-		Matrix1Q(SX),
-		Matrix1Q(RZ, e.Lambda),
-	)
-}
-
-// AbsorbRzBefore returns the Euler angles of U' = U . Rz(-delta): it
-// compensates a coherent Rz(delta) error that occurred immediately before U
-// (paper Fig. 1c). The absorption is free: only the virtual Rz angle
-// changes.
-func (e EulerZXZXZ) AbsorbRzBefore(delta float64) EulerZXZXZ {
-	e.Lambda -= delta
-	return e
-}
-
-// AbsorbRzAfter returns the Euler angles of U' = Rz(-delta) . U,
-// compensating an Rz(delta) error occurring immediately after U.
-func (e EulerZXZXZ) AbsorbRzAfter(delta float64) EulerZXZXZ {
-	e.Phi -= delta
-	return e
 }
 
 // AbsorbRzzIntoUcan compensates an Rzz(delta) error adjacent to a Ucan gate

@@ -39,7 +39,6 @@ import (
 	"casq/internal/device"
 	"casq/internal/gates"
 	"casq/internal/qgraph"
-	"casq/internal/toggling"
 )
 
 // Options bound the candidate search.
@@ -425,17 +424,6 @@ func nearestFree(g *qgraph.Graph, phys []int, used []bool) int {
 		}
 	}
 	return -1
-}
-
-// PredictError sums the magnitudes of every surviving coherent error angle
-// of a scheduled circuit on a device — the toggling-frame integrals of
-// paper Eq. 1 over all layers, ZZ and Stark included. It is the quantity
-// CA-EC would have to compensate, evaluated before any suppression runs.
-// It is computed by toggling.Integrator in a fixed canonical accumulation
-// order (allocation-free after the first call on a device), so the layout
-// argmin is bit-deterministic across runs and worker counts.
-func PredictError(dev *device.Device, c *circuit.Circuit) float64 {
-	return toggling.NewIntegrator(dev).ScoreCircuit(c)
 }
 
 // Choose selects the minimal-predicted-error embedding of c into dev. The

@@ -144,15 +144,6 @@ func Kron(a, b Matrix) Matrix {
 	return c
 }
 
-// Trace returns the trace of m.
-func Trace(m Matrix) complex128 {
-	var t complex128
-	for i := 0; i < m.N; i++ {
-		t += m.Data[i*m.N+i]
-	}
-	return t
-}
-
 // IsUnitary reports whether m is unitary to within tol (max-norm of
 // m*m^dagger - I).
 func IsUnitary(m Matrix, tol float64) bool {
@@ -227,15 +218,6 @@ func (v Vector) Copy() Vector {
 	c := make(Vector, len(v))
 	copy(c, v)
 	return c
-}
-
-// NumQubits returns the qubit count of the statevector.
-func (v Vector) NumQubits() int {
-	n := 0
-	for (1 << n) < len(v) {
-		n++
-	}
-	return n
 }
 
 // Norm returns the 2-norm of v.
@@ -356,21 +338,6 @@ func (v Vector) Collapse(q int, bit int) {
 		}
 	}
 	v.Normalize()
-}
-
-// ExpectZ returns <Z_q>.
-func (v Vector) ExpectZ(q int) float64 {
-	mask := 1 << q
-	s := 0.0
-	for i, a := range v {
-		p := real(a)*real(a) + imag(a)*imag(a)
-		if i&mask == 0 {
-			s += p
-		} else {
-			s -= p
-		}
-	}
-	return s
 }
 
 // String renders the matrix for debugging.

@@ -57,13 +57,6 @@ func TestDaggerInvolution(t *testing.T) {
 	}
 }
 
-func TestTrace(t *testing.T) {
-	m := FromRows([][]complex128{{1, 9}, {9, 2i}})
-	if Trace(m) != 1+2i {
-		t.Errorf("trace = %v", Trace(m))
-	}
-}
-
 func TestIsUnitary(t *testing.T) {
 	h := complex(1/math.Sqrt2, 0)
 	had := FromRows([][]complex128{{h, h}, {h, -h}})
@@ -146,9 +139,6 @@ func TestProbCollapseExpectZ(t *testing.T) {
 	v.Apply1Q(FromRows([][]complex128{{h, h}, {h, -h}}), 0)
 	if math.Abs(v.Prob(0, 1)-0.5) > 1e-12 {
 		t.Error("|+> should have P(1) = 0.5")
-	}
-	if math.Abs(v.ExpectZ(0)) > 1e-12 {
-		t.Error("|+> should have <Z> = 0")
 	}
 	v.Collapse(0, 1)
 	if math.Abs(v.Prob(0, 1)-1) > 1e-12 {

@@ -17,9 +17,6 @@ func TestRegistryIdempotent(t *testing.T) {
 	if r.Counter("a_total", "x") != r.Counter("a_total", "x") {
 		t.Error("Counter not idempotent")
 	}
-	if r.Gauge("g", "x") != r.Gauge("g", "x") {
-		t.Error("Gauge not idempotent")
-	}
 	if r.Histogram("h_seconds", "x", nil) != r.Histogram("h_seconds", "x", nil) {
 		t.Error("Histogram not idempotent")
 	}
@@ -33,13 +30,12 @@ func TestRegistryIdempotent(t *testing.T) {
 	}
 }
 
-// TestRegistryConcurrent is the -race battery: parallel counter,
-// gauge, and histogram writers (including vec-child creation) racing
+// TestRegistryConcurrent is the -race battery: parallel counter and
+// histogram writers (including vec-child creation) racing
 // concurrent exposition and snapshot readers.
 func TestRegistryConcurrent(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("casq_test_ops_total", "ops")
-	g := r.Gauge("casq_test_depth", "depth")
 	h := r.Histogram("casq_test_seconds", "latency", nil)
 	cv := r.CounterVec("casq_test_by_state_total", "by state", "state")
 	hv := r.HistogramVec("casq_test_lat_seconds", "latency by endpoint", "endpoint", nil)
@@ -53,8 +49,6 @@ func TestRegistryConcurrent(t *testing.T) {
 			state := []string{"ok", "fail", "skip"}[w%3]
 			for i := 0; i < perWriter; i++ {
 				c.Inc()
-				g.Set(float64(i))
-				g.Add(1)
 				h.Observe(float64(i) * 1e-6)
 				cv.With(state).Inc()
 				hv.With("figures").Observe(float64(i) * 1e-5)
@@ -101,7 +95,6 @@ func TestRegistryConcurrent(t *testing.T) {
 func TestPrometheusRoundTrip(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("casq_jobs_total", "jobs").Add(7)
-	r.Gauge("casq_active", "active").Set(2.5)
 	h := r.Histogram("casq_lat_seconds", "latency", []float64{0.001, 0.01, 0.1})
 	h.Observe(0.0005)
 	h.Observe(0.05)
@@ -133,7 +126,6 @@ func TestPrometheusRoundTrip(t *testing.T) {
 	}
 	want := map[string]float64{
 		"casq_jobs_total":                                  7,
-		"casq_active":                                      2.5,
 		"casq_lat_seconds_bucket|le=0.001":                 1,
 		"casq_lat_seconds_bucket|le=0.01":                  1,
 		"casq_lat_seconds_bucket|le=0.1":                   2,
@@ -159,6 +151,19 @@ func TestPrometheusRoundTrip(t *testing.T) {
 			t.Errorf("missing TYPE header for %s", fam)
 		}
 	}
+}
+
+// Quantile estimates the q-quantile (q in [0,1]) of h in process: it is
+// what HistogramQuantile's estimate from a parsed scrape is checked
+// against.
+func (h *Histogram) Quantile(q float64) float64 {
+	counts := make([]uint64, len(h.buckets))
+	var total uint64
+	for i := range h.buckets {
+		counts[i] = h.buckets[i].Load()
+		total += counts[i]
+	}
+	return bucketQuantile(q, h.bounds, counts, total)
 }
 
 // TestQuantile pins the interpolation: a uniform distribution over

@@ -157,7 +157,7 @@ func validMetricName(name string) bool {
 // HistogramQuantile estimates quantile q from the _bucket samples of
 // one histogram series in a scrape: pass every sample whose name is
 // `<metric>_bucket` and whose non-le labels match the series wanted.
-// It reproduces Histogram.Quantile's interpolation on the parsed side.
+// loadgen reads a /metrics scrape's latency quantiles through it.
 func HistogramQuantile(q float64, buckets []Sample) float64 {
 	type edge struct {
 		le  float64

@@ -1,7 +1,7 @@
 // Package obs is casq's dependency-free observability substrate. It has
 // two halves. The metrics half is a concurrent registry of sharded
-// counters, gauges, and fixed-bucket histograms (with p50/p90/p99
-// extraction) exposed in Prometheus text format — `casq serve` mounts it
+// counters and fixed-bucket histograms exposed in Prometheus text format,
+// with p50/p90/p99 read back from a scrape — `casq serve` mounts it
 // at GET /metrics, and every engine-layer package (store, exec, sweep,
 // fabric, layout, serve) records into the process-wide Default registry.
 // The tracing half is a lightweight span Tracer threaded through the
@@ -75,42 +75,6 @@ func (c *Counter) Value() uint64 {
 	return total
 }
 
-// Gauge is a metric that can go up and down, stored as float64 bits so
-// ratios and seconds fit as naturally as counts.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(v float64) {
-	if g == nil {
-		return
-	}
-	g.bits.Store(math.Float64bits(v))
-}
-
-// Add adjusts the gauge by delta (CAS loop; gauges are low-rate).
-func (g *Gauge) Add(delta float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Value returns the current gauge value.
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return math.Float64frombits(g.bits.Load())
-}
-
 // Histogram is a fixed-bucket distribution. Bounds are upper bucket
 // edges (Prometheus `le` semantics); one extra implicit +Inf bucket
 // catches the tail. Observe is lock-free: a binary search over the
@@ -160,26 +124,10 @@ func (h *Histogram) Sum() float64 {
 	return math.Float64frombits(h.sumBits.Load())
 }
 
-// Quantile estimates the q-quantile (q in [0,1]) by linear
-// interpolation inside the bucket that crosses the target rank — the
-// same estimate Prometheus' histogram_quantile computes server-side.
-// Samples in the +Inf bucket clamp to the largest finite bound.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
-		return 0
-	}
-	counts := make([]uint64, len(h.buckets))
-	var total uint64
-	for i := range h.buckets {
-		counts[i] = h.buckets[i].Load()
-		total += counts[i]
-	}
-	return bucketQuantile(q, h.bounds, counts, total)
-}
-
 // bucketQuantile interpolates a quantile from per-bucket (not
-// cumulative) counts. Shared with the exposition parser so loadgen can
-// reproduce the server-side estimate from a /metrics scrape.
+// cumulative) counts, inside the bucket that crosses the target rank —
+// the same estimate Prometheus' histogram_quantile computes server-side.
+// Samples in the +Inf bucket clamp to the largest finite bound.
 func bucketQuantile(q float64, bounds []float64, counts []uint64, total uint64) float64 {
 	if total == 0 || len(bounds) == 0 {
 		return 0
@@ -225,7 +173,6 @@ type metricKind string
 
 const (
 	kindCounter   metricKind = "counter"
-	kindGauge     metricKind = "gauge"
 	kindHistogram metricKind = "histogram"
 )
 
@@ -238,7 +185,6 @@ type family struct {
 
 	mu       sync.RWMutex
 	counter  *Counter
-	gauge    *Gauge
 	hist     *Histogram
 	counters map[string]*Counter   // label value -> child
 	hists    map[string]*Histogram // label value -> child
@@ -291,17 +237,6 @@ func (r *Registry) Counter(name, help string) *Counter {
 		f.counter = &Counter{}
 	}
 	return f.counter
-}
-
-// Gauge returns the unlabeled gauge family called name.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	f := r.family(name, help, "", kindGauge, nil)
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.gauge == nil {
-		f.gauge = &Gauge{}
-	}
-	return f.gauge
 }
 
 // Histogram returns the unlabeled histogram family called name with the
@@ -426,8 +361,6 @@ func (f *family) write(b *strings.Builder) {
 		for _, k := range sortedKeys(f.counters) {
 			fmt.Fprintf(b, "%s{%s=%q} %d\n", f.name, f.label, k, f.counters[k].Value())
 		}
-	case kindGauge:
-		fmt.Fprintf(b, "%s %s\n", f.name, formatFloat(f.gauge.Value()))
 	case kindHistogram:
 		if f.label == "" {
 			writeHistogram(b, f.name, "", "", f.hist)

@@ -120,58 +120,6 @@ func (s String) String() string {
 	return out
 }
 
-// Weight returns the number of non-identity factors.
-func (s String) Weight() int {
-	w := 0
-	for _, p := range s.Ops {
-		if p != I {
-			w++
-		}
-	}
-	return w
-}
-
-// Commutes reports whether two Pauli strings commute: they commute iff the
-// number of positions where the factors anticommute is even.
-func (s String) Commutes(t String) bool {
-	if len(s.Ops) != len(t.Ops) {
-		panic("pauli: length mismatch in Commutes")
-	}
-	anti := 0
-	for i := range s.Ops {
-		if !s.Ops[i].Commutes(t.Ops[i]) {
-			anti++
-		}
-	}
-	return anti%2 == 0
-}
-
-// MulStrings returns s*t with phase tracking.
-func MulStrings(s, t String) String {
-	if len(s.Ops) != len(t.Ops) {
-		panic("pauli: length mismatch in MulStrings")
-	}
-	r := NewString(len(s.Ops))
-	r.Phase = (s.Phase + t.Phase) % 4
-	for i := range s.Ops {
-		ph, p := Mul(s.Ops[i], t.Ops[i])
-		r.Phase = (r.Phase + ph) % 4
-		r.Ops[i] = p
-	}
-	return r
-}
-
-// Matrix returns the full 2^n x 2^n matrix of s with qubit 0 as the
-// least-significant tensor factor (matching linalg.Vector convention).
-func (s String) Matrix() linalg.Matrix {
-	m := linalg.Identity(1)
-	for i := len(s.Ops) - 1; i >= 0; i-- {
-		m = linalg.Kron(m, s.Ops[i].Matrix())
-	}
-	ph := [4]complex128{1, 1i, -1, -1i}[((s.Phase%4)+4)%4]
-	return linalg.Scale(ph, m)
-}
-
 // Pair is an ordered pair of single-qubit Paulis acting on (q0, q1) of a
 // two-qubit gate.
 type Pair struct {
@@ -309,46 +257,4 @@ func (s String) ExpectationOnState(v linalg.Vector) float64 {
 	ph := [4]complex128{1, 1i, -1, -1i}[((s.Phase%4)+4)%4]
 	ip := linalg.Inner(v, w)
 	return real(ph * ip)
-}
-
-// PhaseComplex converts a phase exponent to the complex unit i^k.
-func PhaseComplex(k int) complex128 {
-	switch ((k % 4) + 4) % 4 {
-	case 0:
-		return 1
-	case 1:
-		return 1i
-	case 2:
-		return -1
-	default:
-		return -1i
-	}
-}
-
-// CheckUnitaryPauli verifies numerically that m equals i^k * (Pauli string)
-// for some k, returning the string. Useful in tests.
-func CheckUnitaryPauli(m linalg.Matrix, n int) (String, bool) {
-	idx := make([]Pauli, n)
-	for {
-		s := String{Ops: append([]Pauli(nil), idx...)}
-		sm := s.Matrix()
-		for k := 0; k < 4; k++ {
-			if linalg.ApproxEqual(m, linalg.Scale(PhaseComplex(k), sm), 1e-9) {
-				s.Phase = k
-				return s, true
-			}
-		}
-		// Increment the mixed-radix counter.
-		i := 0
-		for ; i < n; i++ {
-			if idx[i] < Z {
-				idx[i]++
-				break
-			}
-			idx[i] = I
-		}
-		if i == n {
-			return String{}, false
-		}
-	}
 }

@@ -70,47 +70,6 @@ func (g *Graph) Neighbors(a int) []int {
 // Degree returns the number of neighbors of a.
 func (g *Graph) Degree(a int) int { return len(g.adj[a]) }
 
-// Edges returns all edges (a < b), sorted.
-func (g *Graph) Edges() [][2]int {
-	var out [][2]int
-	for a, nb := range g.adj {
-		for _, b := range nb {
-			if a < b {
-				out = append(out, [2]int{a, b})
-			}
-		}
-	}
-	return out
-}
-
-// IsBipartite reports whether the graph is 2-colorable.
-func (g *Graph) IsBipartite() bool {
-	color := make([]int, g.N)
-	for i := range color {
-		color[i] = -1
-	}
-	queue := make([]int, 0, g.N)
-	for s := 0; s < g.N; s++ {
-		if color[s] != -1 {
-			continue
-		}
-		color[s] = 0
-		queue = append(queue[:0], s)
-		for head := 0; head < len(queue); head++ {
-			u := queue[head]
-			for _, v := range g.adj[u] {
-				if color[v] == -1 {
-					color[v] = 1 - color[u]
-					queue = append(queue, v)
-				} else if color[v] == color[u] {
-					return false
-				}
-			}
-		}
-	}
-	return true
-}
-
 // Components returns the connected components, each as a sorted node list,
 // ordered by smallest member.
 func (g *Graph) Components() [][]int {
@@ -136,35 +95,6 @@ func (g *Graph) Components() [][]int {
 	return comps
 }
 
-// Subgraph returns the induced subgraph on the given nodes, along with the
-// mapping from new node index to original node id.
-func (g *Graph) Subgraph(nodes []int) (*Graph, []int) {
-	idx := make(map[int]int, len(nodes))
-	order := append([]int(nil), nodes...)
-	slices.Sort(order)
-	for i, n := range order {
-		idx[n] = i
-	}
-	s := New(len(order))
-	for i, n := range order {
-		for _, b := range g.adj[n] {
-			if j, ok := idx[b]; ok && i < j {
-				s.AddEdge(i, j)
-			}
-		}
-	}
-	return s, order
-}
-
-// Distances returns the BFS hop distance from src to every node; -1 marks
-// nodes unreachable from src. Used by the correlation-spectroscopy figures
-// to bin qubit pairs by coupling-graph distance.
-func (g *Graph) Distances(src int) []int {
-	dist := make([]int, g.N)
-	g.bfs(src, dist, make([]int, 0, g.N))
-	return dist
-}
-
 // AllDistances returns the full pairwise hop-distance matrix (one BFS per
 // node; -1 for unreachable pairs). The rows share one backing array and
 // the BFS passes share one queue.
@@ -186,9 +116,6 @@ func (g *Graph) bfs(src int, dist, queue []int) {
 	for i := range dist {
 		dist[i] = -1
 	}
-	if src < 0 || src >= g.N {
-		return
-	}
 	dist[src] = 0
 	queue = append(queue[:0], src)
 	for head := 0; head < len(queue); head++ {
@@ -201,10 +128,6 @@ func (g *Graph) bfs(src int, dist, queue []int) {
 		}
 	}
 }
-
-// Coloring maps node -> color index (>= 0); nodes absent from the map are
-// uncolored.
-type Coloring map[int]int
 
 // GreedyColor colors the nodes of order, in order, into colors, which
 // holds one entry per node of g: -1 means uncolored, and entries already
@@ -230,31 +153,6 @@ func GreedyColor(g *Graph, order []int, colors []int, lowest int) {
 		}
 		colors[n] = col
 	}
-}
-
-// ValidateColoring checks that no edge of g connects same-colored nodes
-// among the colored nodes, returning the first violating edge if any.
-func ValidateColoring(g *Graph, c Coloring) (ok bool, bad [2]int) {
-	for _, e := range g.Edges() {
-		ca, aok := c[e[0]]
-		cb, bok := c[e[1]]
-		if aok && bok && ca == cb {
-			return false, e
-		}
-	}
-	return true, [2]int{-1, -1}
-}
-
-// MaxColor returns the largest color index used, or -1 for an empty
-// coloring.
-func (c Coloring) MaxColor() int {
-	m := -1
-	for _, col := range c {
-		if col > m {
-			m = col
-		}
-	}
-	return m
 }
 
 // DegreeOrder returns nodes sorted by decreasing degree (a common greedy

@@ -126,24 +126,6 @@ func (g *refGraph) Components() [][]int {
 	return comps
 }
 
-func (g *refGraph) Subgraph(nodes []int) (*refGraph, []int) {
-	idx := make(map[int]int, len(nodes))
-	order := append([]int(nil), nodes...)
-	sort.Ints(order)
-	for i, n := range order {
-		idx[n] = i
-	}
-	s := newRef(len(order))
-	for i, n := range order {
-		for b := range g.adj[n] {
-			if j, ok := idx[b]; ok && i < j {
-				s.AddEdge(i, j)
-			}
-		}
-	}
-	return s, order
-}
-
 func (g *refGraph) Distances(src int) []int {
 	dist := make([]int, g.N)
 	for i := range dist {
@@ -218,8 +200,8 @@ func refDegreeOrder(g *refGraph, subset []int) []int {
 // string and requires every query to agree. The first byte sets the node
 // count and each following pair of bytes adds one edge (self-loops are
 // skipped, repeats kept), so inputs reach repeated edges, isolated nodes
-// and several components. The remaining choices — the Subgraph node set,
-// pinned colors and the lowest color — are read from the same bytes.
+// and several components. The remaining choices — the DegreeOrder node
+// set, pinned colors and the lowest color — are read from the same bytes.
 func FuzzGraphMatchesReference(f *testing.F) {
 	f.Add([]byte{6, 0, 1, 1, 2, 2, 0, 1, 0, 3, 4})
 	f.Add([]byte{12, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 0, 6, 7, 7, 8, 9, 10, 10, 11, 11, 9})
@@ -257,19 +239,13 @@ func FuzzGraphMatchesReference(f *testing.F) {
 					t.Fatalf("HasEdge(%d,%d) = %v, reference %v", a, b, g.HasEdge(a, b), ref.HasEdge(a, b))
 				}
 			}
-			if a >= 0 && a < n {
-				continue
-			}
-			if got, want := g.Distances(a), ref.Distances(a); !slices.Equal(got, want) {
-				t.Fatalf("Distances(%d) = %v, reference %v", a, got, want)
-			}
 		}
 		if got, want := g.Edges(), ref.Edges(); !slices.Equal(got, want) {
 			t.Fatalf("Edges = %v, reference %v", got, want)
 		}
 		dist, refDist := g.AllDistances(), ref.AllDistances()
 		for a := range refDist {
-			if !slices.Equal(dist[a], refDist[a]) || !slices.Equal(g.Distances(a), refDist[a]) {
+			if !slices.Equal(dist[a], refDist[a]) {
 				t.Fatalf("distances from %d = %v, reference %v", a, dist[a], refDist[a])
 			}
 			if cap(dist[a]) != n {
@@ -291,16 +267,6 @@ func FuzzGraphMatchesReference(f *testing.F) {
 		}
 		if len(subset) > 0 {
 			subset = append(subset, subset[0]) // a repeated node
-		}
-		sub, order := g.Subgraph(subset)
-		refSub, refOrder := ref.Subgraph(subset)
-		if !slices.Equal(order, refOrder) || sub.N != refSub.N {
-			t.Fatalf("Subgraph(%v) order %v, reference %v", subset, order, refOrder)
-		}
-		for a := 0; a < sub.N; a++ {
-			if !slices.Equal(sub.Neighbors(a), refSub.Neighbors(a)) {
-				t.Fatalf("Subgraph(%v) node %d: %v, reference %v", subset, a, sub.Neighbors(a), refSub.Neighbors(a))
-			}
 		}
 		if got, want := DegreeOrder(g, subset), refDegreeOrder(ref, subset); !slices.Equal(got, want) {
 			t.Fatalf("DegreeOrder(%v) = %v, reference %v", subset, got, want)

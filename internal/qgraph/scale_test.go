@@ -113,21 +113,3 @@ func TestEagleGreedyColoringValid(t *testing.T) {
 		t.Fatalf("constrained coloring invalid at %v", bad)
 	}
 }
-
-// TestEagleSubgraph induces a plaquette-sized subgraph and checks the
-// index mapping survives the round trip.
-func TestEagleSubgraph(t *testing.T) {
-	nn, _, _ := eagleGraphs(t)
-	nodes := []int{0, 1, 2, 3, 14, 18, 19, 20, 21, 15}
-	sub, order := nn.Subgraph(nodes)
-	if sub.N != len(nodes) {
-		t.Fatalf("subgraph has %d nodes", sub.N)
-	}
-	for i, orig := range order {
-		for j, orig2 := range order {
-			if sub.HasEdge(i, j) != nn.HasEdge(orig, orig2) {
-				t.Fatalf("edge (%d,%d) mapping mismatch for originals (%d,%d)", i, j, orig, orig2)
-			}
-		}
-	}
-}

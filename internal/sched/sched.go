@@ -118,9 +118,6 @@ type IdleRun struct {
 	Start, End float64
 }
 
-// Duration returns the run length.
-func (r IdleRun) Duration() float64 { return r.End - r.Start }
-
 // IdleRuns scans a scheduled circuit and returns all idle runs with
 // duration >= minDur, sorted by (qubit, start).
 func IdleRuns(c *circuit.Circuit, minDur float64) []IdleRun {
@@ -352,28 +349,4 @@ func CollectJointDelays(c *circuit.Circuit, g *qgraph.Graph, minDur float64) []W
 		return out[i].End < out[j].End
 	})
 	return out
-}
-
-// LayerAt returns the index of the layer whose half-open interval
-// [Start, Start+Duration) contains time t, preferring layers with positive
-// duration; -1 if none.
-func LayerAt(c *circuit.Circuit, t float64) int {
-	for i := range c.Layers {
-		l := &c.Layers[i]
-		if l.Duration <= 0 {
-			continue
-		}
-		if t >= l.Start && t < l.Start+l.Duration {
-			return i
-		}
-	}
-	// A pulse exactly at the very end of the circuit belongs to the last
-	// timed layer.
-	for i := len(c.Layers) - 1; i >= 0; i-- {
-		l := &c.Layers[i]
-		if l.Duration > 0 && t >= l.Start && t <= l.Start+l.Duration {
-			return i
-		}
-	}
-	return -1
 }

@@ -130,8 +130,8 @@ func TestIdleRuns(t *testing.T) {
 		if r.Qubit != 2 && r.Qubit != 3 {
 			t.Errorf("unexpected idle qubit %d", r.Qubit)
 		}
-		if r.Duration() != 2*d.DurECR {
-			t.Errorf("run duration %v, want %v", r.Duration(), 2*d.DurECR)
+		if r.End-r.Start != 2*d.DurECR {
+			t.Errorf("run duration %v, want %v", r.End-r.Start, 2*d.DurECR)
 		}
 	}
 }
@@ -198,26 +198,5 @@ func TestCollectJointDelaysSplitsStaggered(t *testing.T) {
 	}
 	if solo < 1 {
 		t.Errorf("expected residual 1-qubit window, got %+v", ws)
-	}
-}
-
-func TestLayerAt(t *testing.T) {
-	d := dev4()
-	c := circuit.New(4, 0)
-	c.AddLayer(circuit.OneQubitLayer).H(0)
-	c.AddLayer(circuit.TwoQubitLayer).ECR(0, 1)
-	Schedule(c, d)
-	if li := LayerAt(c, d.Dur1Q+1); li != 1 {
-		t.Errorf("LayerAt inside 2q layer = %d", li)
-	}
-	if li := LayerAt(c, 0); li != 0 {
-		t.Errorf("LayerAt(0) = %d", li)
-	}
-	end := c.TotalDuration()
-	if li := LayerAt(c, end); li != 1 {
-		t.Errorf("LayerAt(end) = %d", li)
-	}
-	if li := LayerAt(c, end+100); li != -1 {
-		t.Errorf("LayerAt beyond end = %d", li)
 	}
 }

@@ -584,11 +584,3 @@ func (p obsPlan) eval(s *shot) float64 {
 	}
 	return sum
 }
-
-// eval on the raw spec builds a throwaway plan; kept for tests and
-// callers holding a bare statevector.
-func (o ObsSpec) eval(psi linalg.Vector) float64 {
-	p := o.plan()
-	s := &shot{psi: psi}
-	return p.eval(s)
-}

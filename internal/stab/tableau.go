@@ -46,9 +46,6 @@ func NewTableau(n int) *Tableau {
 	return t
 }
 
-// N returns the qubit count.
-func (t *Tableau) N() int { return t.n }
-
 // planes returns the X and Z planes of qubit q.
 func (t *Tableau) planes(q int) (xq, zq []uint64) {
 	return t.x[q*t.rw : (q+1)*t.rw], t.z[q*t.rw : (q+1)*t.rw]
@@ -410,24 +407,4 @@ func mulRow(x1, z1, x2, z2 []uint64, neg1, neg2 bool) bool {
 		panic(fmt.Sprintf("stab: non-Hermitian row product (phase i^%d)", k%4))
 	}
 	return k%4 == 2
-}
-
-// Expect returns the expectation of a pauli.String (phase must be real,
-// i.e. Phase in {0, 2}).
-func (t *Tableau) Expect(s pauli.String) (float64, error) {
-	if len(s.Ops) != t.n {
-		return 0, fmt.Errorf("stab: Pauli string length %d != %d qubits", len(s.Ops), t.n)
-	}
-	ph := ((s.Phase % 4) + 4) % 4
-	if ph%2 != 0 {
-		return 0, fmt.Errorf("stab: non-Hermitian observable phase i^%d", ph)
-	}
-	px := make([]uint64, t.words)
-	pz := make([]uint64, t.words)
-	for q, p := range s.Ops {
-		xb, zb := xzFromPauli(p)
-		px[q/64] |= xb << (q % 64)
-		pz[q/64] |= zb << (q % 64)
-	}
-	return newStabRows(t).expect(px, pz, ph == 2), nil
 }

@@ -1,6 +1,7 @@
 package stab
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -9,6 +10,27 @@ import (
 	"casq/internal/linalg"
 	"casq/internal/pauli"
 )
+
+// Expect returns the expectation of a pauli.String (phase must be real,
+// i.e. Phase in {0, 2}): the tests' entry to the row-major product that
+// signs the engine's observables.
+func (t *Tableau) Expect(s pauli.String) (float64, error) {
+	if len(s.Ops) != t.n {
+		return 0, fmt.Errorf("stab: Pauli string length %d != %d qubits", len(s.Ops), t.n)
+	}
+	ph := ((s.Phase % 4) + 4) % 4
+	if ph%2 != 0 {
+		return 0, fmt.Errorf("stab: non-Hermitian observable phase i^%d", ph)
+	}
+	px := make([]uint64, t.words)
+	pz := make([]uint64, t.words)
+	for q, p := range s.Ops {
+		xb, zb := xzFromPauli(p)
+		px[q/64] |= xb << (q % 64)
+		pz[q/64] |= zb << (q % 64)
+	}
+	return newStabRows(t).expect(px, pz, ph == 2), nil
+}
 
 // randomCliffordStep applies one random Clifford gate to both the tableau
 // and the statevector.

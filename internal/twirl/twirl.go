@@ -211,19 +211,6 @@ func Instance(c *circuit.Circuit, scope Scope, rng *rand.Rand) (*circuit.Circuit
 	return out, nil
 }
 
-// Instances samples k independent twirls of c.
-func Instances(c *circuit.Circuit, scope Scope, k int, rng *rand.Rand) ([]*circuit.Circuit, error) {
-	out := make([]*circuit.Circuit, 0, k)
-	for i := 0; i < k; i++ {
-		inst, err := Instance(c, scope, rng)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, inst)
-	}
-	return out, nil
-}
-
 // PropagateThroughLayer conjugates a Pauli string through the ideal action
 // of a two-qubit Clifford layer: s -> L s L^dagger (sign tracked via the
 // phase). Qubits without gates are unchanged. Used by the layer-fidelity

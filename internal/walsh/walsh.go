@@ -79,17 +79,6 @@ func PulseTimes(k int, T float64, nBins int) []float64 {
 	return times
 }
 
-// SignIntegral returns the integral of the sign function of sequence k over
-// a unit window; it is 0 for all k >= 1.
-func SignIntegral(k, nBins int) float64 {
-	s := Signs(k, nBins)
-	sum := 0
-	for _, v := range s {
-		sum += v
-	}
-	return float64(sum) / float64(nBins)
-}
-
 // PairIntegral returns the integral of the product of sign functions of
 // sequences k1, k2 over a unit window; it is 0 for k1 != k2 and 1 for
 // k1 == k2. This is the ZZ-suppression condition (zero inner product
@@ -134,42 +123,4 @@ func Palette(nColors int) []int {
 		return rows[i] < rows[j]
 	})
 	return rows[:nColors]
-}
-
-// Dictionary is a pre-built table of pulse-time templates (on the unit
-// window) for colors 0..MaxColor, as Algorithm 1 consumes ("dictionary of
-// dynamical decoupling sequences L_DD").
-type Dictionary struct {
-	MaxColor int
-	NBins    int
-	times    [][]float64 // unit-window pulse offsets per color
-}
-
-// NewDictionary builds templates for colors 0..maxColor on a common bin
-// grid.
-func NewDictionary(maxColor int) *Dictionary {
-	nb := MinBins(maxColor)
-	if nb < 4 {
-		nb = 4
-	}
-	d := &Dictionary{MaxColor: maxColor, NBins: nb}
-	for k := 0; k <= maxColor; k++ {
-		d.times = append(d.times, PulseTimes(k, 1, nb))
-	}
-	return d
-}
-
-// Times returns the pulse times for the given color scaled to a window of
-// duration T starting at t0. Color indices beyond MaxColor panic.
-func (d *Dictionary) Times(color int, t0, T float64) []float64 {
-	if color < 0 || color > d.MaxColor {
-		panic(fmt.Sprintf("walsh: color %d outside dictionary range [0,%d]", color, d.MaxColor))
-	}
-	tpl := d.times[color]
-	out := make([]float64, len(tpl))
-	for i, u := range tpl {
-		out[i] = t0 + u*T
-	}
-	sort.Float64s(out)
-	return out
 }

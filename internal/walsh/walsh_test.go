@@ -19,12 +19,23 @@ func TestSignsBasics(t *testing.T) {
 	}
 }
 
+// signIntegral returns the integral of the sign function of sequence k over
+// a unit window; it is 0 for all k >= 1.
+func signIntegral(k, nBins int) float64 {
+	s := Signs(k, nBins)
+	sum := 0
+	for _, v := range s {
+		sum += v
+	}
+	return float64(sum) / float64(nBins)
+}
+
 func TestBalancedRows(t *testing.T) {
 	// Every row k >= 1 integrates to zero: the condition for single-qubit Z
 	// suppression.
 	for _, nb := range []int{4, 8, 16} {
 		for k := 1; k < nb; k++ {
-			if v := SignIntegral(k, nb); v != 0 {
+			if v := signIntegral(k, nb); v != 0 {
 				t.Errorf("row %d on %d bins has integral %v", k, nb, v)
 			}
 		}
@@ -127,19 +138,6 @@ func TestMinBins(t *testing.T) {
 		if got := MinBins(k); got != want {
 			t.Errorf("MinBins(%d) = %d, want %d", k, got, want)
 		}
-	}
-}
-
-func TestDictionaryScaling(t *testing.T) {
-	d := NewDictionary(7)
-	times := d.Times(1, 100, 400)
-	for _, tm := range times {
-		if tm < 100 || tm > 500 {
-			t.Errorf("scaled pulse %v outside [100,500]", tm)
-		}
-	}
-	if len(d.Times(0, 0, 100)) != 0 {
-		t.Error("color 0 must have no pulses")
 	}
 }
 
