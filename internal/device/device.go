@@ -111,6 +111,15 @@ func (c Calibration) Clone() Calibration {
 
 // Device is a materialized target: a topology plus the derived edge tables
 // the passes index, plus its calibration.
+//
+// The topology fields (Topology, Edges, NNNEdges, ECRDir) are read-only
+// once a constructor (Synthesize, FromSnapshot, Induced, Perturb,
+// NewBackend) has returned the device: the device's topology index, which
+// CouplingGraph, CrosstalkGraph, Neighbors, HasEdge and HopDistances read,
+// is built from them then and shared, by every Perturb of the device and
+// by every NewBackend build of a standard backend. The calibration fields
+// hold no index and may be written; the engines' compile caches detect
+// such writes.
 type Device struct {
 	Topology
 
@@ -122,31 +131,27 @@ type Device struct {
 	ECRDir   map[Edge]Directed
 
 	Calibration
+
+	// topo is the shared topology index (index.go); nil on a Device built
+	// as a struct literal.
+	topo *topoIndex
 }
 
 // HasEdge reports whether (a, b) is a NN coupling.
 func (d *Device) HasEdge(a, b int) bool {
-	e := NewEdge(a, b)
-	for _, x := range d.Edges {
-		if x == e {
-			return true
-		}
-	}
-	return false
+	return d.index().coupling.HasEdge(a, b)
 }
 
-// Neighbors returns the sorted NN neighbors of q.
+// Neighbors returns the sorted NN neighbors of q, nil for a qubit outside
+// the device. The slice is the topology index's own, shared by every
+// device that shares the index: callers must not write to it. Its capacity
+// equals its length, so appending to it copies.
 func (d *Device) Neighbors(q int) []int {
-	var out []int
-	for _, e := range d.Edges {
-		if e.A == q {
-			out = append(out, e.B)
-		} else if e.B == q {
-			out = append(out, e.A)
-		}
+	g := d.index().coupling
+	if q < 0 || q >= g.N {
+		return nil
 	}
-	sort.Ints(out)
-	return out
+	return g.Neighbors(q)
 }
 
 // ZZRate returns the always-on ZZ rate (Hz) between a and b, or 0 if they
@@ -161,24 +166,27 @@ func (d *Device) AllCrosstalkEdges() []Edge {
 	return append(out, d.NNNEdges...)
 }
 
-// CrosstalkGraph builds the qubit crosstalk graph used by Algorithm 1: an
+// CrosstalkGraph returns the qubit crosstalk graph used by Algorithm 1: an
 // edge wherever a nonzero ZZ term exists (NN couplings plus NNN collision
-// edges).
+// edges). It is built on first use and shared through the topology index:
+// callers must not add edges to it or write to its neighbor slices.
 func (d *Device) CrosstalkGraph() *qgraph.Graph {
-	g := qgraph.New(d.NQubits)
-	for _, e := range d.AllCrosstalkEdges() {
-		g.AddEdge(e.A, e.B)
-	}
-	return g
+	return d.index().crosstalk()
 }
 
-// CouplingGraph builds the NN-only connectivity graph.
+// CouplingGraph returns the NN-only connectivity graph. It is shared
+// through the topology index: callers must not add edges to it or write to
+// its neighbor slices.
 func (d *Device) CouplingGraph() *qgraph.Graph {
-	g := qgraph.New(d.NQubits)
-	for _, e := range d.Edges {
-		g.AddEdge(e.A, e.B)
-	}
-	return g
+	return d.index().coupling
+}
+
+// HopDistances returns the coupling graph's all-pairs hop-distance matrix
+// (qgraph.Graph.AllDistances; -1 for unreachable pairs). It is computed
+// once per topology index, on first use, and shared: callers must not
+// write to it.
+func (d *Device) HopDistances() [][]int {
+	return d.index().hops()
 }
 
 // Validate checks internal consistency.
@@ -290,6 +298,14 @@ func DefaultOptions() Options {
 // coupler by coupler in the topology's declaration order, then qubit by
 // qubit — the draw order is part of the device identity.
 func Synthesize(t Topology, opts Options) *Device {
+	d := synthesize(t, opts)
+	d.topo = newTopoIndex(d)
+	return d
+}
+
+// synthesize is Synthesize without the topology index, for callers that
+// share one.
+func synthesize(t Topology, opts Options) *Device {
 	if err := t.Validate(); err != nil {
 		panic(err.Error())
 	}
@@ -370,31 +386,32 @@ func NewSynthetic(name string, nQubits int, directedEdges []Directed, nnn []Edge
 // restricted to the region and reindexed; crosstalk edges leaving the
 // region are dropped (callers that care about boundary coupling must
 // account for it before inducing — the layout scorer does). The second
-// return value maps new index -> original physical qubit.
+// return value maps new index -> original physical qubit. The sub-device
+// gets its own topology index.
 func (d *Device) Induced(name string, qubits []int) (*Device, []int, error) {
 	phys := append([]int(nil), qubits...)
 	sort.Ints(phys)
-	idx := make(map[int]int, len(phys))
+	pos := make(regionPos, d.NQubits)
 	for i, q := range phys {
 		if q < 0 || q >= d.NQubits {
 			return nil, nil, fmt.Errorf("device: induced qubit %d out of range", q)
 		}
-		if _, dup := idx[q]; dup {
+		if pos[q] != 0 {
 			return nil, nil, fmt.Errorf("device: induced qubit %d repeated", q)
 		}
-		idx[q] = i
+		pos[q] = i + 1
 	}
 	t := Topology{Name: name, NQubits: len(phys)}
 	for _, c := range d.Couplers {
-		si, sok := idx[c.Src]
-		di, dok := idx[c.Dst]
+		si, sok := pos.at(c.Src)
+		di, dok := pos.at(c.Dst)
 		if sok && dok {
 			t.Couplers = append(t.Couplers, Directed{si, di})
 		}
 	}
 	for _, e := range d.Topology.NNN {
-		ai, aok := idx[e.A]
-		bi, bok := idx[e.B]
+		ai, aok := pos.at(e.A)
+		bi, bok := pos.at(e.B)
 		if aok && bok {
 			t.NNN = append(t.NNN, NewEdge(ai, bi))
 		}
@@ -420,23 +437,25 @@ func (d *Device) Induced(name string, qubits []int) (*Device, []int, error) {
 		return sub.Edges[i].B < sub.Edges[j].B
 	})
 	sub.NNNEdges = append(sub.NNNEdges, t.NNN...)
+	// The calibration maps are walked whole, not looked up edge by edge,
+	// so a key a snapshot put off the topology carries over too.
 	for e, v := range d.ZZ {
-		ai, aok := idx[e.A]
-		bi, bok := idx[e.B]
+		ai, aok := pos.at(e.A)
+		bi, bok := pos.at(e.B)
 		if aok && bok {
 			sub.ZZ[NewEdge(ai, bi)] = v
 		}
 	}
 	for dir, v := range d.Stark {
-		si, sok := idx[dir.Src]
-		di, dok := idx[dir.Dst]
+		si, sok := pos.at(dir.Src)
+		di, dok := pos.at(dir.Dst)
 		if sok && dok {
 			sub.Stark[Directed{si, di}] = v
 		}
 	}
 	for e, v := range d.Err2Q {
-		ai, aok := idx[e.A]
-		bi, bok := idx[e.B]
+		ai, aok := pos.at(e.A)
+		bi, bok := pos.at(e.B)
 		if aok && bok {
 			sub.Err2Q[NewEdge(ai, bi)] = v
 		}
@@ -452,7 +471,22 @@ func (d *Device) Induced(name string, qubits []int) (*Device, []int, error) {
 	if err := sub.Validate(); err != nil {
 		return nil, nil, fmt.Errorf("device: induced %s: %w", name, err)
 	}
+	sub.topo = newTopoIndex(sub)
 	return sub, phys, nil
+}
+
+// regionPos maps a parent qubit to 1 + its index in an induced region, 0
+// for a qubit outside it.
+type regionPos []int
+
+// at returns q's region index and whether q is in the region. A qubit out
+// of the parent's range is outside: the maps of an unvalidated device may
+// hold such keys.
+func (p regionPos) at(q int) (int, bool) {
+	if q < 0 || q >= len(p) || p[q] == 0 {
+		return 0, false
+	}
+	return p[q] - 1, true
 }
 
 // LineEdges returns directed edges of an n-qubit line with alternating ECR

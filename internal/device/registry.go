@@ -118,7 +118,23 @@ func registerTopo(t Topology, family, desc string, seed int64) {
 		Couplers:    len(t.Couplers),
 		NNN:         len(t.NNN),
 		Description: desc,
-	}, func() *Device { return Synthesize(t, opts) })
+	}, sharedIndexBuilder(t, opts))
+}
+
+// sharedIndexBuilder returns a builder of Synthesize(t, opts) whose devices
+// all share the first build's topology index, so the backend's hop matrix
+// is computed at most once per process.
+func sharedIndexBuilder(t Topology, opts Options) func() *Device {
+	var (
+		once sync.Once
+		topo *topoIndex
+	)
+	return func() *Device {
+		d := synthesize(t, opts)
+		once.Do(func() { topo = newTopoIndex(d) })
+		d.topo = topo
+		return d
+	}
 }
 
 // The built-in registry: the paper's small fragments plus full-scale

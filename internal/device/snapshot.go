@@ -2,6 +2,7 @@ package device
 
 import (
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"sort"
 )
@@ -98,7 +99,9 @@ func sortedDirectedRates(m map[Directed]float64) []DirectedRate {
 	return out
 }
 
-// FromSnapshot rebuilds a validated device from a snapshot.
+// FromSnapshot rebuilds a validated device, with its own topology index,
+// from a snapshot. It rejects a ZZ or Err2Q edge (in either orientation)
+// or a Stark pair listed twice.
 func FromSnapshot(s Snapshot) (*Device, error) {
 	if err := s.Topology.Validate(); err != nil {
 		return nil, err
@@ -129,14 +132,27 @@ func FromSnapshot(s Snapshot) (*Device, error) {
 		return d.Edges[i].B < d.Edges[j].B
 	})
 	d.NNNEdges = append([]Edge(nil), s.Topology.NNN...)
+	// A key listed twice would otherwise keep its last rate silently.
 	for _, er := range s.ZZ {
-		d.ZZ[NewEdge(er.A, er.B)] = er.Hz
+		e := NewEdge(er.A, er.B)
+		if _, dup := d.ZZ[e]; dup {
+			return nil, fmt.Errorf("device: snapshot lists ZZ edge %v twice", e)
+		}
+		d.ZZ[e] = er.Hz
 	}
 	for _, dr := range s.Stark {
-		d.Stark[Directed{dr.Src, dr.Dst}] = dr.Hz
+		k := Directed{dr.Src, dr.Dst}
+		if _, dup := d.Stark[k]; dup {
+			return nil, fmt.Errorf("device: snapshot lists Stark pair %v twice", k)
+		}
+		d.Stark[k] = dr.Hz
 	}
 	for _, er := range s.Err2Q {
-		d.Err2Q[NewEdge(er.A, er.B)] = er.Hz
+		e := NewEdge(er.A, er.B)
+		if _, dup := d.Err2Q[e]; dup {
+			return nil, fmt.Errorf("device: snapshot lists Err2Q edge %v twice", e)
+		}
+		d.Err2Q[e] = er.Hz
 	}
 	d.Delta = append([]float64(nil), s.Delta...)
 	d.Quasistatic = append([]float64(nil), s.Quasistatic...)
@@ -147,6 +163,7 @@ func FromSnapshot(s Snapshot) (*Device, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
+	d.topo = newTopoIndex(d)
 	return d, nil
 }
 
@@ -162,6 +179,7 @@ func (s Snapshot) Encode() ([]byte, error) {
 // Durations are controller constants and do not drift. T2 stays clamped to
 // 2*T1. The scenario-sweep layers use this to ask "does the chosen pipeline
 // survive a stale calibration?" without re-synthesizing a new device.
+// Drift keeps the topology, so the copy shares d's topology index.
 func (d *Device) Perturb(seed int64, drift float64) *Device {
 	rng := rand.New(rand.NewSource(seed))
 	factor := func() float64 { return 1 + drift*(2*rng.Float64()-1) }
@@ -171,6 +189,7 @@ func (d *Device) Perturb(seed int64, drift float64) *Device {
 		NNNEdges:    append([]Edge(nil), d.NNNEdges...),
 		ECRDir:      make(map[Edge]Directed, len(d.ECRDir)),
 		Calibration: d.Calibration.Clone(),
+		topo:        d.topo,
 	}
 	for e, dir := range d.ECRDir {
 		out.ECRDir[e] = dir

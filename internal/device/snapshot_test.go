@@ -257,19 +257,25 @@ func TestTopologyFamilies(t *testing.T) {
 // reject. The first four name a qubit outside the register in a ZZ, Stark
 // or two-qubit-error key: the engines index per-qubit tables by these
 // keys, so such a device used to pass validation and panic in its first
-// run. The last lists an NNN edge twice, which CA-EC's toggling-frame sum
-// counted twice while both engines apply it once.
+// run. "nnn repeated" lists an NNN edge twice, which CA-EC's toggling-frame
+// sum counted twice while both engines apply it once. The last four list a
+// calibration key twice, once in the reversed orientation NewEdge folds
+// into the same edge; FromSnapshot used to keep the last rate silently.
 var line4Corruptions = map[string]func(*Snapshot){
-	"stark source": func(s *Snapshot) { s.Stark = append(s.Stark, DirectedRate{Src: 9, Dst: 1, Hz: 2e4}) },
-	"stark target": func(s *Snapshot) { s.Stark = append(s.Stark, DirectedRate{Src: 1, Dst: 4, Hz: 2e4}) },
-	"zz":           func(s *Snapshot) { s.ZZ = append(s.ZZ, EdgeRate{A: 2, B: 7, Hz: 5e4}) },
-	"err2q":        func(s *Snapshot) { s.Err2Q = append(s.Err2Q, EdgeRate{A: -1, B: 0, Hz: 1e-2}) },
-	"nnn repeated": func(s *Snapshot) { s.Topology.NNN = append(s.Topology.NNN, Edge{0, 2}, Edge{0, 2}) },
+	"stark source":   func(s *Snapshot) { s.Stark = append(s.Stark, DirectedRate{Src: 9, Dst: 1, Hz: 2e4}) },
+	"stark target":   func(s *Snapshot) { s.Stark = append(s.Stark, DirectedRate{Src: 1, Dst: 4, Hz: 2e4}) },
+	"zz":             func(s *Snapshot) { s.ZZ = append(s.ZZ, EdgeRate{A: 2, B: 7, Hz: 5e4}) },
+	"err2q":          func(s *Snapshot) { s.Err2Q = append(s.Err2Q, EdgeRate{A: -1, B: 0, Hz: 1e-2}) },
+	"nnn repeated":   func(s *Snapshot) { s.Topology.NNN = append(s.Topology.NNN, Edge{0, 2}, Edge{0, 2}) },
+	"zz repeated":    func(s *Snapshot) { s.ZZ = append(s.ZZ, EdgeRate{A: 0, B: 1, Hz: 210.7e3}) },
+	"zz reversed":    func(s *Snapshot) { s.ZZ = append(s.ZZ, EdgeRate{A: 1, B: 0, Hz: 70.2e3}) },
+	"stark repeated": func(s *Snapshot) { s.Stark = append(s.Stark, DirectedRate{Src: 0, Dst: 1, Hz: 100e3}) },
+	"err2q repeated": func(s *Snapshot) { s.Err2Q = append(s.Err2Q, EdgeRate{A: 0, B: 1, Hz: 0.5}) },
 }
 
-// TestFromSnapshotRejectsOutOfRangeCalibration requires FromSnapshot to
-// reject every line4Corruptions entry and to accept the clean snapshot.
-func TestFromSnapshotRejectsOutOfRangeCalibration(t *testing.T) {
+// TestFromSnapshotRejectsCorruptSnapshot requires FromSnapshot to reject
+// every line4Corruptions entry and to accept the clean snapshot.
+func TestFromSnapshotRejectsCorruptSnapshot(t *testing.T) {
 	for name, corrupt := range line4Corruptions {
 		s := NewLine("line4", 4, DefaultOptions()).Snapshot()
 		corrupt(&s)
@@ -284,9 +290,10 @@ func TestFromSnapshotRejectsOutOfRangeCalibration(t *testing.T) {
 
 // FuzzSnapshotJSON decodes arbitrary bytes as a snapshot, as a caller of
 // the facade's DeviceFromSnapshot would, and requires FromSnapshot never
-// to panic. A device it accepts lists each NN and NNN edge once, and the
-// device's own snapshot is accepted again and fingerprints the same after
-// the round trip. The seeds are the clean line4 snapshot and its
+// to panic. A device it accepts lists each NN and NNN edge once, keeps one
+// ZZ, Stark and Err2Q entry per entry the snapshot lists, and its own
+// snapshot is accepted again and fingerprints the same after the round
+// trip. The seeds are the clean line4 snapshot and its
 // line4Corruptions; a 127-qubit seed would make each input slow.
 func FuzzSnapshotJSON(f *testing.F) {
 	seed := func(edit func(*Snapshot)) {
@@ -317,6 +324,10 @@ func FuzzSnapshotJSON(f *testing.F) {
 				t.Fatalf("edge %v listed twice", e)
 			}
 			seen[e] = true
+		}
+		if len(d.ZZ) != len(s.ZZ) || len(d.Stark) != len(s.Stark) || len(d.Err2Q) != len(s.Err2Q) {
+			t.Fatalf("calibration entries: device ZZ/Stark/Err2Q %d/%d/%d, snapshot lists %d/%d/%d",
+				len(d.ZZ), len(d.Stark), len(d.Err2Q), len(s.ZZ), len(s.Stark), len(s.Err2Q))
 		}
 		s1 := d.Snapshot()
 		d2, err := FromSnapshot(s1)

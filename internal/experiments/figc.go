@@ -165,7 +165,7 @@ func FigC1Decay(sp Spec, opts Options) (Figure, error) {
 		depth = ds[0]
 	}
 	const tau = 600.0
-	dist := dev.CouplingGraph().AllDistances()
+	dist := dev.HopDistances()
 	thr := correlThreshold(opts.Shots)
 	fig.Notef("device %s: %d qubits, %d pairs, depth %d, tau %.0f ns, engine %s, sparse threshold |corr|>=%.4f",
 		devName(dev, opts.Backend), dev.NQubits, correl.Pairs(dev.NQubits), depth, tau,
@@ -206,7 +206,7 @@ func FigC2TauScan(sp Spec, opts Options) (Figure, error) {
 		return fig, err
 	}
 	taus := sp.AxisValues("tau_ns", opts)
-	dist := dev.CouplingGraph().AllDistances()
+	dist := dev.HopDistances()
 	fig.Notef("device %s: %d qubits, single idle window per point, engine %s",
 		devName(dev, opts.Backend), dev.NQubits, effectiveEngineName(correlEngine(opts.Engine, dev)))
 	for _, pl := range correlStrategies() {
@@ -290,7 +290,7 @@ func CorrelationDiagnostic(backend, strategy string, opts Options) (CorrelationR
 	if err != nil {
 		return CorrelationReport{}, err
 	}
-	dist := dev.CouplingGraph().AllDistances()
+	dist := dev.HopDistances()
 	thr := correlThreshold(m.Shots)
 	rep := CorrelationReport{
 		Backend:   backend,

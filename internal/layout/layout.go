@@ -125,8 +125,7 @@ type Placement struct {
 // final[ToSub[l]] — identity when no SWAPs were needed), and the SWAP
 // count.
 func (p *Placement) MapCircuit(c *circuit.Circuit) (*circuit.Circuit, []int, int, error) {
-	mc := Remap(c, p.ToSub, p.Sub.NQubits)
-	return RouteCircuit(p.Sub, mc)
+	return route(p.Sub, c, p.ToSub)
 }
 
 // Remap returns a copy of c with every qubit operand i replaced by f[i] and
@@ -232,10 +231,12 @@ func walkFrom(g *qgraph.Graph, start, n int, cycle bool) []int {
 	return order
 }
 
-// enumeratePaths lists simple paths of nv vertices in the coupling graph,
-// capped. Each path yields one candidate (reversals arise from DFS at the
-// other endpoint).
-func enumeratePaths(g *qgraph.Graph, nv, cap_ int) [][]int {
+// enumeratePaths lists simple paths of len(ord) vertices in the coupling
+// graph, capped, each written straight into its logical->physical mapping:
+// the path's i-th vertex hosts logical qubit ord[i]. Each path yields one
+// candidate (reversals arise from DFS at the other endpoint).
+func enumeratePaths(g *qgraph.Graph, ord []int, cap_ int) [][]int {
+	nv := len(ord)
 	var out [][]int
 	path := make([]int, 0, nv)
 	used := make([]bool, g.N)
@@ -247,7 +248,7 @@ func enumeratePaths(g *qgraph.Graph, nv, cap_ int) [][]int {
 		path = append(path, v)
 		used[v] = true
 		if len(path) == nv {
-			out = append(out, append([]int(nil), path...))
+			out = append(out, mapping(ord, path))
 		} else {
 			for _, nb := range g.Neighbors(v) {
 				if !used[nb] {
@@ -264,11 +265,12 @@ func enumeratePaths(g *qgraph.Graph, nv, cap_ int) [][]int {
 	return out
 }
 
-// enumerateCycles lists closed walks of nv distinct vertices. Every
-// rotation and direction is enumerated separately: each corresponds to a
-// different logical->physical assignment, and the calibration
-// distinguishes them.
-func enumerateCycles(g *qgraph.Graph, nv, cap_ int) [][]int {
+// enumerateCycles lists closed walks of len(ord) distinct vertices, each
+// written into its mapping as enumeratePaths does. Every rotation and
+// direction is enumerated separately: each corresponds to a different
+// logical->physical assignment, and the calibration distinguishes them.
+func enumerateCycles(g *qgraph.Graph, ord []int, cap_ int) [][]int {
+	nv := len(ord)
 	var out [][]int
 	path := make([]int, 0, nv)
 	used := make([]bool, g.N)
@@ -281,7 +283,7 @@ func enumerateCycles(g *qgraph.Graph, nv, cap_ int) [][]int {
 		used[v] = true
 		if len(path) == nv {
 			if g.HasEdge(v, start) {
-				out = append(out, append([]int(nil), path...))
+				out = append(out, mapping(ord, path))
 			}
 		} else {
 			for _, nb := range g.Neighbors(v) {
@@ -297,6 +299,16 @@ func enumerateCycles(g *qgraph.Graph, nv, cap_ int) [][]int {
 		dfs(s, s)
 	}
 	return out
+}
+
+// mapping returns the logical->physical mapping that puts logical qubit
+// ord[i] on walk[i].
+func mapping(ord, walk []int) []int {
+	phys := make([]int, len(ord))
+	for i, l := range ord {
+		phys[l] = walk[i]
+	}
+	return phys
 }
 
 // greedyCandidates grows one candidate region from every physical seed:
@@ -445,24 +457,11 @@ func Choose(dev *device.Device, c *circuit.Circuit, opts Options) (*Placement, e
 // cycle workloads its cycles, everything else grows greedily and lets the
 // router legalize the rest.
 func enumerate(dev *device.Device, g, ig *qgraph.Graph, opts Options) [][]int {
-	n := ig.N
 	var cands [][]int
 	if ord := pathOrder(ig); ord != nil {
-		for _, p := range enumeratePaths(g, n, opts.MaxCandidates) {
-			phys := make([]int, n)
-			for i, l := range ord {
-				phys[l] = p[i]
-			}
-			cands = append(cands, phys)
-		}
+		cands = enumeratePaths(g, ord, opts.MaxCandidates)
 	} else if ord := cycleOrder(ig); ord != nil {
-		for _, p := range enumerateCycles(g, n, opts.MaxCandidates) {
-			phys := make([]int, n)
-			for i, l := range ord {
-				phys[l] = p[i]
-			}
-			cands = append(cands, phys)
-		}
+		cands = enumerateCycles(g, ord, opts.MaxCandidates)
 	}
 	if len(cands) == 0 {
 		cands = greedyCandidates(dev, g, ig, opts.MaxCandidates)

@@ -161,7 +161,7 @@ func (m *Monitor) decideLocked() (*Decision, error) {
 		// calibration and ask the model fitted at compile time. The
 		// feature-to-score map is what the model learned; drift moves the
 		// features, so the prediction tracks the drifted score.
-		sctx := newStaticContext(m.dev, m.dev.CouplingGraph())
+		sctx := newStaticContext(m.dev)
 		pred := model.Predict(sctx.evaluate(m.pl.Phys, m.ia).feats)
 		d.SurrogateRatio = pred / m.baseline
 		m.stats.SurrogateChecks++

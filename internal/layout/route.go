@@ -29,6 +29,15 @@ func RouteCircuit(dev *device.Device, c *circuit.Circuit) (*circuit.Circuit, []i
 	if c.NQubits > dev.NQubits {
 		return nil, nil, 0, fmt.Errorf("layout: circuit on %d qubits exceeds device %s (%d)", c.NQubits, dev.Name, dev.NQubits)
 	}
+	return route(dev, c, nil)
+}
+
+// route is RouteCircuit(dev, Remap(c, f, dev.NQubits)) without Remap's
+// copy: each instruction is copied once, its operands mapped through f
+// (the identity when f is nil) and then through the SWAP permutation. Each
+// routed layer's Instrs is sized from its source layer; an empty source
+// layer keeps nil Instrs, as Layer.Add would leave it.
+func route(dev *device.Device, c *circuit.Circuit, f []int) (*circuit.Circuit, []int, int, error) {
 	n := dev.NQubits
 	perm := make([]int, n) // wire -> physical qubit
 	inv := make([]int, n)  // physical qubit -> wire
@@ -48,15 +57,25 @@ func RouteCircuit(dev *device.Device, c *circuit.Circuit) (*circuit.Circuit, []i
 		inv[pa], inv[pb] = wb, wa
 		swaps++
 	}
+	// mapOperands writes src's operands, as physical qubits, into dst.
+	mapOperands := func(dst, src []int) {
+		for qi, q := range src {
+			if f != nil {
+				q = f[q]
+			}
+			dst[qi] = perm[q]
+		}
+	}
 
 	for _, l := range c.Layers {
 		cur := out.AddLayer(l.Kind)
-		for _, in := range l.Instrs {
+		if len(l.Instrs) > 0 {
+			cur.Instrs = make([]circuit.Instruction, 0, len(l.Instrs))
+		}
+		for ii, in := range l.Instrs {
 			mapped := in.Clone()
-			for qi, q := range mapped.Qubits {
-				mapped.Qubits[qi] = perm[q]
-			}
-			if gates.NumQubits(in.Gate) == 2 && !dev.HasEdge(mapped.Qubits[0], mapped.Qubits[1]) {
+			mapOperands(mapped.Qubits, in.Qubits)
+			if gates.NumQubits(in.Gate) == 2 && !g.HasEdge(mapped.Qubits[0], mapped.Qubits[1]) {
 				path := shortestPath(g, mapped.Qubits[0], mapped.Qubits[1])
 				if path == nil {
 					return nil, nil, 0, fmt.Errorf("layout: qubits %d and %d are disconnected on %s",
@@ -70,11 +89,9 @@ func RouteCircuit(dev *device.Device, c *circuit.Circuit) (*circuit.Circuit, []i
 				for i := 0; i+2 < len(path); i++ {
 					applySwap(path[i], path[i+1])
 				}
-				mapped = in.Clone()
-				for qi, q := range mapped.Qubits {
-					mapped.Qubits[qi] = perm[q]
-				}
+				mapOperands(mapped.Qubits, in.Qubits)
 				cur = out.AddLayer(l.Kind)
+				cur.Instrs = make([]circuit.Instruction, 0, len(l.Instrs)-ii)
 			}
 			cur.Add(mapped)
 		}

@@ -92,13 +92,15 @@ type staticContext struct {
 	keyBuf []byte // scratch: region key assembly
 }
 
-func newStaticContext(dev *device.Device, g *qgraph.Graph) *staticContext {
+// newStaticContext reads dev's calibration into per-qubit tables; the hop
+// distances are the topology index's, shared and never written here.
+func newStaticContext(dev *device.Device) *staticContext {
 	s := &staticContext{
 		dev:    dev,
 		inc:    make([][]incidence, dev.NQubits),
 		invT1:  make([]float64, dev.NQubits),
 		invT2:  make([]float64, dev.NQubits),
-		dist:   g.AllDistances(),
+		dist:   dev.HopDistances(),
 		member: make([]bool, dev.NQubits),
 	}
 	nn := len(dev.Edges)
@@ -209,11 +211,11 @@ func (s *staticContext) evaluate(phys []int, ia []igEdge) scored {
 // orientations.
 //
 // rank lists pre's indices in static order; diverseOrder reorders it in
-// place. Regions are numbered in first-seen order, and a candidate that is
-// its region's k-th takes slot (k, region), so sorting by slot yields
-// round k's candidates in region order.
-func diverseOrder(pre []scored, rank []int) []scored {
-	region := map[string]int{}
+// place and copies no candidate. Regions are numbered in first-seen order,
+// and a candidate that is its region's k-th takes slot (k, region), so
+// sorting by slot yields round k's candidates in region order.
+func diverseOrder(pre []scored, rank []int) {
+	region := make(map[string]int, len(pre))
 	var seen []int // per region: candidates ranked so far
 	slot := make([]int, len(pre))
 	for _, i := range rank {
@@ -227,11 +229,43 @@ func diverseOrder(pre []scored, rank []int) []scored {
 		seen[r]++
 	}
 	slices.SortFunc(rank, func(a, b int) int { return cmp.Compare(slot[a], slot[b]) })
-	out := make([]scored, len(rank))
-	for j, i := range rank {
+}
+
+// pick copies the candidates pre[idx[0]], pre[idx[1]], ... in that order.
+func pick(pre []scored, idx []int) []scored {
+	out := make([]scored, len(idx))
+	for j, i := range idx {
 		out[j] = pre[i]
 	}
 	return out
+}
+
+// prediction is the surrogate's estimate y for the idx-th candidate past
+// the fit batch.
+type prediction struct {
+	idx int
+	y   float64
+}
+
+// keepBest inserts p into best, which holds at most k predictions in
+// ascending (y, idx) order, y compared by cmp.Compare (NaN first). Callers
+// offer predictions in increasing idx, so p goes after every kept one it
+// ties with, and best ends equal to the first k of a full sort of every
+// prediction offered.
+func keepBest(best []prediction, p prediction, k int) []prediction {
+	j := len(best)
+	for j > 0 && cmp.Compare(p.y, best[j-1].y) < 0 {
+		j--
+	}
+	if j >= k {
+		return best
+	}
+	if len(best) < k {
+		best = append(best, prediction{})
+	}
+	copy(best[j+1:], best[j:len(best)-1])
+	best[j] = p
+	return best
 }
 
 // scoreCandidates exact-scores the candidates on a worker pool. Results
@@ -312,21 +346,22 @@ func ChooseWith(dev *device.Device, c *circuit.Circuit, opts Options) (*Placemen
 		return nil, nil, fmt.Errorf("layout: circuit needs %d qubits, backend %s has %d", n, dev.Name, dev.NQubits)
 	}
 	ig := interactionGraph(c)
-	g := dev.CouplingGraph()
-	cands := enumerate(dev, g, ig, opts)
+	cands := enumerate(dev, dev.CouplingGraph(), ig, opts)
 	observeTier(mTierEnumerate)
 	if len(cands) == 0 {
 		return nil, nil, fmt.Errorf("layout: no %d-qubit embedding found on %s", n, dev.Name)
 	}
 
 	ia := interactionEdges(ig)
-	sctx := newStaticContext(dev, g)
+	sctx := newStaticContext(dev)
 	pre := make([]scored, len(cands))
 	for i, phys := range cands {
 		pre[i] = sctx.evaluate(phys, ia)
 	}
 	// Sort indices, not the candidates: ties on score break toward the
-	// lexicographically smallest mapping, and mappings are distinct.
+	// lexicographically smallest mapping, and mappings are distinct. The
+	// diversity ordering then reorders the same indices, and only the
+	// candidates sent to exact scoring are copied out of pre.
 	rank := make([]int, len(pre))
 	for i := range rank {
 		rank[i] = i
@@ -337,7 +372,7 @@ func ChooseWith(dev *device.Device, c *circuit.Circuit, opts Options) (*Placemen
 		}
 		return slices.Compare(pre[a].phys, pre[b].phys)
 	})
-	order := diverseOrder(pre, rank)
+	diverseOrder(pre, rank)
 	observeTier(mTierStatic)
 
 	workers := opts.Workers
@@ -347,52 +382,41 @@ func ChooseWith(dev *device.Device, c *circuit.Circuit, opts Options) (*Placemen
 	rep := &SearchReport{
 		Backend:    dev.Name,
 		Qubits:     n,
-		Enumerated: len(order),
+		Enumerated: len(rank),
 		Workers:    workers,
 	}
 
 	var best *Placement
 	prune := !opts.NoSurrogate &&
 		opts.FitBatch >= surrogate.MinSamples &&
-		len(order) > opts.FitBatch+opts.ExactTopK
+		len(rank) > opts.FitBatch+opts.ExactTopK
 	if prune {
-		fitPls := scoreCandidates(dev, c, order[:opts.FitBatch], workers)
+		fit := pick(pre, rank[:opts.FitBatch])
+		fitPls := scoreCandidates(dev, c, fit, workers)
 		rep.ExactScored += opts.FitBatch
 		samples := make([]surrogate.Sample, 0, opts.FitBatch)
 		for i, pl := range fitPls {
 			if pl != nil {
-				samples = append(samples, surrogate.Sample{X: order[i].feats, Y: pl.Score})
+				samples = append(samples, surrogate.Sample{X: fit[i].feats, Y: pl.Score})
 			}
 		}
 		model, err := surrogate.Fit(samples, 0)
 		observeTier(mTierFit)
 		if err == nil {
 			rep.Model = model
-			rest := order[opts.FitBatch:]
-			type pred struct {
-				idx int
-				y   float64
+			// Keep the ExactTopK best predictions in the order a full sort
+			// by (prediction, index) would give them.
+			rest := rank[opts.FitBatch:]
+			kept := make([]prediction, 0, opts.ExactTopK)
+			for i, r := range rest {
+				kept = keepBest(kept, prediction{i, model.Predict(pre[r].feats)}, opts.ExactTopK)
 			}
-			preds := make([]pred, len(rest))
-			for i := range rest {
-				preds[i] = pred{i, model.Predict(rest[i].feats)}
-			}
-			slices.SortFunc(preds, func(a, b pred) int {
-				if c := cmp.Compare(a.y, b.y); c != 0 {
-					return c
-				}
-				return cmp.Compare(a.idx, b.idx)
-			})
-			k := opts.ExactTopK
-			if k > len(preds) {
-				k = len(preds)
-			}
-			top := make([]scored, k)
-			for i := 0; i < k; i++ {
-				top[i] = rest[preds[i].idx]
+			top := make([]scored, len(kept))
+			for j, p := range kept {
+				top[j] = pre[rest[p.idx]]
 			}
 			topPls := scoreCandidates(dev, c, top, workers)
-			rep.ExactScored += k
+			rep.ExactScored += len(top)
 			best = argmin(argmin(nil, fitPls), topPls)
 			observeTier(mTierExact)
 			rep.Pruned = true
@@ -404,11 +428,8 @@ func ChooseWith(dev *device.Device, c *circuit.Circuit, opts Options) (*Placemen
 		}
 	}
 	if !prune {
-		k := opts.TopK
-		if k > len(order) {
-			k = len(order)
-		}
-		best = argmin(nil, scoreCandidates(dev, c, order[:k], workers))
+		k := min(opts.TopK, len(rank))
+		best = argmin(nil, scoreCandidates(dev, c, pick(pre, rank[:k]), workers))
 		observeTier(mTierExact)
 		rep.ExactScored = k
 		rep.Pruned = false
@@ -428,8 +449,8 @@ func ChooseWith(dev *device.Device, c *circuit.Circuit, opts Options) (*Placemen
 	return best, rep, nil
 }
 
-// place materializes one candidate: induced sub-device, remap, route,
-// schedule, exact toggling-frame score plus the boundary penalty —
+// place materializes one candidate: induced sub-device, route (remapping
+// as it copies), schedule, exact toggling-frame score plus the boundary penalty —
 // 2*pi*nu*T of potentially uncompensated phase per boundary-crossing ZZ
 // edge, the outside qubit idling for the whole circuit. boundaryZZ is the
 // candidate's boundary-crossing ZZ sum (Hz), precomputed by the static
@@ -439,16 +460,12 @@ func place(dev *device.Device, c *circuit.Circuit, phys []int, boundaryZZ float6
 	if err != nil {
 		return nil, err
 	}
-	subIdx := make(map[int]int, len(region))
-	for i, q := range region {
-		subIdx[q] = i
-	}
+	// region is phys sorted, without repeats (Induced rejects them).
 	toSub := make([]int, len(phys))
 	for l, p := range phys {
-		toSub[l] = subIdx[p]
+		toSub[l], _ = slices.BinarySearch(region, p)
 	}
-	mc := Remap(c, toSub, sub.NQubits)
-	routed, _, _, err := RouteCircuit(sub, mc)
+	routed, _, _, err := route(sub, c, toSub)
 	if err != nil {
 		return nil, err
 	}

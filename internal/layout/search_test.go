@@ -12,7 +12,7 @@ import (
 // staticRank runs the static pass over the candidates and returns them in
 // filter order (score, then lexicographic mapping).
 func staticRank(dev *device.Device, cands [][]int) []scored {
-	sctx := newStaticContext(dev, dev.CouplingGraph())
+	sctx := newStaticContext(dev)
 	pre := make([]scored, len(cands))
 	for i, phys := range cands {
 		pre[i] = sctx.evaluate(phys, nil)
@@ -50,7 +50,7 @@ func TestStaticRankDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := dev.CouplingGraph()
-	cands := enumeratePaths(g, 5, 512)
+	cands := enumeratePaths(g, []int{0, 1, 2, 3, 4}, 512)
 	if len(cands) < 32 {
 		t.Fatalf("fixture too small: %d candidates", len(cands))
 	}
@@ -80,7 +80,7 @@ func TestStaticScoreMatchesLegacyFormula(t *testing.T) {
 	opts := device.DefaultOptions()
 	opts.Seed = 11
 	dev := device.NewLine("static7", 12, opts)
-	sctx := newStaticContext(dev, dev.CouplingGraph())
+	sctx := newStaticContext(dev)
 	phys := []int{7, 4, 5, 6}
 	got := sctx.evaluate(phys, nil).score
 
@@ -219,7 +219,7 @@ func TestDiverseOrderKeysDistinctRegions(t *testing.T) {
 	opts := device.DefaultOptions()
 	opts.Seed = 3
 	dev := device.NewLine("key6", 6, opts)
-	sctx := newStaticContext(dev, dev.CouplingGraph())
+	sctx := newStaticContext(dev)
 	a := sctx.evaluate([]int{0, 1, 2}, nil)
 	b := sctx.evaluate([]int{2, 1, 0}, nil)
 	c := sctx.evaluate([]int{1, 2, 3}, nil)
@@ -229,7 +229,9 @@ func TestDiverseOrderKeysDistinctRegions(t *testing.T) {
 	if a.key == c.key {
 		t.Errorf("distinct regions share key %q", a.key)
 	}
-	ordered := diverseOrder([]scored{a, b, c}, []int{0, 1, 2})
+	pre, rank := []scored{a, b, c}, []int{0, 1, 2}
+	diverseOrder(pre, rank)
+	ordered := pick(pre, rank)
 	if len(ordered) != 3 {
 		t.Fatalf("diverse order dropped candidates: %d of 3", len(ordered))
 	}
