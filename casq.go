@@ -254,7 +254,10 @@ func DeviceFromSnapshot(s DeviceSnapshot) (*Device, error) { return device.FromS
 
 // PerturbDevice returns a copy of the device with every calibration value
 // drifted by up to ±drift (deterministic in seed) — the scenario-sweep
-// knob for asking whether a pipeline survives a stale calibration.
+// knob for asking whether a pipeline survives a stale calibration. Drift
+// keeps the topology: the copy shares d's topology fields (Topology,
+// Edges, NNNEdges, ECRDir), which are read-only, and copies only the
+// calibration.
 func PerturbDevice(d *Device, seed int64, drift float64) *Device {
 	return d.Perturb(seed, drift)
 }

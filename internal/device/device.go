@@ -116,10 +116,11 @@ func (c Calibration) Clone() Calibration {
 // once a constructor (Synthesize, FromSnapshot, Induced, Perturb,
 // NewBackend) has returned the device: the device's topology index, which
 // CouplingGraph, CrosstalkGraph, Neighbors, HasEdge and HopDistances read,
-// is built from them then and shared, by every Perturb of the device and
-// by every NewBackend build of a standard backend. The calibration fields
-// hold no index and may be written; the engines' compile caches detect
-// such writes.
+// is built from them then and shared, by every NewBackend build of a
+// standard backend and by every Perturb of the device, which shares the
+// fields themselves too. The calibration fields hold no index and may be
+// written: both engines compile on every call, so a write takes effect at
+// the next call.
 type Device struct {
 	Topology
 

@@ -1,6 +1,7 @@
 package device
 
 import (
+	"reflect"
 	"slices"
 	"sort"
 	"sync"
@@ -149,7 +150,8 @@ func TestIndexMatchesReference(t *testing.T) {
 }
 
 // TestIndexSharing pins who shares a topology index: every NewBackend
-// build of a standard backend and every Perturb share their source's;
+// build of a standard backend and every Perturb share their source's, and
+// a Perturb shares its source's Edges, NNNEdges and ECRDir too;
 // FromSnapshot and Induced build their own; a struct literal has none
 // and builds a private one per call.
 func TestIndexSharing(t *testing.T) {
@@ -167,6 +169,10 @@ func TestIndexSharing(t *testing.T) {
 	p := a.Perturb(3, 0.2).Perturb(4, 0.2)
 	if p.topo != a.topo || p.CouplingGraph() != a.CouplingGraph() {
 		t.Error("Perturb does not share its source's topology index")
+	}
+	if &p.Edges[0] != &a.Edges[0] || &p.NNNEdges[0] != &a.NNNEdges[0] ||
+		reflect.ValueOf(p.ECRDir).UnsafePointer() != reflect.ValueOf(a.ECRDir).UnsafePointer() {
+		t.Error("Perturb does not share its source's Edges, NNNEdges and ECRDir")
 	}
 	s, err := FromSnapshot(a.Snapshot())
 	if err != nil {

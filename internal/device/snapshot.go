@@ -179,20 +179,19 @@ func (s Snapshot) Encode() ([]byte, error) {
 // Durations are controller constants and do not drift. T2 stays clamped to
 // 2*T1. The scenario-sweep layers use this to ask "does the chosen pipeline
 // survive a stale calibration?" without re-synthesizing a new device.
-// Drift keeps the topology, so the copy shares d's topology index.
+// Drift keeps the topology, so the copy shares d's read-only topology
+// fields (Topology, Edges, NNNEdges, ECRDir) and its topology index; only
+// the calibration is copied.
 func (d *Device) Perturb(seed int64, drift float64) *Device {
 	rng := rand.New(rand.NewSource(seed))
 	factor := func() float64 { return 1 + drift*(2*rng.Float64()-1) }
 	out := &Device{
 		Topology:    d.Topology,
-		Edges:       append([]Edge(nil), d.Edges...),
-		NNNEdges:    append([]Edge(nil), d.NNNEdges...),
-		ECRDir:      make(map[Edge]Directed, len(d.ECRDir)),
+		Edges:       d.Edges,
+		NNNEdges:    d.NNNEdges,
+		ECRDir:      d.ECRDir,
 		Calibration: d.Calibration.Clone(),
 		topo:        d.topo,
-	}
-	for e, dir := range d.ECRDir {
-		out.ECRDir[e] = dir
 	}
 	for _, er := range sortedEdgeRates(d.ZZ) {
 		out.ZZ[Edge{er.A, er.B}] = er.Hz * factor()

@@ -205,7 +205,7 @@ func TestFig7OnRegistryBackend(t *testing.T) {
 
 // TestBackendValidation pins the registry-level checks: undeclared
 // backends are rejected per experiment, unknown ones by the device
-// registry.
+// registry, and so are negative counts.
 func TestBackendValidation(t *testing.T) {
 	o := fastOpts()
 	o.Backend = "heavyhex29"
@@ -232,6 +232,12 @@ func TestBackendValidation(t *testing.T) {
 	o.Backend = "not-a-backend"
 	if _, err := Run("fig6", o); err == nil {
 		t.Error("unknown backend must error")
+	}
+	o.Backend = ""
+	for _, neg := range []Options{{Shots: -1}, {Instances: -3}, {MaxDepth: -2}} {
+		if _, err := Run("fig5", neg); err == nil {
+			t.Errorf("negative counts %+v must error", neg)
+		}
 	}
 	for _, sp := range Catalog() {
 		for _, b := range sp.Backends {

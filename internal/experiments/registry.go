@@ -84,6 +84,27 @@ func (sp Spec) SupportsBackend(name string) bool {
 	return false
 }
 
+// Check reports whether the spec accepts opts as a figure request: a
+// backend it declares, a known engine it honors, and non-negative Shots,
+// Instances and MaxDepth. Every entry point of a figure request checks
+// through it: Run, the sweep cell key and expansion, and GET /figures.
+func (sp Spec) Check(opts Options) error {
+	if !sp.SupportsBackend(opts.Backend) {
+		return fmt.Errorf("%s does not support backend %q (declared: %v)", sp.ID, opts.Backend, sp.Backends)
+	}
+	if !exec.ValidEngine(opts.Engine) {
+		return fmt.Errorf("%s: unknown engine %q (known: %v)", sp.ID, opts.Engine, exec.EngineNames())
+	}
+	if !sp.SupportsEngine(opts.Engine) {
+		return fmt.Errorf("%s does not honor engine %q (declared: %v)", sp.ID, opts.Engine, sp.Engines)
+	}
+	if opts.Shots < 0 || opts.Instances < 0 || opts.MaxDepth < 0 {
+		return fmt.Errorf("%s: negative count in shots %d, instances %d, max depth %d",
+			sp.ID, opts.Shots, opts.Instances, opts.MaxDepth)
+	}
+	return nil
+}
+
 // AxisValues returns the named axis for the options: the Fast variant
 // when Options.Fast is set and the axis declares one, the full values
 // otherwise, nil when the axis is not declared.
@@ -289,16 +310,8 @@ func Run(id string, opts Options) (Figure, error) {
 	if !ok {
 		return Figure{}, fmt.Errorf("experiments: unknown id %q (known: %v)", id, IDs())
 	}
-	if !sp.SupportsBackend(opts.Backend) {
-		return Figure{}, fmt.Errorf("experiments: %s does not support backend %q (declared: %v)",
-			id, opts.Backend, sp.Backends)
-	}
-	if !exec.ValidEngine(opts.Engine) {
-		return Figure{}, fmt.Errorf("experiments: unknown engine %q (known: %v)", opts.Engine, exec.EngineNames())
-	}
-	if !sp.SupportsEngine(opts.Engine) {
-		return Figure{}, fmt.Errorf("experiments: %s does not honor engine %q (declared: %v)",
-			id, opts.Engine, sp.Engines)
+	if err := sp.Check(opts); err != nil {
+		return Figure{}, fmt.Errorf("experiments: %w", err)
 	}
 	if sp.DerivesFrom != "" {
 		base, err := Run(sp.DerivesFrom, opts)

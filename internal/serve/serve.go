@@ -132,10 +132,6 @@ type Config struct {
 	// exact score exceeds this ratio of the deployed baseline
 	// (0 = layout.DefaultRecompileThreshold).
 	RecompileThreshold float64
-	// Tracer, when non-nil, records spans for in-process sweep cells (and
-	// everything compiled/simulated under them). Nil disables tracing at
-	// zero cost.
-	Tracer *obs.Tracer
 	// PProf mounts the net/http/pprof profiling endpoints under
 	// /debug/pprof/ when true. Off by default: profiling handlers expose
 	// heap and goroutine internals and cost CPU while sampling, so they
@@ -236,7 +232,7 @@ func NewWith(cfg Config) *Server {
 	reg := obs.NewRegistry()
 	return &Server{
 		cache:    cfg.Cache,
-		runner:   &sweep.Runner{Cache: cfg.Cache, Workers: cfg.SweepWorkers, Tracer: cfg.Tracer},
+		runner:   &sweep.Runner{Cache: cfg.Cache, Workers: cfg.SweepWorkers},
 		coord:    cfg.Coordinator,
 		limiter:  limiter,
 		maxRuns:  maxRuns,
@@ -486,14 +482,8 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 	// client's mistake, not a server fault — reject before the compute
 	// path turns it into a 500 (or, worse for the engine, a silently
 	// statevector-computed figure cached under an engine-qualified key).
-	if !sp.SupportsBackend(opts.Backend) {
-		writeError(w, http.StatusBadRequest,
-			"experiment %s does not support backend %q (declared: %v)", id, opts.Backend, sp.Backends)
-		return
-	}
-	if !sp.SupportsEngine(opts.Engine) {
-		writeError(w, http.StatusBadRequest,
-			"experiment %s does not honor engine %q (declared: %v)", id, opts.Engine, sp.Engines)
+	if err := sp.Check(opts); err != nil {
+		writeError(w, http.StatusBadRequest, "experiment %v", err)
 		return
 	}
 	data, hit, err := s.cache.Figure(sweep.Cell{ID: id, Opts: opts})

@@ -249,7 +249,8 @@ func TestSweepSubmitRejectsBadSpec(t *testing.T) {
 	axis := "[" + strings.Join(vals, ",") + "]"
 	huge := `{"ids":["fig5"],"grid":{"seeds":` + axis + `,"shots":` + axis +
 		`,"instances":` + axis + `,"max_depths":` + axis + `}}`
-	for _, bad := range []string{`{"ids":["nope"]}`, `{"unknown_field":1}`, `not json`, huge} {
+	negative := `{"ids":["fig3c"],"grid":{"shots":[-1],"instances":[-3],"max_depths":[-2]},"fast":true}`
+	for _, bad := range []string{`{"ids":["nope"]}`, `{"unknown_field":1}`, `not json`, huge, negative} {
 		resp, err := http.Post(ts.URL+"/sweeps", "application/json", strings.NewReader(bad))
 		if err != nil {
 			t.Fatal(err)

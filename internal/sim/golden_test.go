@@ -128,10 +128,12 @@ func TestExpectationsBitIdenticalAcrossSimWorkers(t *testing.T) {
 	}
 }
 
-// TestCompileCacheDetectsDeviceMutation pins the cache-key contract: a
-// caller may write the device's exported calibration maps between runs,
-// so a Runner re-running the same circuit must notice the in-place
-// recalibration and recompile instead of serving stale crosstalk physics.
+// TestCompileCacheDetectsDeviceMutation pins the rule both engines keep:
+// a Runner keeps no compile across calls, so each call compiles from the
+// device and the circuit as they are at that moment. A caller may write
+// the device's exported calibration maps, or a circuit's instructions, in
+// place between two calls on one Runner; the second call must give what a
+// fresh Runner gives, not stale crosstalk physics or a stale gate.
 func TestCompileCacheDetectsDeviceMutation(t *testing.T) {
 	dev := goldenDevice()
 	c := models.BuildFloquetIsing(4, 2)
@@ -161,6 +163,34 @@ func TestCompileCacheDetectsDeviceMutation(t *testing.T) {
 	}
 	if after[0] != fresh[0] {
 		t.Errorf("cached runner %v != fresh runner %v after device mutation", after[0], fresh[0])
+	}
+
+	// The circuit half: retune one RZ angle in place.
+	rc := models.BuildFloquetIsing(4, 2)
+	rc.AddLayer(circuit.OneQubitLayer).RZ(0, 0.4)
+	sched.Schedule(rc, dev)
+	before, err = r.Expectations(rc, obs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rz := &rc.Layers[len(rc.Layers)-1].Instrs[0]
+	if rz.Gate != gates.RZ {
+		t.Fatalf("last layer holds %s, want the RZ", rz.Gate)
+	}
+	rz.Params[0] = 1.3
+	after, err = r.Expectations(rc, obs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after[0] == before[0] {
+		t.Errorf("retuned RZ left <X0X3> = %v unchanged: stale compile", after[0])
+	}
+	fresh, err = sim.New(dev, cfg).Expectations(rc, obs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after[0] != fresh[0] {
+		t.Errorf("runner %v != fresh runner %v after circuit mutation", after[0], fresh[0])
 	}
 }
 

@@ -25,10 +25,8 @@ package sim
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 	"sort"
-	"sync"
 
 	"casq/internal/circuit"
 	"casq/internal/device"
@@ -113,23 +111,12 @@ type layerExec struct {
 	mats []linalg.Matrix
 }
 
-// Runner executes circuits on a device under a noise config.
+// Runner executes circuits on a device under a noise config. Every call
+// compiles from the device and the circuit as they are then and keeps
+// nothing, so writes to either between calls take effect.
 type Runner struct {
 	Dev *device.Device
 	Cfg Config
-
-	// Compilation cache: the Runner memoizes the most recent circuit's
-	// compilation, keyed by pointer identity plus content fingerprints of
-	// the circuit and of the compile-relevant device calibration, so
-	// in-place mutation of either between runs is detected. Sweeps that
-	// re-run the same scheduled circuit (every figure in the paper) skip
-	// recompiling per call; the compiled form is immutable during
-	// execution, so cached reuse is safe under concurrent
-	// Counts/Expectations.
-	mu       sync.Mutex
-	cachedC  *circuit.Circuit
-	cachedFP uint64
-	cached   *compiled
 }
 
 // New returns a Runner.
@@ -141,144 +128,6 @@ type compiled struct {
 	nq, ncb int
 	x       *Crosstalk
 	layers  []layerExec
-}
-
-const (
-	fnvOffset = 14695981039346656037
-	fnvPrime  = 1099511628211
-)
-
-// deviceFingerprint hashes the device calibration that compile bakes into
-// the compiled form (topology, ZZ rates, Stark terms, gate-error
-// probabilities, and the rotary residual its crosstalk table reads). A
-// caller may write the device's exported calibration maps between runs,
-// and such an in-place change must invalidate the Runner's cache. Map
-// entries are combined commutatively so iteration order cannot matter.
-func deviceFingerprint(d *device.Device) uint64 {
-	h := uint64(fnvOffset)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= fnvPrime
-			v >>= 8
-		}
-	}
-	pair := func(a, b, c uint64) uint64 {
-		x := uint64(fnvOffset)
-		for _, v := range [3]uint64{a, b, c} {
-			for i := 0; i < 8; i++ {
-				x ^= v & 0xff
-				x *= fnvPrime
-				v >>= 8
-			}
-		}
-		return x
-	}
-	mix(uint64(d.NQubits))
-	mix(uint64(len(d.Edges)))
-	mix(uint64(len(d.NNNEdges)))
-	for _, e := range d.Edges {
-		mix(pair(uint64(e.A), uint64(e.B), 0))
-	}
-	for _, e := range d.NNNEdges {
-		mix(pair(uint64(e.A), uint64(e.B), 0))
-	}
-	var acc uint64
-	for e, v := range d.ZZ {
-		acc += pair(uint64(e.A), uint64(e.B), math.Float64bits(v))
-	}
-	mix(acc)
-	acc = 0
-	for dd, v := range d.Stark {
-		acc += pair(uint64(dd.Src), uint64(dd.Dst), math.Float64bits(v))
-	}
-	mix(acc)
-	acc = 0
-	for e, v := range d.Err2Q {
-		acc += pair(uint64(e.A), uint64(e.B), math.Float64bits(v))
-	}
-	mix(acc)
-	for _, v := range d.Err1Q {
-		mix(math.Float64bits(v))
-	}
-	mix(math.Float64bits(d.RotaryResidual))
-	return h
-}
-
-// fingerprint hashes every field of the circuit that compilation depends
-// on (FNV-1a, allocation-free), so the Runner's compile cache detects
-// in-place mutation even at the same pointer.
-func fingerprint(c *circuit.Circuit) uint64 {
-	const (
-		offset = fnvOffset
-		prime  = fnvPrime
-	)
-	h := uint64(offset)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= prime
-			v >>= 8
-		}
-	}
-	mixF := func(f float64) { mix(math.Float64bits(f)) }
-	mixS := func(s string) {
-		mix(uint64(len(s)))
-		for i := 0; i < len(s); i++ {
-			h ^= uint64(s[i])
-			h *= prime
-		}
-	}
-	mix(uint64(c.NQubits))
-	mix(uint64(c.NCBits))
-	mix(uint64(len(c.Layers)))
-	for li := range c.Layers {
-		l := &c.Layers[li]
-		mix(uint64(l.Kind))
-		mixF(l.Start)
-		mixF(l.Duration)
-		mix(uint64(len(l.Instrs)))
-		for ii := range l.Instrs {
-			in := &l.Instrs[ii]
-			mixS(string(in.Gate))
-			for _, q := range in.Qubits {
-				mix(uint64(q))
-			}
-			for _, p := range in.Params {
-				mixF(p)
-			}
-			mix(uint64(in.CBit))
-			if in.Cond != nil {
-				mix(uint64(in.Cond.Bit))
-				mix(uint64(in.Cond.Value))
-			}
-			mixS(in.Tag)
-			mixF(in.Time)
-		}
-	}
-	return h
-}
-
-// compiled returns the circuit's compilation, reusing the cached one when
-// neither the circuit nor the compile-relevant device calibration has
-// changed since the previous call.
-func (r *Runner) compiled(c *circuit.Circuit) (*compiled, error) {
-	fp := fingerprint(c) ^ deviceFingerprint(r.Dev)
-	r.mu.Lock()
-	if r.cachedC == c && r.cachedFP == fp {
-		cp := r.cached
-		r.mu.Unlock()
-		return cp, nil
-	}
-	r.mu.Unlock()
-	cp, err := r.compile(c)
-	if err != nil {
-		return nil, err
-	}
-	r.mu.Lock()
-	r.cachedC, r.cachedFP, r.cached = c, fp, cp
-	r.mu.Unlock()
-	return cp, nil
 }
 
 // matKey memoizes gate matrices within one compilation: repeated structures
@@ -428,7 +277,7 @@ func (r *Runner) span(name string) obs.Span {
 func (r *Runner) Counts(c *circuit.Circuit) (Result, error) {
 	sp := r.span("sim.counts")
 	defer sp.End()
-	cp, err := r.compiled(c)
+	cp, err := r.compile(c)
 	if err != nil {
 		return Result{}, err
 	}
@@ -452,7 +301,7 @@ func (r *Runner) Counts(c *circuit.Circuit) (Result, error) {
 func (r *Runner) Expectations(c *circuit.Circuit, obs []ObsSpec) ([]float64, error) {
 	sp := r.span("sim.expectations")
 	defer sp.End()
-	cp, err := r.compiled(c)
+	cp, err := r.compile(c)
 	if err != nil {
 		return nil, err
 	}
@@ -491,7 +340,7 @@ func (r *Runner) Expectations(c *circuit.Circuit, obs []ObsSpec) ([]float64, err
 // stochastic channels the result is deterministic; with them it is one
 // random trajectory.
 func (r *Runner) FinalState(c *circuit.Circuit) (linalg.Vector, error) {
-	cp, err := r.compiled(c)
+	cp, err := r.compile(c)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"encoding/json"
 	"testing"
 
 	"casq/internal/experiments"
@@ -94,4 +95,28 @@ func TestBackendAxisValidation(t *testing.T) {
 	if _, err := ucell.Key(); err == nil {
 		t.Fatal("key for an undeclared engine must error")
 	}
+	// Negative counts, which GET /figures answers with a 400, on each
+	// count axis alone and all at once as a POST /sweeps body.
+	var negative Spec
+	if err := json.Unmarshal([]byte(negativeCountsBody), &negative); err != nil {
+		t.Fatal(err)
+	}
+	specs := []Spec{negative}
+	for _, g := range []Grid{{Shots: []int{16, -1}}, {Instances: []int{-3}}, {MaxDepths: []int{2, -2}}} {
+		specs = append(specs, Spec{IDs: []string{"fig3c"}, Grid: g, Base: experiments.FastOptions()})
+	}
+	for _, sp := range specs {
+		if cells, err := sp.Cells(); err == nil {
+			t.Errorf("grid %+v with a negative count expanded to %d cells", sp.Grid, len(cells))
+		}
+	}
+	for _, o := range []experiments.Options{{Shots: -1}, {Instances: -3}, {MaxDepth: -2}} {
+		if _, err := (Cell{ID: "fig3c", Opts: o}).Key(); err == nil {
+			t.Errorf("key for negative counts %+v must error", o)
+		}
+	}
 }
+
+// negativeCountsBody is a sweep submit body with a negative value on
+// every count axis.
+const negativeCountsBody = `{"ids":["fig3c"],"grid":{"shots":[-1],"instances":[-3],"max_depths":[-2]},"fast":true}`

@@ -84,16 +84,8 @@ func (c Cell) Key() (store.Key, error) {
 	if len(sp.AxisValues("depth", c.Opts)) == 0 {
 		maxDepth = 0
 	}
-	if !sp.SupportsBackend(c.Opts.Backend) {
-		return "", fmt.Errorf("sweep: %s does not support backend %q (declared: %v)",
-			c.ID, c.Opts.Backend, sp.Backends)
-	}
-	if !exec.ValidEngine(c.Opts.Engine) {
-		return "", fmt.Errorf("sweep: unknown engine %q (known: %v)", c.Opts.Engine, exec.EngineNames())
-	}
-	if !sp.SupportsEngine(c.Opts.Engine) {
-		return "", fmt.Errorf("sweep: %s does not honor engine %q (declared: %v)",
-			c.ID, c.Opts.Engine, sp.Engines)
+	if err := sp.Check(c.Opts); err != nil {
+		return "", fmt.Errorf("sweep: %w", err)
 	}
 	// "" and "statevector" are the same configuration; normalize so the
 	// two spellings share one cache artifact instead of double-computing.
@@ -268,7 +260,8 @@ const maxCells = 1 << 14
 // Cells expands the spec into the cartesian product id × seed × shots ×
 // instances × max-depth × backend × engine, in deterministic order (ids
 // outermost, then the grid axes in declaration order). A product above
-// maxCells is rejected before anything is allocated for it.
+// maxCells, or a cell its experiment's Spec.Check refuses, is rejected
+// before anything is allocated for it.
 func (s Spec) Cells() ([]Cell, error) {
 	ids := s.IDs
 	if len(ids) == 0 {
@@ -305,27 +298,21 @@ func (s Spec) Cells() ([]Cell, error) {
 		}
 		n *= axis
 	}
+	// Every cell passes Spec.Check when every id × backend × engine does
+	// at the least value of each count axis.
+	probe := s.Base
+	probe.Shots, probe.Instances, probe.MaxDepth = slices.Min(shots), slices.Min(instances), slices.Min(maxDepths)
 	for _, id := range ids {
-		if _, ok := experiments.Lookup(id); !ok {
+		sp, ok := experiments.Lookup(id)
+		if !ok {
 			return nil, fmt.Errorf("sweep: unknown experiment %q", id)
 		}
-	}
-	for _, b := range backends {
-		for _, id := range ids {
-			sp, _ := experiments.Lookup(id)
-			if !sp.SupportsBackend(b) {
-				return nil, fmt.Errorf("sweep: %s does not support backend %q (declared: %v)", id, b, sp.Backends)
-			}
-		}
-	}
-	for _, e := range engines {
-		if !exec.ValidEngine(e) {
-			return nil, fmt.Errorf("sweep: unknown engine %q (known: %v)", e, exec.EngineNames())
-		}
-		for _, id := range ids {
-			sp, _ := experiments.Lookup(id)
-			if !sp.SupportsEngine(e) {
-				return nil, fmt.Errorf("sweep: %s does not honor engine %q (declared: %v)", id, e, sp.Engines)
+		for _, b := range backends {
+			for _, e := range engines {
+				probe.Backend, probe.Engine = b, e
+				if err := sp.Check(probe); err != nil {
+					return nil, fmt.Errorf("sweep: %w", err)
+				}
 			}
 		}
 	}
