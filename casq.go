@@ -138,9 +138,9 @@ type (
 // Observability: the span tracer behind `casq -trace`.
 type (
 	// Tracer records timing spans across compile passes, executor
-	// instances, engine shot blocks, and sweep cells. A nil *Tracer is
-	// the canonical disabled tracer: every operation on it is a
-	// zero-allocation no-op, so hot paths thread it unconditionally.
+	// instances, engine shot blocks, and fabric worker cells. A nil
+	// *Tracer is the canonical disabled tracer: every operation on it is
+	// a zero-allocation no-op, so hot paths thread it unconditionally.
 	Tracer = obs.Tracer
 	// TraceSpan is an open span handle (a value type; End records it).
 	TraceSpan = obs.Span

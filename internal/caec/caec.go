@@ -32,11 +32,6 @@ import (
 
 // Options configure the pass.
 type Options struct {
-	IncludeStark bool
-	// AbsorbOnly prevents materializing explicit RZZ corrections; pending
-	// ZZ compensations that cannot be absorbed are dropped (counted in
-	// Stats.Dropped).
-	AbsorbOnly bool
 	// MinAngle ignores compensation angles below this threshold (radians).
 	MinAngle float64
 	// MaterializeMin is the smallest pending ZZ angle (radians) worth an
@@ -52,10 +47,10 @@ type Options struct {
 	FFTime float64
 }
 
-// DefaultOptions enables Stark compensation and native-RZZ materialization
-// for pending angles above ~0.1 rad.
+// DefaultOptions materializes native-RZZ corrections for pending angles
+// above ~0.1 rad.
 func DefaultOptions() Options {
-	return Options{IncludeStark: true, MinAngle: 1e-9, MaterializeMin: 0.1, FFTime: -1}
+	return Options{MinAngle: 1e-9, MaterializeMin: 0.1, FFTime: -1}
 }
 
 // Stats reports what the pass did.
@@ -339,17 +334,18 @@ type zCorr struct {
 	errAngle float64 // accumulated *error* angle; correction is its negative
 }
 
-// emitLayerErrors computes the surviving coherent error of the layer via
-// the toggling integrals, immediately compensates the Z part with a virtual
-// Rz layer, and adds the ZZ part to the pending dictionary. Edges touching
-// a collapsed (measured) qubit are handled once, by the
-// measurement-conditioned corrections, so the integrator leaves them out.
+// emitLayerErrors computes the surviving coherent error of the layer, the
+// always-on ZZ and the Stark shifts of driven neighbours, via the toggling
+// integrals. It compensates the Z part at once with a virtual Rz layer and
+// adds the ZZ part to the pending dictionary. Edges touching a collapsed
+// (measured) qubit are handled once, by the measurement-conditioned
+// corrections, so the integrator leaves them out.
 func (p *pass) emitLayerErrors(l *circuit.Layer) {
 	if l.Duration <= 0 {
 		return
 	}
 	in := p.integ
-	in.Integrate(l, p.opts.IncludeStark, p.collapsed)
+	in.Integrate(l, true, p.collapsed)
 	for q, phi := range in.PhiZ {
 		if phi != 0 && !p.collapsed[q] {
 			p.addZ(q, phi)
@@ -433,7 +429,7 @@ func (p *pass) materializePending(edges []device.Edge) {
 			delete(p.comp2q, e)
 			continue
 		}
-		if p.opts.AbsorbOnly || math.Abs(theta) < p.opts.MaterializeMin {
+		if math.Abs(theta) < p.opts.MaterializeMin {
 			p.stats.Dropped++
 			p.stats.DroppedAngles += math.Abs(theta)
 			delete(p.comp2q, e)

@@ -29,7 +29,7 @@ func TestValidateAllocatesOnce(t *testing.T) {
 	}
 	c.Layers = append(c.Layers, layer.Clone(), layer.Clone())
 	pl := pass.CADD().WithTwirlScope(twirl.AllQubits)
-	out, _, err := pl.ApplyForEngine(dev, rand.New(rand.NewSource(1)), c, "stab")
+	out, _, err := pl.Apply(dev, rand.New(rand.NewSource(1)), c)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -236,7 +236,6 @@ type Options struct {
 	Seed int64
 
 	ZZMin, ZZMax       float64 // Hz, NN always-on ZZ
-	NNNBase            float64 // Hz, non-collision NNN (usually negligible)
 	NNNCollision       float64 // Hz, collision-enhanced NNN
 	StarkMin, StarkMax float64 // Hz
 	DeltaMax           float64 // Hz, charge-parity
@@ -274,7 +273,6 @@ func DefaultOptions() Options {
 		Seed:             1,
 		ZZMin:            40e3,
 		ZZMax:            90e3,
-		NNNBase:          0.1e3,
 		NNNCollision:     10e3,
 		StarkMin:         10e3,
 		StarkMax:         30e3,

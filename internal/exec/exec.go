@@ -137,10 +137,8 @@ type RunOptions struct {
 	Engine string
 	// Tracer records job/instance/pass/engine spans for this execution;
 	// nil (the default) disables tracing at zero cost. Instance k's spans
-	// render on lane k+1, and TraceID (when non-zero) stamps every span
-	// so cross-process aggregation can group them.
-	Tracer  *obs.Tracer
-	TraceID uint64
+	// render on lane k+1.
+	Tracer *obs.Tracer
 }
 
 // Job is one unit of executor work.
@@ -268,12 +266,12 @@ func (e *Executor) Run(ctx context.Context, job Job) (Result, error) {
 	workers, simWorkers := workerBudget(ro.Workers, ro.Instances, runtime.GOMAXPROCS(0))
 
 	mJobs.Inc()
-	jobSpan := ro.Tracer.Start("exec.job").WithTrace(ro.TraceID)
+	jobSpan := ro.Tracer.Start("exec.job")
 	defer jobSpan.End()
 
 	runInstance := func(k int) (instanceOut, error) {
 		instStart := time.Now()
-		instSpan := ro.Tracer.Start("exec.instance").WithLane(k + 1).WithTrace(ro.TraceID)
+		instSpan := ro.Tracer.Start("exec.instance").WithLane(k + 1)
 		defer func() {
 			instSpan.End()
 			mInstances.Inc()
@@ -281,8 +279,7 @@ func (e *Executor) Run(ctx context.Context, job Job) (Result, error) {
 		}()
 		rng := rand.New(rand.NewSource(InstanceSeed(ro.Seed, k)))
 		compiled, rep, err := e.Pipeline.ApplyContext(&pass.Context{
-			Dev: e.Dev, Rng: rng, Engine: ro.Engine,
-			Tracer: ro.Tracer, Lane: k + 1,
+			Dev: e.Dev, Rng: rng, Tracer: ro.Tracer, Lane: k + 1,
 		}, job.Circuit)
 		if err != nil {
 			return instanceOut{}, fmt.Errorf("exec: instance %d: %w", k, err)

@@ -239,6 +239,21 @@ func TestBackendValidation(t *testing.T) {
 			t.Errorf("negative counts %+v must error", neg)
 		}
 	}
+	// Counts over the request cap fail the check. Run is only called once
+	// the check has refused them, so a missing cap fails here instead of
+	// running a figure at two billion shots.
+	fig8, _ := Lookup("fig8")
+	for _, over := range []Options{{Shots: 2_000_000_000}, {Shots: 1<<20 + 1}, {Instances: 1<<10 + 1}} {
+		if err := fig8.Check(over); err == nil {
+			t.Fatalf("over-cap counts %+v must fail the check", over)
+		}
+		if _, err := Run("fig8", over); err == nil {
+			t.Errorf("over-cap counts %+v must error", over)
+		}
+	}
+	if err := fig8.Check(Options{Shots: 1 << 20, Instances: 1 << 10}); err != nil {
+		t.Errorf("counts at the cap must pass: %v", err)
+	}
 	for _, sp := range Catalog() {
 		for _, b := range sp.Backends {
 			if _, ok := device.LookupBackend(b); !ok {

@@ -274,6 +274,9 @@ type CorrelationReport struct {
 // correlations endpoint; depth and tau are fixed to the figC1 defaults so
 // the report is a device diagnostic, not a parameter sweep.
 func CorrelationDiagnostic(backend, strategy string, opts Options) (CorrelationReport, error) {
+	if err := checkCounts(opts); err != nil {
+		return CorrelationReport{}, fmt.Errorf("correlations: %w", err)
+	}
 	pl, err := correlStrategy(strategy)
 	if err != nil {
 		return CorrelationReport{}, err

@@ -85,9 +85,9 @@ func (sp Spec) SupportsBackend(name string) bool {
 }
 
 // Check reports whether the spec accepts opts as a figure request: a
-// backend it declares, a known engine it honors, and non-negative Shots,
-// Instances and MaxDepth. Every entry point of a figure request checks
-// through it: Run, the sweep cell key and expansion, and GET /figures.
+// backend it declares, a known engine it honors, and counts checkCounts
+// accepts. Every entry point of a figure request checks through it: Run,
+// the sweep cell key and expansion, and GET /figures.
 func (sp Spec) Check(opts Options) error {
 	if !sp.SupportsBackend(opts.Backend) {
 		return fmt.Errorf("%s does not support backend %q (declared: %v)", sp.ID, opts.Backend, sp.Backends)
@@ -98,9 +98,29 @@ func (sp Spec) Check(opts Options) error {
 	if !sp.SupportsEngine(opts.Engine) {
 		return fmt.Errorf("%s does not honor engine %q (declared: %v)", sp.ID, opts.Engine, sp.Engines)
 	}
+	if err := checkCounts(opts); err != nil {
+		return fmt.Errorf("%s: %w", sp.ID, err)
+	}
+	return nil
+}
+
+// Request caps on the two measured cost drivers: fig8 compiles one
+// program per instance, and figC1 pays per shot.
+const (
+	maxShots     = 1 << 20
+	maxInstances = 1 << 10
+)
+
+// checkCounts refuses a negative Shots, Instances or MaxDepth, and more
+// than maxShots shots or maxInstances instances.
+func checkCounts(opts Options) error {
 	if opts.Shots < 0 || opts.Instances < 0 || opts.MaxDepth < 0 {
-		return fmt.Errorf("%s: negative count in shots %d, instances %d, max depth %d",
-			sp.ID, opts.Shots, opts.Instances, opts.MaxDepth)
+		return fmt.Errorf("negative count in shots %d, instances %d, max depth %d",
+			opts.Shots, opts.Instances, opts.MaxDepth)
+	}
+	if opts.Shots > maxShots || opts.Instances > maxInstances {
+		return fmt.Errorf("shots %d, instances %d: over the cap of %d shots and %d instances",
+			opts.Shots, opts.Instances, maxShots, maxInstances)
 	}
 	return nil
 }

@@ -43,29 +43,23 @@ import (
 
 // Options bound the candidate search.
 type Options struct {
-	// MaxCandidates caps the path/cycle/greedy enumeration (0 = 4096).
-	MaxCandidates int
 	// TopK is how many statically-filtered candidates receive the exact
 	// toggling-frame score when surrogate pruning is off (0 = 32).
 	TopK int
 	// NoSurrogate disables surrogate pruning: the TopK statically-best
 	// candidates are all scored exactly, as in the pre-surrogate compiler.
 	NoSurrogate bool
-	// FitBatch is how many diversely-ordered candidates are exact-scored to
-	// train the surrogate (0 = 12; values below surrogate.MinSamples fall
-	// back to the exhaustive TopK path).
-	FitBatch int
-	// ExactTopK is how many surrogate-ranked candidates receive an exact
-	// score on top of the fit batch (0 = 8). The fit batch always includes
-	// the statically best region of every diversity round it covers, so the
-	// argmin is taken over guaranteed-exact scores.
-	ExactTopK int
 	// Workers bounds the exact-scoring worker pool (0 = GOMAXPROCS). The
 	// chosen placement is bit-identical at any worker count.
 	Workers int
 }
 
-// Default search bounds.
+// Search bounds. The enumeration stops at DefaultMaxCandidates. A pruned
+// search exact-scores DefaultFitBatch diversely-ordered candidates to
+// train the surrogate, then the DefaultExactTopK best-predicted of the
+// rest. The fit batch always includes the statically best region of
+// every diversity round it covers, so the argmin is taken over
+// guaranteed-exact scores.
 const (
 	DefaultMaxCandidates = 4096
 	DefaultTopK          = 32
@@ -75,26 +69,12 @@ const (
 
 // DefaultOptions returns the standard search bounds.
 func DefaultOptions() Options {
-	return Options{
-		MaxCandidates: DefaultMaxCandidates,
-		TopK:          DefaultTopK,
-		FitBatch:      DefaultFitBatch,
-		ExactTopK:     DefaultExactTopK,
-	}
+	return Options{TopK: DefaultTopK}
 }
 
 func (o Options) withDefaults() Options {
-	if o.MaxCandidates <= 0 {
-		o.MaxCandidates = DefaultMaxCandidates
-	}
 	if o.TopK <= 0 {
 		o.TopK = DefaultTopK
-	}
-	if o.FitBatch <= 0 {
-		o.FitBatch = DefaultFitBatch
-	}
-	if o.ExactTopK <= 0 {
-		o.ExactTopK = DefaultExactTopK
 	}
 	return o
 }
@@ -456,15 +436,15 @@ func Choose(dev *device.Device, c *circuit.Circuit, opts Options) (*Placement, e
 // interaction graph: path workloads enumerate the backend's simple paths,
 // cycle workloads its cycles, everything else grows greedily and lets the
 // router legalize the rest.
-func enumerate(dev *device.Device, g, ig *qgraph.Graph, opts Options) [][]int {
+func enumerate(dev *device.Device, g, ig *qgraph.Graph) [][]int {
 	var cands [][]int
 	if ord := pathOrder(ig); ord != nil {
-		cands = enumeratePaths(g, ord, opts.MaxCandidates)
+		cands = enumeratePaths(g, ord, DefaultMaxCandidates)
 	} else if ord := cycleOrder(ig); ord != nil {
-		cands = enumerateCycles(g, ord, opts.MaxCandidates)
+		cands = enumerateCycles(g, ord, DefaultMaxCandidates)
 	}
 	if len(cands) == 0 {
-		cands = greedyCandidates(dev, g, ig, opts.MaxCandidates)
+		cands = greedyCandidates(dev, g, ig, DefaultMaxCandidates)
 	}
 	return cands
 }

@@ -82,7 +82,6 @@ type incidence struct {
 // the old filter iterated a membership map, which made the 1/T2 float sum —
 // and with it the static ranking feeding the TopK cut — run-dependent.
 type staticContext struct {
-	dev    *device.Device
 	inc    [][]incidence
 	invT1  []float64
 	invT2  []float64
@@ -96,7 +95,6 @@ type staticContext struct {
 // distances are the topology index's, shared and never written here.
 func newStaticContext(dev *device.Device) *staticContext {
 	s := &staticContext{
-		dev:    dev,
 		inc:    make([][]incidence, dev.NQubits),
 		invT1:  make([]float64, dev.NQubits),
 		invT2:  make([]float64, dev.NQubits),
@@ -322,13 +320,14 @@ func argmin(best *Placement, pls []*Placement) *Placement {
 
 // ChooseWith is Choose plus search telemetry. The search runs in three
 // tiers: static filter + diversity ordering over every enumerated
-// candidate, an online surrogate (fitted on the FitBatch exact scores from
-// this same call) pruning the rest to the ExactTopK best-predicted, and
-// parallel exact scoring of the survivors. The fit batch leads the
-// diversity ordering, so the statically-best orientation of each leading
-// region is always exact-scored regardless of what the surrogate thinks —
-// the argmin is taken over guaranteed-exact scores only, and the model
-// never decides more than which long-shot candidates get a second look.
+// candidate, an online surrogate (fitted on the DefaultFitBatch exact
+// scores from this same call) pruning the rest to the DefaultExactTopK
+// best-predicted, and parallel exact scoring of the survivors. The fit
+// batch leads the diversity ordering, so the statically-best orientation
+// of each leading region is always exact-scored regardless of what the
+// surrogate thinks — the argmin is taken over guaranteed-exact scores
+// only, and the model never decides more than which long-shot candidates
+// get a second look.
 func ChooseWith(dev *device.Device, c *circuit.Circuit, opts Options) (*Placement, *SearchReport, error) {
 	opts = opts.withDefaults()
 	start := time.Now()
@@ -346,7 +345,7 @@ func ChooseWith(dev *device.Device, c *circuit.Circuit, opts Options) (*Placemen
 		return nil, nil, fmt.Errorf("layout: circuit needs %d qubits, backend %s has %d", n, dev.Name, dev.NQubits)
 	}
 	ig := interactionGraph(c)
-	cands := enumerate(dev, dev.CouplingGraph(), ig, opts)
+	cands := enumerate(dev, dev.CouplingGraph(), ig)
 	observeTier(mTierEnumerate)
 	if len(cands) == 0 {
 		return nil, nil, fmt.Errorf("layout: no %d-qubit embedding found on %s", n, dev.Name)
@@ -387,14 +386,12 @@ func ChooseWith(dev *device.Device, c *circuit.Circuit, opts Options) (*Placemen
 	}
 
 	var best *Placement
-	prune := !opts.NoSurrogate &&
-		opts.FitBatch >= surrogate.MinSamples &&
-		len(rank) > opts.FitBatch+opts.ExactTopK
+	prune := !opts.NoSurrogate && len(rank) > DefaultFitBatch+DefaultExactTopK
 	if prune {
-		fit := pick(pre, rank[:opts.FitBatch])
+		fit := pick(pre, rank[:DefaultFitBatch])
 		fitPls := scoreCandidates(dev, c, fit, workers)
-		rep.ExactScored += opts.FitBatch
-		samples := make([]surrogate.Sample, 0, opts.FitBatch)
+		rep.ExactScored += DefaultFitBatch
+		samples := make([]surrogate.Sample, 0, DefaultFitBatch)
 		for i, pl := range fitPls {
 			if pl != nil {
 				samples = append(samples, surrogate.Sample{X: fit[i].feats, Y: pl.Score})
@@ -404,12 +401,12 @@ func ChooseWith(dev *device.Device, c *circuit.Circuit, opts Options) (*Placemen
 		observeTier(mTierFit)
 		if err == nil {
 			rep.Model = model
-			// Keep the ExactTopK best predictions in the order a full sort
-			// by (prediction, index) would give them.
-			rest := rank[opts.FitBatch:]
-			kept := make([]prediction, 0, opts.ExactTopK)
+			// Keep the DefaultExactTopK best predictions in the order a full
+			// sort by (prediction, index) would give them.
+			rest := rank[DefaultFitBatch:]
+			kept := make([]prediction, 0, DefaultExactTopK)
 			for i, r := range rest {
-				kept = keepBest(kept, prediction{i, model.Predict(pre[r].feats)}, opts.ExactTopK)
+				kept = keepBest(kept, prediction{i, model.Predict(pre[r].feats)}, DefaultExactTopK)
 			}
 			top := make([]scored, len(kept))
 			for j, p := range kept {

@@ -120,8 +120,7 @@ func TestPrunedChooseNearExhaustive(t *testing.T) {
 		dev := device.NewLine("prop", 40, opts)
 
 		// Ground truth: every enumerated candidate, exact-scored.
-		sopts := DefaultOptions().withDefaults()
-		cands := enumerate(dev, dev.CouplingGraph(), interactionGraph(probe), sopts)
+		cands := enumerate(dev, dev.CouplingGraph(), interactionGraph(probe))
 		var want *Placement
 		for _, phys := range cands {
 			pl, err := Rescore(dev, probe, phys)

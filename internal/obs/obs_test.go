@@ -207,6 +207,35 @@ func TestQuantile(t *testing.T) {
 	}
 }
 
+// TestLatencyBucketsReach100s: the default latency buckets end at 100 s,
+// so a figure that takes 30 s reads a p99 above 1 s through a scrape
+// rather than clamping to a bound at 1 s.
+func TestLatencyBucketsReach100s(t *testing.T) {
+	bounds := LatencyBuckets()
+	if last := bounds[len(bounds)-1]; last < 100 {
+		t.Fatalf("last latency bound %v s, want at least 100 s", last)
+	}
+	r := NewRegistry()
+	r.Histogram("casq_slow_seconds", "slow", nil).Observe(30)
+	var b bytes.Buffer
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	samples, err := ParseProm(&b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buckets []Sample
+	for _, s := range samples {
+		if s.Name == "casq_slow_seconds_bucket" {
+			buckets = append(buckets, s)
+		}
+	}
+	if p99 := HistogramQuantile(0.99, buckets); p99 <= 1 {
+		t.Errorf("p99 of one 30 s observation = %v s, want above 1 s", p99)
+	}
+}
+
 // TestCounterZeroAlloc pins the metrics hot path: an increment must not
 // allocate (it sits on the serve request path and in exec workers).
 func TestCounterZeroAlloc(t *testing.T) {

@@ -1,5 +1,5 @@
 // Package obs is casq's dependency-free observability substrate. It has
-// two halves. The metrics half is a concurrent registry of sharded
+// two halves. The metrics half is a concurrent registry of atomic
 // counters and fixed-bucket histograms exposed in Prometheus text format,
 // with p50/p90/p99 read back from a scrape — `casq serve` mounts it
 // at GET /metrics, and every engine-layer package (store, exec, sweep,
@@ -20,36 +20,11 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"unsafe"
 )
 
-// counterShards is the number of padded cells a Counter stripes its
-// increments over. Power of two so the shard pick is a mask, not a mod.
-const counterShards = 16
-
-// shardIndex picks a stripe for the calling goroutine. Go exposes no
-// cheap goroutine or P identity, but every goroutine's stack is a
-// distinct allocation, so the address of a stack local — shifted past
-// the within-frame bits — spreads concurrent writers across shards
-// without any allocation or syscall.
-func shardIndex() uint64 {
-	var probe byte
-	return uint64(uintptr(unsafe.Pointer(&probe))>>10) & (counterShards - 1)
-}
-
-// pad64 is one cache line worth of counter cell: the value plus padding
-// so neighbouring shards never share a line (false sharing is the whole
-// point of striping).
-type pad64 struct {
-	v atomic.Uint64
-	_ [56]byte
-}
-
-// Counter is a monotonically increasing metric, striped across padded
-// shards so heavily concurrent writers (the exec worker pool, the serve
-// request path) do not contend on one cache line.
+// Counter is a monotonically increasing metric.
 type Counter struct {
-	shards [counterShards]pad64
+	v atomic.Uint64
 }
 
 // Inc adds one.
@@ -60,19 +35,15 @@ func (c *Counter) Add(n uint64) {
 	if c == nil {
 		return
 	}
-	c.shards[shardIndex()].v.Add(n)
+	c.v.Add(n)
 }
 
-// Value sums the shards. It is a snapshot, not a linearization point.
+// Value returns the current count.
 func (c *Counter) Value() uint64 {
 	if c == nil {
 		return 0
 	}
-	var total uint64
-	for i := range c.shards {
-		total += c.shards[i].v.Load()
-	}
-	return total
+	return c.v.Load()
 }
 
 // Histogram is a fixed-bucket distribution. Bounds are upper bucket
@@ -152,21 +123,17 @@ func bucketQuantile(q float64, bounds []float64, counts []uint64, total uint64) 
 	return bounds[len(bounds)-1]
 }
 
-// ExpBuckets returns n upper bounds starting at start and growing by
-// factor — the standard latency-histogram shape.
-func ExpBuckets(start, factor float64, n int) []float64 {
-	out := make([]float64, n)
+// LatencyBuckets spans 1µs..100s in quarter-decade steps: wide enough
+// for a store hit (µs) and a 127-qubit figure compute (tens of seconds)
+// on one scale, at 33 buckets. Each decade bound is exact, so the last
+// is 100 s rather than a product that rounds just below it.
+func LatencyBuckets() []float64 {
+	out := make([]float64, 33)
 	for i := range out {
-		out[i] = start
-		start *= factor
+		out[i] = math.Pow10(i/4-6) * math.Pow(10, float64(i%4)/4)
 	}
 	return out
 }
-
-// LatencyBuckets spans 1µs..~100s in quarter-decade steps: wide enough
-// for a store hit (µs) and a 127-qubit figure compute (tens of seconds)
-// on one scale, at 25 buckets.
-func LatencyBuckets() []float64 { return ExpBuckets(1e-6, math.Sqrt(math.Sqrt(10)), 25) }
 
 // metricKind tags a family for the # TYPE exposition line.
 type metricKind string

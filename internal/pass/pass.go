@@ -48,11 +48,6 @@ type Context struct {
 	Rng *rand.Rand
 	// Report is the sink the passes record their work into.
 	Report *Report
-	// Engine names the simulation backend this compilation targets
-	// ("statevector", "stab", "auto"; "" = statevector). Passes may
-	// consult it to keep their output representable — e.g. avoid
-	// non-Clifford rewrites when compiling for the stabilizer engine.
-	Engine string
 	// Tracer records per-pass compile spans; nil (the default) disables
 	// tracing at zero cost. Lane is the tracer lane the spans land on —
 	// the executor assigns one lane per concurrent instance so compile
@@ -251,19 +246,11 @@ func (p Pipeline) String() string {
 // result always carries a valid timing assignment, validates, and returns
 // the compiled circuit with the report. The input circuit is not mutated.
 func (p Pipeline) Apply(dev *device.Device, rng *rand.Rand, c *circuit.Circuit) (*circuit.Circuit, Report, error) {
-	return p.ApplyForEngine(dev, rng, c, "")
-}
-
-// ApplyForEngine is Apply with the target simulation engine declared in
-// the pass Context, so engine-aware passes can adapt their rewrites. The
-// RNG draw sequence is independent of the engine: the same seed compiles
-// to the same circuit under either backend.
-func (p Pipeline) ApplyForEngine(dev *device.Device, rng *rand.Rand, c *circuit.Circuit, engine string) (*circuit.Circuit, Report, error) {
-	return p.ApplyContext(&Context{Dev: dev, Rng: rng, Engine: engine}, c)
+	return p.ApplyContext(&Context{Dev: dev, Rng: rng}, c)
 }
 
 // ApplyContext is the fully general entry point: the caller assembles
-// the Context (device, RNG, engine, tracer/lane), and the pipeline
+// the Context (device, RNG, tracer/lane), and the pipeline
 // initializes the Report and runs. It validates the input first, so no
 // pass reads a gate parameter that is missing. Each pass records a
 // "pass:<name>" span on ctx.Tracer, so a traced compilation renders its

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"casq/internal/device"
@@ -115,5 +117,56 @@ func TestFigureBackendParam(t *testing.T) {
 	}
 	if calls := len(gotBackend); calls != 2 {
 		t.Errorf("compute ran %d times, want 2 (bad requests must not compute)", calls)
+	}
+}
+
+// TestFigureStatevectorKeyedApart: fig8 on a backend defaults to the auto
+// engine, so an explicit engine=statevector request after a default one
+// is a different figure: a miss that computes with engine statevector,
+// not a hit serving the auto figure.
+func TestFigureStatevectorKeyedApart(t *testing.T) {
+	var engines []string
+	s := backendTestServer(t, func(id string, opts experiments.Options) (experiments.Figure, error) {
+		engines = append(engines, opts.Engine)
+		return experiments.Figure{ID: id}, nil
+	})
+	h := s.Handler()
+	for _, q := range []string{"", "&engine=statevector"} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", "/figures/fig8?fast=1&backend=layerfid10"+q, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%q: status %d: %s", q, rec.Code, rec.Body.String())
+		}
+		if c := rec.Header().Get("X-Casq-Cache"); c != "miss" {
+			t.Errorf("%q: cache header %q, want miss", q, c)
+		}
+	}
+	if len(engines) != 2 || engines[0] != "" || engines[1] != "statevector" {
+		t.Errorf("compute saw engines %q, want [\"\" \"statevector\"]", engines)
+	}
+}
+
+// TestOverCapRequestsRejected: a figure request or a sweep asking for
+// more shots than the request cap is a 400, and nothing is computed.
+func TestOverCapRequestsRejected(t *testing.T) {
+	var computes atomic.Int32
+	s := backendTestServer(t, func(id string, opts experiments.Options) (experiments.Figure, error) {
+		computes.Add(1)
+		return experiments.Figure{ID: id}, nil
+	})
+	h := s.Handler()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/figures/figC1?fast=1&shots=2000000000", nil))
+	if rec.Code != http.StatusBadRequest {
+		t.Errorf("GET /figures over the shot cap: status %d: %s", rec.Code, rec.Body.String())
+	}
+	rec = httptest.NewRecorder()
+	body := strings.NewReader(`{"ids":["figC1"],"grid":{"shots":[2000000000]},"fast":true}`)
+	h.ServeHTTP(rec, httptest.NewRequest("POST", "/sweeps", body))
+	if rec.Code != http.StatusBadRequest {
+		t.Errorf("POST /sweeps over the shot cap: status %d: %s", rec.Code, rec.Body.String())
+	}
+	if n := computes.Load(); n != 0 {
+		t.Errorf("over-cap requests computed %d figures", n)
 	}
 }

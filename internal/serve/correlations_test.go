@@ -100,7 +100,8 @@ func TestCorrelationsEngineParam(t *testing.T) {
 }
 
 // TestCorrelationsErrors checks the endpoint's rejection paths: unknown
-// backends 404, unknown parameters / strategies / engines 400.
+// backends 404, unknown parameters / strategies / engines and counts
+// over the request cap 400.
 func TestCorrelationsErrors(t *testing.T) {
 	ts := newTestServer(t, nil)
 	for _, tc := range []struct {
@@ -113,6 +114,7 @@ func TestCorrelationsErrors(t *testing.T) {
 		{"/backends/line6/correlations?strategy=nosuch&fast=1&shots=64&instances=2", http.StatusBadRequest},
 		{"/backends/line6/correlations?engine=nosuch", http.StatusBadRequest},
 		{"/backends/line6/correlations?shots=-1", http.StatusBadRequest},
+		{"/backends/line6/correlations?shots=16&instances=1025", http.StatusBadRequest},
 		{"/backends/line6/correlations?seed=abc", http.StatusBadRequest},
 		{"/backends/line6/correlations?fast=2", http.StatusBadRequest},
 	} {

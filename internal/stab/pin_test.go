@@ -166,7 +166,7 @@ func TestCompiledProgramsPinned(t *testing.T) {
 		for seed := int64(1); seed <= 4; seed++ {
 			c := randomCliffordCircuit(dev, rand.New(rand.NewSource(seed)), 6, seed%2 == 0)
 			for _, pl := range pipelines {
-				out, _, err := pl.ApplyForEngine(dev, rand.New(rand.NewSource(seed)), c, "stab")
+				out, _, err := pl.Apply(dev, rand.New(rand.NewSource(seed)), c)
 				if err != nil {
 					t.Fatalf("%s seed %d %s: %v", name, seed, pl.Name, err)
 				}

@@ -48,7 +48,7 @@ func TestPooledOpsConcurrent(t *testing.T) {
 		}
 		for seed := int64(1); seed <= b.seeds; seed++ {
 			c := randomCliffordCircuit(dev, rand.New(rand.NewSource(seed)), 4, false)
-			out, _, err := pass.CADD().ApplyForEngine(dev, rand.New(rand.NewSource(seed)), c, "stab")
+			out, _, err := pass.CADD().Apply(dev, rand.New(rand.NewSource(seed)), c)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -60,7 +60,7 @@ func TestPooledOpsConcurrent(t *testing.T) {
 	c := randomCliffordCircuit(dev, rand.New(rand.NewSource(3)), 4, false)
 	c.Layers = slices.Insert(c.Layers, 2, circuit.Layer{Kind: circuit.TwoQubitLayer})
 	c.Layers[2].RZZ(0, 28, math.Pi/2)
-	out, _, err := pass.Twirled().ApplyForEngine(dev, rand.New(rand.NewSource(3)), c, "stab")
+	out, _, err := pass.Twirled().Apply(dev, rand.New(rand.NewSource(3)), c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestCompileSeesDeviceMutation(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := randomCliffordCircuit(dev, rand.New(rand.NewSource(1)), 4, false)
-	out, _, err := pass.Twirled().ApplyForEngine(dev, rand.New(rand.NewSource(1)), c, "stab")
+	out, _, err := pass.Twirled().Apply(dev, rand.New(rand.NewSource(1)), c)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,30 +38,35 @@ func TestBackendAxisExpansion(t *testing.T) {
 
 // TestEngineAxisKeys: engine-qualified cells must hash to distinct store
 // keys — a stabilizer-engine figure is a different artifact from the
-// statevector one.
+// statevector one — and "" is each figure's own default engine, not
+// statevector everywhere (fig8 on a backend defaults to auto, figC1
+// beyond 26 qubits to stab), so it keys apart from explicit statevector.
 func TestEngineAxisKeys(t *testing.T) {
-	spec := Spec{
-		IDs:  []string{"fig8"},
-		Grid: Grid{Engines: []string{"statevector", "stab"}},
-		Base: experiments.Options{Seed: 1, Shots: 8, Instances: 1},
-	}
-	cells, err := spec.Cells()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cells) != 2 {
-		t.Fatalf("expanded %d cells, want 2", len(cells))
-	}
-	keys := map[string]bool{}
-	for _, c := range cells {
-		k, err := c.Key()
+	engines := []string{"", "statevector", "stab"}
+	for _, c := range []struct{ id, backend string }{{"fig8", ""}, {"fig8", "layerfid10"}, {"figC1", "heavyhex29"}} {
+		spec := Spec{
+			IDs:  []string{c.id},
+			Grid: Grid{Engines: engines},
+			Base: experiments.Options{Seed: 1, Shots: 8, Instances: 1, Backend: c.backend},
+		}
+		cells, err := spec.Cells()
 		if err != nil {
 			t.Fatal(err)
 		}
-		keys[string(k)] = true
-	}
-	if len(keys) != 2 {
-		t.Fatalf("engine cells share keys: %d distinct of 2", len(keys))
+		if len(cells) != len(engines) {
+			t.Fatalf("%s on %q: expanded %d cells, want %d", c.id, c.backend, len(cells), len(engines))
+		}
+		keys := map[string]bool{}
+		for _, cell := range cells {
+			k, err := cell.Key()
+			if err != nil {
+				t.Fatal(err)
+			}
+			keys[string(k)] = true
+		}
+		if len(keys) != len(engines) {
+			t.Errorf("%s on %q: engine cells share keys: %d distinct of %d", c.id, c.backend, len(keys), len(engines))
+		}
 	}
 }
 
@@ -115,7 +120,31 @@ func TestBackendAxisValidation(t *testing.T) {
 			t.Errorf("key for negative counts %+v must error", o)
 		}
 	}
+	// Counts over the request cap, on each capped axis, below and above
+	// counts the cap allows in one grid, and as a POST /sweeps body.
+	var overCap Spec
+	if err := json.Unmarshal([]byte(overCapBody), &overCap); err != nil {
+		t.Fatal(err)
+	}
+	specs = []Spec{overCap}
+	for _, g := range []Grid{{Shots: []int{2_000_000_000}}, {Instances: []int{2, 1<<10 + 1}}} {
+		specs = append(specs, Spec{IDs: []string{"fig3c"}, Grid: g, Base: experiments.FastOptions()})
+	}
+	for _, sp := range specs {
+		if cells, err := sp.Cells(); err == nil {
+			t.Errorf("grid %+v over the count cap expanded to %d cells", sp.Grid, len(cells))
+		}
+	}
+	for _, o := range []experiments.Options{{Shots: 1<<20 + 1}, {Instances: 1<<10 + 1}} {
+		if _, err := (Cell{ID: "fig3c", Opts: o}).Key(); err == nil {
+			t.Errorf("key for over-cap counts %+v must error", o)
+		}
+	}
 }
+
+// overCapBody is a sweep submit body whose shots axis holds an allowed
+// count and one over the cap, so a probe of the least value alone passes.
+const overCapBody = `{"ids":["fig5"],"grid":{"shots":[16,2000000000]},"fast":true}`
 
 // negativeCountsBody is a sweep submit body with a negative value on
 // every count axis.

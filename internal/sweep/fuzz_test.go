@@ -17,7 +17,8 @@ import (
 // cells, and each of the first 256 has non-negative counts, a backend
 // its experiment declares, an engine it honors and a key. Seeds: the CI
 // fleet-smoke body, a 32⁴ grid over the cell cap, an unknown engine, an
-// undeclared backend, the empty spec and negativeCountsBody.
+// undeclared backend, the empty spec, negativeCountsBody and
+// overCapBody.
 func FuzzSpecCells(f *testing.F) {
 	vals := make([]string, 32)
 	for i := range vals {
@@ -31,6 +32,7 @@ func FuzzSpecCells(f *testing.F) {
 		`{"ids":["fig5"],"grid":{"backends":["heavyhex29"]}}`,
 		`{}`,
 		negativeCountsBody,
+		overCapBody,
 	} {
 		f.Add([]byte(body))
 	}

@@ -19,7 +19,6 @@ import (
 	"sync"
 	"time"
 
-	"casq/internal/exec"
 	"casq/internal/experiments"
 	"casq/internal/obs"
 	"casq/internal/store"
@@ -75,6 +74,9 @@ type descriptor struct {
 // its sole consumer), so for specs without one it is normalized to zero —
 // sweeping max_depths over an axis-free experiment then dedups to a
 // single computation instead of storing identical bytes under many keys.
+// The engine is keyed as the request names it: "" is each figure's own
+// default, which is not statevector everywhere (fig8 on a backend
+// defaults to auto, figC1 beyond 26 qubits to stab).
 func (c Cell) Key() (store.Key, error) {
 	sp, ok := experiments.Lookup(c.ID)
 	if !ok {
@@ -86,12 +88,6 @@ func (c Cell) Key() (store.Key, error) {
 	}
 	if err := sp.Check(c.Opts); err != nil {
 		return "", fmt.Errorf("sweep: %w", err)
-	}
-	// "" and "statevector" are the same configuration; normalize so the
-	// two spellings share one cache artifact instead of double-computing.
-	engine := c.Opts.Engine
-	if engine == exec.EngineStatevector {
-		engine = ""
 	}
 	return store.Fingerprint(descriptor{
 		Rev:        descriptorRev,
@@ -106,7 +102,7 @@ func (c Cell) Key() (store.Key, error) {
 		MaxDepth:   maxDepth,
 		Fast:       c.Opts.Fast,
 		Backend:    c.Opts.Backend,
-		Engine:     engine,
+		Engine:     c.Opts.Engine,
 	})
 }
 
@@ -299,9 +295,10 @@ func (s Spec) Cells() ([]Cell, error) {
 		n *= axis
 	}
 	// Every cell passes Spec.Check when every id × backend × engine does
-	// at the least value of each count axis.
-	probe := s.Base
-	probe.Shots, probe.Instances, probe.MaxDepth = slices.Min(shots), slices.Min(instances), slices.Min(maxDepths)
+	// at the least and at the greatest value of each count axis.
+	least, greatest := s.Base, s.Base
+	least.Shots, least.Instances, least.MaxDepth = slices.Min(shots), slices.Min(instances), slices.Min(maxDepths)
+	greatest.Shots, greatest.Instances, greatest.MaxDepth = slices.Max(shots), slices.Max(instances), slices.Max(maxDepths)
 	for _, id := range ids {
 		sp, ok := experiments.Lookup(id)
 		if !ok {
@@ -309,9 +306,11 @@ func (s Spec) Cells() ([]Cell, error) {
 		}
 		for _, b := range backends {
 			for _, e := range engines {
-				probe.Backend, probe.Engine = b, e
-				if err := sp.Check(probe); err != nil {
-					return nil, fmt.Errorf("sweep: %w", err)
+				for _, probe := range []experiments.Options{least, greatest} {
+					probe.Backend, probe.Engine = b, e
+					if err := sp.Check(probe); err != nil {
+						return nil, fmt.Errorf("sweep: %w", err)
+					}
 				}
 			}
 		}
@@ -429,10 +428,10 @@ func NewRun(cells []Cell) *Run {
 // Cells returns the run's expanded cells (shared slice; read-only).
 func (r *Run) Cells() []Cell { return r.cells }
 
-// TraceID returns the run's trace identity: every cell span recorded for
-// the run carries it — fabric workers receive it in each claim — and the
-// serve layer echoes it in SSE progress events so a client can correlate
-// a sweep with its trace.
+// TraceID returns the run's trace identity: fabric workers receive it in
+// each claim and stamp it on their cell spans, and the serve layer echoes
+// it in SSE progress events so a client can correlate a sweep with its
+// trace.
 func (r *Run) TraceID() uint64 { return r.traceID }
 
 // Done returns a channel closed when every cell has reached a terminal
@@ -532,11 +531,6 @@ type Runner struct {
 	// budget to each cell's executor. An explicit cell Options.Workers is
 	// respected (it never changes results — only parallelism).
 	Workers int
-	// Tracer records one span per cell (lane = sweep worker index), all
-	// stamped with the run's TraceID, and is threaded into each cell's
-	// Options so compile-pass and engine spans nest under it. Nil (the
-	// default) disables tracing at zero cost.
-	Tracer *obs.Tracer
 }
 
 // Start expands the spec and launches its cells in the background,
@@ -567,7 +561,7 @@ func (r *Runner) Start(ctx context.Context, spec Spec) (*Run, error) {
 		indices <- i
 	}
 	close(indices)
-	for lane := 1; lane <= workers; lane++ {
+	for range workers {
 		go func() {
 			for i := range indices {
 				if ctx.Err() != nil {
@@ -578,15 +572,7 @@ func (r *Runner) Start(ctx context.Context, spec Spec) (*Run, error) {
 				if cell.Opts.Workers == 0 {
 					cell.Opts.Workers = perCell
 				}
-				var sp obs.Span
-				if r.Tracer.Enabled() {
-					sp = r.Tracer.Start("sweep.cell:" + cell.ID).WithLane(lane).WithTrace(run.traceID)
-					if cell.Opts.Tracer == nil {
-						cell.Opts.Tracer = r.Tracer
-					}
-				}
 				_, hit, err := r.Cache.Figure(cell)
-				sp.End()
 				st, msg := Outcome(hit, err)
 				run.Set(i, st, msg)
 			}
